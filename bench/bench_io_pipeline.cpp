@@ -1,11 +1,11 @@
 // I/O pipeline benchmark: quantifies the storage-layer overhaul (parallel
-// run generation, loser-tree block merge, read-ahead, batched write-back)
-// against the fully serial pipeline on the Fig 5c automotive-like config.
+// run generation, loser-tree block merge, batched write-back) against the
+// fully serial pipeline on the Fig 5c automotive-like config.
 //
 // Part 1 sweeps the external-sort budget and times the sort phase alone
 // (serial vs. pipelined, identical input bytes, byte-identity checked).
 // Part 2 sweeps the buffer size over full allocations, reporting wall
-// time, demand I/Os, and the prefetch hit rate.
+// time and demand I/Os (which must equal the serial pipeline's).
 //
 // Results additionally land as a JSON array (--json=BENCH_io_pipeline.json)
 // for perf-trajectory tracking.
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "storage/async_io.h"
 #include "storage/external_sort.h"
 
 using namespace iolap;
@@ -119,14 +118,13 @@ int main(int argc, char** argv) {
     json.Field("speedup", speedup);
     json.Field("serial_demand_io", serial.io.total());
     json.Field("pipeline_demand_io", piped.io.total());
-    json.Field("pipeline_prefetch_reads", piped.io.prefetch_reads);
     json.Field("byte_identical", identical);
     json.EndObject();
   }
 
   PrintHeader("full allocation: serial vs. pipelined, by buffer size");
-  std::printf("%-8s %-12s %-9s %10s %12s %10s %8s\n", "buffer", "algorithm",
-              "pipeline", "wall_s", "demand_io", "pf_hit%", "speedup");
+  std::printf("%-8s %-12s %-9s %10s %12s %8s\n", "buffer", "algorithm",
+              "pipeline", "wall_s", "demand_io", "speedup");
   const double kFractions[] = {0.031, 0.19};
   const char* kLabels[] = {"1MB", "6MB"};
   for (int b = 0; b < 2; ++b) {
@@ -144,9 +142,6 @@ int main(int argc, char** argv) {
             mode == 0 ? IoPipelineOptions::Serial() : IoPipelineOptions{};
         double wall = 0;
         AllocationResult r;
-        PoolStats pool;
-        IoStats disk;
-        bool sync_mode = false;
         for (int rep = 0; rep < repeats; ++rep) {
           StorageEnv env(MakeWorkDir("io_pipe_alloc"), buffer_pages);
           TypedFile<FactRecord> file =
@@ -154,18 +149,8 @@ int main(int argc, char** argv) {
           Stopwatch watch;
           r = Unwrap(Allocator::Run(env, schema, &file, options));
           double rep_wall = watch.ElapsedSeconds();
-          if (rep == 0 || rep_wall < wall) {
-            wall = rep_wall;
-            pool = env.pool().stats();
-            disk = env.disk().stats();
-            sync_mode = env.pool().plan_sync_mode();
-          }
+          if (rep == 0 || rep_wall < wall) wall = rep_wall;
         }
-        double hit_rate =
-            disk.prefetch_reads > 0
-                ? 100.0 * static_cast<double>(pool.prefetch_hits) /
-                      static_cast<double>(disk.prefetch_reads)
-                : 0.0;
         double speedup = 0;
         if (mode == 0) {
           serial_wall = wall;
@@ -173,18 +158,9 @@ int main(int argc, char** argv) {
         } else if (wall > 0) {
           speedup = serial_wall / wall;
         }
-        // "sync" = plan-driven read-ahead ran inline on the pin path (one
-        // batched read per chunk, no backend thread) — the auto resolution
-        // on single-hardware-thread hosts.
-        const char* backend =
-            sync_mode
-                ? "sync"
-                : AsyncBackendName(ResolveAsyncBackend(options.io.io_backend));
-        std::printf("%-8s %-12s %-9s %10.3f %12lld %9.1f%% %7.2fx\n",
-                    kLabels[b], AlgorithmName(algo),
-                    mode == 0 ? "serial" : "on", wall,
-                    static_cast<long long>(r.alloc_io.total()), hit_rate,
-                    speedup);
+        std::printf("%-8s %-12s %-9s %10.3f %12lld %7.2fx\n", kLabels[b],
+                    AlgorithmName(algo), mode == 0 ? "serial" : "on", wall,
+                    static_cast<long long>(r.alloc_io.total()), speedup);
         json.BeginObject();
         json.Field("section", "allocation");
         json.Field("facts", facts);
@@ -196,13 +172,9 @@ int main(int argc, char** argv) {
         json.Field("alloc_seconds", r.alloc_seconds);
         json.Field("emit_seconds", r.emit_seconds);
         json.Field("alloc_demand_io", r.alloc_io.total());
-        json.Field("prefetch_reads", disk.prefetch_reads);
-        json.Field("prefetch_hits", pool.prefetch_hits);
-        json.Field("prefetch_hit_rate_pct", hit_rate);
         json.Field("speedup_vs_serial", speedup);
-        json.Field("io_backend", backend);
-        // Pinned by the cost model: planned read-ahead must not change the
-        // demand I/O the serial pipeline charges.
+        // Pinned by the cost model: the pipeline must not change the demand
+        // I/O the serial pipeline charges.
         json.Field("demand_io_identical",
                    mode == 0 || r.alloc_io.total() == serial_demand);
         json.EndObject();

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the repo under ThreadSanitizer and runs the tests that exercise the
-# concurrent paths: the thread-safe storage layer (BufferPool/DiskManager,
-# including the background prefetcher), the exec subsystem
+# concurrent paths: the thread-safe storage layer (BufferPool/DiskManager),
+# the exec subsystem
 # (ThreadPool/ParallelScheduler), the external sorter's parallel run
 # generation, the component-parallel Transitive allocator, the
 # observability layer (lock-free metrics, trace collection from worker
@@ -9,10 +9,7 @@
 # maintenance stream against the generation-versioned aggregate cache and
 # the hierarchical aggregate index tier, plus the sharded serve path:
 # per-shard snapshot locks, the parallel group-by engine, and the
-# multi-shard torture/determinism cases in serve_concurrent_test), and the
-# plan-driven async read-ahead path (async_io_test; the io_uring backend
-# compiles out under TSan, so this covers the pread pool + the buffer
-# pool's plan bookkeeping racing demand pins).
+# multi-shard torture/determinism cases in serve_concurrent_test).
 # Zero reported races is a release gate for the parallel execution and
 # serving subsystems.
 #
@@ -24,12 +21,12 @@ cd "$(dirname "$0")/.."
 BUILD=build-tsan
 cmake -B "$BUILD" -G Ninja -DIOLAP_SANITIZE=thread
 cmake --build "$BUILD" --target \
-  buffer_pool_test disk_manager_test thread_pool_test async_io_test \
+  buffer_pool_test disk_manager_test thread_pool_test \
   parallel_transitive_test external_sort_test io_pipeline_equivalence_test \
   obs_test serve_test serve_concurrent_test aggidx_test aggidx_concurrent_test
 
 export TSAN_OPTIONS="halt_on_error=0:exitcode=66:${TSAN_OPTIONS:-}"
 ctest --test-dir "$BUILD" --output-on-failure \
-  -R 'BufferPool|DiskManager|ThreadPool|ParallelScheduler|ParallelTransitive|ExternalSort|IoPipeline|AsyncIo|PlannedPool|AsyncBackend|Metrics|Trace|Obs|ScopedObservability|JsonUtil|Serve|SelectiveInvalidation|AggIdx|AggIndex' \
+  -R 'BufferPool|DiskManager|ThreadPool|ParallelScheduler|ParallelTransitive|ExternalSort|IoPipeline|Metrics|Trace|Obs|ScopedObservability|JsonUtil|Serve|SelectiveInvalidation|AggIdx|AggIndex' \
   "$@"
 echo "TSan run clean."

@@ -23,7 +23,6 @@ void PublishResult(const AllocationResult& result) {
     std::string p = std::string("alloc.") + phase;
     m->counter(p + "_io.page_reads")->Add(s.page_reads);
     m->counter(p + "_io.page_writes")->Add(s.page_writes);
-    m->counter(p + "_io.prefetch_reads")->Add(s.prefetch_reads);
   };
   io("prep", result.prep_io);
   io("alloc", result.alloc_io);
@@ -45,13 +44,8 @@ Result<AllocationResult> Allocator::Run(StorageEnv& env,
                                         const AllocationOptions& options) {
   TraceSpan run_span("alloc.run");
   AllocationResult result;
-  // The I/O pipeline knobs live on the pool for the duration of this run:
-  // sequential cursors check them when issuing read-ahead hints and flushes
-  // pick per-page vs. batched write-back.
-  env.pool().ConfigureReadAhead(options.io.read_ahead_pages);
+  // Flushes during this run pick per-page vs. batched write-back.
   env.pool().set_batched_writeback(options.io.batched_writeback);
-  env.pool().ConfigurePlanReadAhead(options.io.io_backend,
-                                    options.io.plan_in_flight);
   IoStats io_before = env.disk().stats();
   Stopwatch watch;
 

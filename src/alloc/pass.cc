@@ -8,8 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "storage/access_plan.h"
-
 namespace iolap {
 
 /// Sliding window over one summary-table segment. Entries enter when the
@@ -221,23 +219,6 @@ Status PassEngine::RunPass(PassKind kind,
 
   const int64_t begin = cell_begin_;
   const int64_t end = cell_end_ < 0 ? cells_->size() : cell_end_;
-
-  // Every pass reads exactly the cell range and each segment's record
-  // range, front to back — publish that schedule so the buffer pool can
-  // overlap the next stretch of reads with window compute. The windows'
-  // own heuristic hints are suppressed for planned files.
-  AccessPlan plan;
-  if (end > begin) {
-    plan.AddRange(cells_->file_id(), TypedFile<CellRecord>::PageOf(begin),
-                  TypedFile<CellRecord>::PageOf(end - 1) + 1);
-  }
-  for (const TableSegment& seg : tables) {
-    if (seg.end <= seg.begin) continue;
-    plan.AddRange(imprecise_->file_id(),
-                  TypedFile<ImpreciseRecord>::PageOf(seg.begin),
-                  TypedFile<ImpreciseRecord>::PageOf(seg.end - 1) + 1);
-  }
-  BufferPool::PlannedAccess planned = pool_->BeginPlannedAccess(plan);
 
   std::vector<TableWindow> windows;
   windows.reserve(tables.size());

@@ -13,7 +13,6 @@
 #include "model/sort_key.h"
 #include "obs/trace.h"
 #include "recovery/checkpoint.h"
-#include "storage/access_plan.h"
 #include "storage/external_sort.h"
 
 namespace iolap {
@@ -309,19 +308,6 @@ Status RunTransitive(StorageEnv& env, const StarSchema& schema,
   dir.clear();
   {
     TraceSpan dir_span("transitive.directory");
-    // The directory pass reads both files front to back exactly once.
-    AccessPlan dir_plan;
-    if (data->cells.size() > 0) {
-      dir_plan.AddRange(data->cells.file_id(), 0,
-                        TypedFile<CellRecord>::PageOf(data->cells.size() - 1) +
-                            1);
-    }
-    if (data->imprecise.size() > 0) {
-      dir_plan.AddRange(
-          data->imprecise.file_id(), 0,
-          TypedFile<ImpreciseRecord>::PageOf(data->imprecise.size() - 1) + 1);
-    }
-    BufferPool::PlannedAccess dir_planned = pool.BeginPlannedAccess(dir_plan);
     auto cc = data->cells.Scan(pool);
     auto ec = data->imprecise.Scan(pool);
     CellRecord cell;
@@ -433,13 +419,7 @@ Status RunTransitiveComponents(StorageEnv& env, const StarSchema& schema,
       std::max<int64_t>(1, env.buffer_pages() - 2)));
 
   if (num_threads <= 1) {
-    // Serial path: exactly the classic Algorithm 5 loop. Consecutive
-    // in-memory components are covered by one stretched access plan (their
-    // loads are a single forward scan of both files); external components
-    // run their own passes — which emit their own plans — so the stretch
-    // ends before each one.
-    BufferPool::PlannedAccess stretch;
-    size_t stretch_end = static_cast<size_t>(start_component);
+    // Serial path: exactly the classic Algorithm 5 loop.
     for (size_t i = static_cast<size_t>(start_component); i < dir.size();
          ++i) {
       ComponentInfo& info = dir[i];
@@ -450,28 +430,6 @@ Status RunTransitiveComponents(StorageEnv& env, const StarSchema& schema,
       const int64_t pages = pages_of(info);
       int iterations = 0;
       if (pages <= budget_records_limit) {
-        if (i >= stretch_end) {
-          size_t j = i;
-          while (j < dir.size() && pages_of(dir[j]) <= budget_records_limit) {
-            ++j;
-          }
-          AccessPlan plan;
-          if (dir[j - 1].cell_end > info.cell_begin) {
-            plan.AddRange(
-                data->cells.file_id(),
-                TypedFile<CellRecord>::PageOf(info.cell_begin),
-                TypedFile<CellRecord>::PageOf(dir[j - 1].cell_end - 1) + 1);
-          }
-          if (dir[j - 1].entry_end > info.entry_begin) {
-            plan.AddRange(
-                data->imprecise.file_id(),
-                TypedFile<ImpreciseRecord>::PageOf(info.entry_begin),
-                TypedFile<ImpreciseRecord>::PageOf(dir[j - 1].entry_end - 1) +
-                    1);
-          }
-          stretch = pool.BeginPlannedAccess(plan);
-          stretch_end = j;
-        }
         std::vector<CellRecord> cells;
         std::vector<ImpreciseRecord> entries;
         IOLAP_RETURN_IF_ERROR(
@@ -481,8 +439,6 @@ Status RunTransitiveComponents(StorageEnv& env, const StarSchema& schema,
         IOLAP_RETURN_IF_ERROR(ma.Emit(&appender, &result->edges_emitted,
                                       &result->unallocatable_facts));
       } else {
-        stretch = BufferPool::PlannedAccess();
-        stretch_end = i + 1;
         ++result->components.num_large_components;
         result->components.large_component_pages += pages;
         IOLAP_RETURN_IF_ERROR(

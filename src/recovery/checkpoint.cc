@@ -40,6 +40,18 @@ void AppendPod(std::string* out, const T* items, size_t count) {
   out->append(reinterpret_cast<const char*>(items), count * sizeof(T));
 }
 
+/// Inverse of AppendPod: fills `out` with `count` items read from `*p` and
+/// advances `*p` past them. An empty section copies nothing: an empty
+/// vector's data() may be null, and memcpy with a null pointer is undefined
+/// even for zero bytes.
+template <typename T>
+void ReadPod(const char** p, size_t count, std::vector<T>* out) {
+  out->resize(count);
+  if (count == 0) return;
+  std::memcpy(out->data(), *p, count * sizeof(T));
+  *p += count * sizeof(T);
+}
+
 Result<int64_t> FileBytes(const std::string& path) {
   struct stat st;
   if (::stat(path.c_str(), &st) != 0) {
@@ -399,19 +411,10 @@ Result<bool> CheckpointManager::LoadGeneration(uint64_t gen) {
 
   header_ = h;
   const char* p = blob.data() + sizeof(h);
-  tables_.resize(h.num_tables);
-  std::memcpy(tables_.data(), p, h.num_tables * sizeof(SummaryTableInfo));
-  p += h.num_tables * sizeof(SummaryTableInfo);
-  fences_.resize(h.num_fences);
-  std::memcpy(fences_.data(), p,
-              h.num_fences * sizeof(std::array<int32_t, kMaxDims>));
-  p += h.num_fences * sizeof(std::array<int32_t, kMaxDims>);
-  directory_.resize(h.num_directory);
-  std::memcpy(directory_.data(), p, h.num_directory * sizeof(ComponentInfo));
-  p += h.num_directory * sizeof(ComponentInfo);
-  per_iteration_.resize(h.num_per_iteration);
-  std::memcpy(per_iteration_.data(), p,
-              h.num_per_iteration * sizeof(IterationStats));
+  ReadPod(&p, h.num_tables, &tables_);
+  ReadPod(&p, h.num_fences, &fences_);
+  ReadPod(&p, h.num_directory, &directory_);
+  ReadPod(&p, h.num_per_iteration, &per_iteration_);
   return true;
 }
 
@@ -523,10 +526,10 @@ Status CheckpointManager::LoadBasicState(
       eb.size() != header_.imprecise_count * sizeof(ImpreciseRecord)) {
     return Status::IoError("Basic checkpoint payload size mismatch");
   }
-  cells->resize(static_cast<size_t>(header_.cells_count));
-  std::memcpy(cells->data(), cb.data(), cb.size());
-  entries->resize(static_cast<size_t>(header_.imprecise_count));
-  std::memcpy(entries->data(), eb.data(), eb.size());
+  const char* cp = cb.data();
+  ReadPod(&cp, static_cast<size_t>(header_.cells_count), cells);
+  const char* ep = eb.data();
+  ReadPod(&ep, static_cast<size_t>(header_.imprecise_count), entries);
   return Status::Ok();
 }
 

@@ -98,7 +98,7 @@ struct ShardSnapshot {
 ///
 /// The environment variable IOLAP_EDB_FORMAT (values `row` / `columnar`)
 /// overrides ServeOptions::edb_format at construction — a deployment-level
-/// force switch, mirroring IOLAP_IO_BACKEND.
+/// force switch.
 ///
 /// Concurrency model (the sharded snapshot contract):
 ///  * The leaf space is statically partitioned into shards along

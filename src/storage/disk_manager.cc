@@ -115,20 +115,17 @@ Status DiskManager::GrowTo(FileState* state, PageId end_page) {
 }
 
 Status DiskManager::ReadPage(FileId file, PageId page, void* buffer) {
-  return ReadPages(file, page, 1, buffer, /*prefetch=*/false);
+  return ReadPages(file, page, 1, buffer);
 }
 
 Status DiskManager::ReadPages(FileId file, PageId first, int64_t n,
-                              void* buffer, bool prefetch) {
-  return RunWithRetry(
-      [&] { return ReadPagesOnce(file, first, n, buffer, prefetch); });
+                              void* buffer) {
+  return RunWithRetry([&] { return ReadPagesOnce(file, first, n, buffer); });
 }
 
 Status DiskManager::ReadPagesOnce(FileId file, PageId first, int64_t n,
-                                  void* buffer, bool prefetch) {
-  if (!prefetch) {
-    IOLAP_RETURN_IF_ERROR(Inject('r', file, first, n));
-  }
+                                  void* buffer) {
+  IOLAP_RETURN_IF_ERROR(Inject('r', file, first, n));
   IOLAP_ASSIGN_OR_RETURN(FileState * state, GetFile(file));
   if (n <= 0) {
     return Status::InvalidArgument("ReadPages of a non-positive page count");
@@ -145,52 +142,7 @@ Status DiskManager::ReadPagesOnce(FileId file, PageId first, int64_t n,
   if (got != want) {
     return Status::IoError(ErrnoMessage("pread", state->path));
   }
-  auto& counter = prefetch ? prefetch_reads_ : page_reads_;
-  counter.fetch_add(n, std::memory_order_relaxed);
-  return Status::Ok();
-}
-
-Status DiskManager::ReadPagesScatter(FileId file, PageId first,
-                                     std::byte* const* pages, int64_t n,
-                                     bool prefetch) {
-  return RunWithRetry(
-      [&] { return ReadPagesScatterOnce(file, first, pages, n, prefetch); });
-}
-
-Status DiskManager::ReadPagesScatterOnce(FileId file, PageId first,
-                                         std::byte* const* pages, int64_t n,
-                                         bool prefetch) {
-  if (!prefetch) {
-    IOLAP_RETURN_IF_ERROR(Inject('r', file, first, n));
-  }
-  IOLAP_ASSIGN_OR_RETURN(FileState * state, GetFile(file));
-  if (n <= 0) {
-    return Status::InvalidArgument("scatter read of a non-positive count");
-  }
-  if (first < 0 || first + n > state->size_pages.load()) {
-    return Status::OutOfRange(
-        "read of pages [" + std::to_string(first) + "," +
-        std::to_string(first + n) + ") beyond file of " +
-        std::to_string(state->size_pages.load()) + " pages");
-  }
-  int64_t done = 0;
-  while (done < n) {
-    int64_t batch = std::min(n - done, kMaxIov);
-    struct iovec iov[kMaxIov];
-    for (int64_t i = 0; i < batch; ++i) {
-      iov[i].iov_base = pages[done + i];
-      iov[i].iov_len = kPageSize;
-    }
-    ssize_t want = static_cast<ssize_t>(batch) * static_cast<ssize_t>(kPageSize);
-    ssize_t got = ::preadv(state->fd, iov, static_cast<int>(batch),
-                           static_cast<off_t>(first + done) * kPageSize);
-    if (got != want) {
-      return Status::IoError(ErrnoMessage("preadv", state->path));
-    }
-    done += batch;
-  }
-  auto& counter = prefetch ? prefetch_reads_ : page_reads_;
-  counter.fetch_add(n, std::memory_order_relaxed);
+  page_reads_.fetch_add(n, std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -285,11 +237,6 @@ Status DiskManager::Preallocate(FileId file, int64_t pages) {
 Result<int64_t> DiskManager::SizeInPages(FileId file) const {
   IOLAP_ASSIGN_OR_RETURN(FileState * state, GetFile(file));
   return state->size_pages.load();
-}
-
-Result<int> DiskManager::RawFd(FileId file) const {
-  IOLAP_ASSIGN_OR_RETURN(FileState * state, GetFile(file));
-  return state->fd;
 }
 
 Status DiskManager::Truncate(FileId file, int64_t pages) {

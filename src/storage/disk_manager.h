@@ -75,19 +75,8 @@ class DiskManager {
   Status ReadPage(FileId file, PageId page, void* buffer);
 
   /// Reads `n` consecutive pages starting at `first` into `buffer`
-  /// (n * kPageSize bytes) with one positional read. `prefetch` selects the
-  /// I/O class: demand reads count into `IoStats::page_reads` and pass the
-  /// fault injector; prefetch reads count into `IoStats::prefetch_reads`
-  /// and bypass the injector (a failed read-ahead is dropped by the caller
-  /// and the fault, if real, resurfaces on the demand read).
-  Status ReadPages(FileId file, PageId first, int64_t n, void* buffer,
-                   bool prefetch = false);
-
-  /// Vectored variant of ReadPages: scatters `n` consecutive pages starting
-  /// at `first` into `n` separate kPageSize buffers with one preadv. Same
-  /// counting and prefetch semantics as ReadPages.
-  Status ReadPagesScatter(FileId file, PageId first, std::byte* const* pages,
-                          int64_t n, bool prefetch = false);
+  /// (n * kPageSize bytes) with one positional read. Counts `n` page reads.
+  Status ReadPages(FileId file, PageId first, int64_t n, void* buffer);
 
   /// Writes `buffer` (kPageSize bytes) to page `page`, growing the file if
   /// `page` is the first page past the end. Writing further past the end is
@@ -147,27 +136,6 @@ class DiskManager {
   void SetRetryPolicy(const RetryPolicy& policy) { retry_policy_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_policy_; }
 
-  /// Charges one demand page read without touching disk. The buffer pool
-  /// calls this when a pin consumes a read-ahead frame, so `page_reads`
-  /// counts exactly the demand I/Os the serial pipeline would have issued
-  /// (see IoStats).
-  void ChargeDemandRead() {
-    page_reads_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Charges `n` physical prefetch reads issued outside the page API. The
-  /// io_uring backend reads through the raw fd and reports its successful
-  /// transfers here so the demand-vs-prefetch IoStats split holds.
-  void ChargePrefetchReads(int64_t n) {
-    prefetch_reads_.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  /// Raw file descriptor of `file` for backends that issue their own
-  /// positional reads (io_uring). Valid until DeleteFile or this manager's
-  /// destructor; callers must not close it and must not keep reads in
-  /// flight across DeleteFile.
-  Result<int> RawFd(FileId file) const;
-
   /// Race-free snapshot of the I/O counters (the counters themselves are
   /// atomics, so concurrent reads and writes keep incrementing while the
   /// snapshot is taken).
@@ -175,13 +143,11 @@ class DiskManager {
     IoStats out;
     out.page_reads = page_reads_.load(std::memory_order_relaxed);
     out.page_writes = page_writes_.load(std::memory_order_relaxed);
-    out.prefetch_reads = prefetch_reads_.load(std::memory_order_relaxed);
     return out;
   }
   void ResetStats() {
     page_reads_.store(0, std::memory_order_relaxed);
     page_writes_.store(0, std::memory_order_relaxed);
-    prefetch_reads_.store(0, std::memory_order_relaxed);
   }
 
   const std::string& directory() const { return directory_; }
@@ -207,11 +173,7 @@ class DiskManager {
   Status GrowTo(FileState* state, PageId end_page);
 
   // Single-attempt bodies wrapped by the public retrying entry points.
-  Status ReadPagesOnce(FileId file, PageId first, int64_t n, void* buffer,
-                       bool prefetch);
-  Status ReadPagesScatterOnce(FileId file, PageId first,
-                              std::byte* const* pages, int64_t n,
-                              bool prefetch);
+  Status ReadPagesOnce(FileId file, PageId first, int64_t n, void* buffer);
   Status WritePagesOnce(FileId file, PageId first, int64_t n,
                         const void* buffer);
   Status WritePagesGatherOnce(FileId file, PageId first,
@@ -229,7 +191,6 @@ class DiskManager {
   std::mutex injector_mu_;        // serializes stateful fault injectors
   std::atomic<int64_t> page_reads_{0};
   std::atomic<int64_t> page_writes_{0};
-  std::atomic<int64_t> prefetch_reads_{0};
   FaultInjector fault_injector_;
   RetryPolicy retry_policy_;
 };

@@ -4,8 +4,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "storage/async_io.h"
-
 namespace iolap {
 
 /// Tuning knobs for the storage I/O pipeline. Every knob affects only
@@ -25,25 +23,9 @@ struct IoPipelineOptions {
   /// count); 1 reproduces the classic page-at-a-time merge I/O pattern.
   int merge_block_pages = 0;
 
-  /// Read-ahead distance (pages) hinted by sequential readers; the buffer
-  /// pool's background prefetcher services the hints. 0 disables prefetch.
-  int read_ahead_pages = 8;
-
   /// Coalesce contiguous dirty pages into single vectored writes on
   /// FlushFile/FlushAll (eviction write-back stays per-page).
   bool batched_writeback = true;
-
-  /// Async backend for plan-driven read-ahead: readers with an exact page
-  /// schedule (the window engine's passes) emit an AccessPlan the buffer
-  /// pool drives asynchronously, overlapping the next window's reads with
-  /// the current window's compute. kAuto probes for io_uring and falls
-  /// back to a pread thread pool; kOff leaves only the heuristic hints.
-  AsyncBackendKind io_backend = AsyncBackendKind::kAuto;
-
-  /// Bound on concurrently in-flight planned read chunks (each chunk is
-  /// `read_ahead_pages` pages), so small pools never sacrifice demand
-  /// frames to read-ahead staging.
-  int plan_in_flight = 4;
 
   int EffectiveSortThreads() const {
     if (sort_threads > 0) return sort_threads;
@@ -57,9 +39,7 @@ struct IoPipelineOptions {
     IoPipelineOptions o;
     o.sort_threads = 1;
     o.merge_block_pages = 1;
-    o.read_ahead_pages = 0;
     o.batched_writeback = false;
-    o.io_backend = AsyncBackendKind::kOff;
     return o;
   }
 };

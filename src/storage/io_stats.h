@@ -8,21 +8,15 @@ namespace iolap {
 
 /// Counters for page-granularity disk traffic. The paper's cost model and
 /// all of its theorems are stated in page I/Os, so every experiment reports
-/// these alongside wall-clock time.
-///
-/// Demand vs. prefetch accounting: `page_reads` counts *demand* page reads
-/// — pages an algorithm asked for, whether the bytes came straight off disk
-/// or out of a read-ahead frame (a pin that consumes a prefetched frame is
-/// charged here at consumption time). `prefetch_reads` counts the physical
-/// reads the background prefetcher issued. Consumed prefetches therefore
-/// appear in both counters — `page_reads` stays exactly what the serial
-/// pipeline would have read, which is what Theorems 6/7/10 bound, while
-/// physical traffic is `page_reads - <consumed> + prefetch_reads` (the
-/// consumed count is `PoolStats::prefetch_hits`).
+/// these alongside wall-clock time. Every read is a demand read — the
+/// buffer pool has no read-ahead — so `page_reads` is exactly what
+/// Theorems 6/7/10 bound.
 struct IoStats {
-  int64_t page_reads = 0;      // demand reads (theorem-counted)
+  int64_t page_reads = 0;  // demand reads (theorem-counted)
   int64_t page_writes = 0;
-  int64_t prefetch_reads = 0;  // physical read-ahead reads
+  /// Always 0: the buffer pool issues no read-ahead. Kept so consumers
+  /// that report it keep compiling.
+  int64_t prefetch_reads = 0;
 
   /// Demand I/O total — the quantity the paper's cost model predicts.
   int64_t total() const { return page_reads + page_writes; }
@@ -47,7 +41,7 @@ struct IoStats {
 
 inline std::ostream& operator<<(std::ostream& os, const IoStats& s) {
   return os << "{reads=" << s.page_reads << " writes=" << s.page_writes
-            << " prefetch=" << s.prefetch_reads << "}";
+            << "}";
 }
 
 /// Buffer-pool behaviour counters (hits avoid disk traffic entirely).
@@ -57,9 +51,12 @@ struct PoolStats {
   int64_t evictions = 0;
   int64_t dirty_writebacks = 0;   // dirty pages written back
   int64_t writeback_batches = 0;  // vectored writes that carried them
-  int64_t prefetch_hits = 0;      // pins satisfied by a read-ahead frame
-  int64_t prefetch_wasted = 0;    // read-ahead frames evicted unused
-  int64_t prefetch_gated = 0;     // hints dropped by the pool's gates
+  /// Always 0: the pool has no read-ahead, so no pin is served by a
+  /// prefetched frame, none is wasted and no hint is gated. Kept so
+  /// consumers that report them keep compiling.
+  int64_t prefetch_hits = 0;
+  int64_t prefetch_wasted = 0;
+  int64_t prefetch_gated = 0;
 
   PoolStats operator-(const PoolStats& other) const {
     return PoolStats{hits - other.hits,

@@ -98,9 +98,7 @@ class TypedFile {
 
   /// Sequential reader holding a single pinned page; advancing across a page
   /// boundary swaps the pin. `mutate` selects read-modify-write scans: the
-  /// page is marked dirty and `Set()` becomes available. When the pool has
-  /// read-ahead configured, every page-boundary pin hints the next stretch
-  /// of the scan range to the pool's prefetcher.
+  /// page is marked dirty and `Write()` becomes available.
   class Cursor {
    public:
     Cursor(const TypedFile<T>* file, BufferPool* pool, int64_t start,
@@ -146,25 +144,10 @@ class TypedFile {
     Status EnsurePage() {
       if (index_ >= end_) return Status::OutOfRange("cursor exhausted");
       if (!guard_.valid()) {
-        PageId page = PageOf(index_);
-        IOLAP_ASSIGN_OR_RETURN(guard_, pool_->Pin(file_->file_id(), page));
-        MaybeReadAhead(page);
+        IOLAP_ASSIGN_OR_RETURN(guard_,
+                               pool_->Pin(file_->file_id(), PageOf(index_)));
       }
       return Status::Ok();
-    }
-
-    /// Hints the pages the scan will pin next, never re-hinting a page and
-    /// never past the scan range.
-    void MaybeReadAhead(PageId page) {
-      int64_t ra = pool_->read_ahead_pages();
-      if (ra <= 0) return;
-      PageId last = PageOf(end_ - 1);
-      PageId from = std::max(page + 1, hinted_until_);
-      PageId to = std::min(page + 1 + ra, last + 1);
-      if (from < to) {
-        pool_->Prefetch(file_->file_id(), from, to - from);
-        hinted_until_ = to;
-      }
     }
 
     const TypedFile<T>* file_;
@@ -172,7 +155,6 @@ class TypedFile {
     int64_t index_;
     int64_t end_;
     bool mutate_;
-    PageId hinted_until_ = 0;
     PageGuard guard_;
   };
 

@@ -182,91 +182,118 @@ TEST_F(BufferPoolTest, MoveSemanticsOfGuard) {
   EXPECT_EQ(pool.pinned_pages(), 0u);
 }
 
+// The pool has no read-ahead (DESIGN.md §13). The cases below pin the
+// invariants the deleted read-ahead had to preserve, which the single
+// demand path now keeps by construction: every consumed page is one
+// demand read, no page is read that was not pinned, and the prefetch
+// counters kept for reporting stay 0.
+
 TEST_F(BufferPoolTest, PrefetchChargesDemandReadOnConsumption) {
   FileId f = NewFileWithPages(6);
   BufferPool pool(&disk_, 8);
-  pool.ConfigureReadAhead(4);
   disk_.ResetStats();
-  pool.Prefetch(f, 0, 4);
-  pool.DrainPrefetches();
-  // The physical reads are prefetch reads; no demand read happened yet.
-  EXPECT_EQ(disk_.stats().prefetch_reads, 4);
-  EXPECT_EQ(disk_.stats().page_reads, 0);
   for (PageId p = 0; p < 4; ++p) {
     IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, p));
     EXPECT_EQ(g.data()[0], std::byte{static_cast<unsigned char>(p)});
   }
-  // Consumption charges exactly the demand reads the serial pipeline would
-  // have issued (the cost-model counter), without new physical traffic.
+  // Consumption charges exactly one demand read per page (the cost-model
+  // counter), and no read is prefetch-class.
   EXPECT_EQ(disk_.stats().page_reads, 4);
-  EXPECT_EQ(disk_.stats().prefetch_reads, 4);
-  EXPECT_EQ(pool.stats().prefetch_hits, 4);
+  EXPECT_EQ(disk_.stats().prefetch_reads, 0);
+  EXPECT_EQ(pool.stats().misses, 4);
+  EXPECT_EQ(pool.stats().prefetch_hits, 0);
   EXPECT_EQ(pool.stats().prefetch_wasted, 0);
-  EXPECT_EQ(pool.stats().misses, 0);
 }
 
 TEST_F(BufferPoolTest, PrefetchedPagesAreEvictableByDemand) {
   FileId f = NewFileWithPages(8);
-  // Four frames: the smallest pool whose prefetch headroom (free +
-  // unconsumed prefetched frames) clears the hint gate's minimum.
   BufferPool pool(&disk_, 4);
-  pool.ConfigureReadAhead(2);
-  pool.Prefetch(f, 0, 2);
-  pool.DrainPrefetches();
-  EXPECT_EQ(disk_.stats().prefetch_reads, 2);
-  // Prefetched frames are unpinned: after demand pins exhaust the free
-  // frames, further pins must succeed by evicting them, and the unconsumed
-  // frames count as wasted.
-  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 2)); (void)g; }
-  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 3)); (void)g; }
-  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 4)); (void)g; }
-  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 5)); (void)g; }
-  EXPECT_EQ(pool.stats().prefetch_wasted, 2);
-  EXPECT_EQ(pool.stats().prefetch_hits, 0);
+  // Pages loaded earlier and not used since are ordinary LRU frames: once
+  // the free frames are gone, demand pins must succeed by evicting them.
+  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 0)); (void)g; }
+  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 1)); (void)g; }
+  for (PageId p = 2; p < 6; ++p) {
+    IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, p));
+    EXPECT_EQ(g.data()[0], std::byte{static_cast<unsigned char>(p)});
+  }
+  EXPECT_EQ(pool.stats().evictions, 2);
+  EXPECT_EQ(pool.stats().prefetch_wasted, 0);
+  // Both early pages were the victims: pinning them again misses.
+  pool.ResetStats();
+  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 0)); (void)g; }
+  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 1)); (void)g; }
+  EXPECT_EQ(pool.stats().misses, 2);
 }
 
 TEST_F(BufferPoolTest, EvictFileCancelsOutstandingPrefetches) {
   FileId f = NewFileWithPages(4);
   BufferPool pool(&disk_, 8);
-  pool.ConfigureReadAhead(4);
-  pool.Prefetch(f, 0, 4);
+  for (PageId p = 0; p < 4; ++p) {
+    IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, p));
+    (void)g;
+  }
   IOLAP_ASSERT_OK(pool.EvictFile(f));
-  pool.DrainPrefetches();
-  // Whatever the prefetcher managed before the eviction, no page of the
-  // file may remain cached: the next pin is a demand miss.
+  // No read is outstanding after the eviction and no page of the file
+  // remains cached: the next pin is a demand miss that reads the disk.
   pool.ResetStats();
+  disk_.ResetStats();
   { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 0)); (void)g; }
   EXPECT_EQ(pool.stats().misses, 1);
   EXPECT_EQ(pool.stats().prefetch_hits, 0);
+  EXPECT_EQ(disk_.stats().page_reads, 1);
+  EXPECT_EQ(disk_.stats().prefetch_reads, 0);
 }
 
 TEST_F(BufferPoolTest, PrefetchBacksOffWhenPoolIsSaturated) {
   FileId f = NewFileWithPages(4);
   BufferPool pool(&disk_, 2);
-  pool.ConfigureReadAhead(2);
-  // Fill the pool with demand pages, then hint: read-ahead must not
-  // displace them, so no physical prefetch read may happen.
+  // Fill the pool with demand pages. Nothing but a later demand pin may
+  // displace them, so without one no physical read happens.
   { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 0)); (void)g; }
   { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 1)); (void)g; }
   disk_.ResetStats();
-  pool.Prefetch(f, 2, 2);
-  pool.DrainPrefetches();
-  EXPECT_EQ(disk_.stats().prefetch_reads, 0);
   // The demand pages are still cached.
   pool.ResetStats();
   { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 0)); (void)g; }
   { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 1)); (void)g; }
   EXPECT_EQ(pool.stats().misses, 0);
+  EXPECT_EQ(pool.stats().evictions, 0);
+  EXPECT_EQ(disk_.stats().page_reads, 0);
+  EXPECT_EQ(disk_.stats().prefetch_reads, 0);
 }
 
 TEST_F(BufferPoolTest, PrefetchIsNoOpWhileUnconfigured) {
-  FileId f = NewFileWithPages(2);
-  BufferPool pool(&disk_, 4);
+  NewFileWithPages(2);
   disk_.ResetStats();
-  pool.Prefetch(f, 0, 2);
-  pool.DrainPrefetches();
+  {
+    // A pool that is never pinned reads nothing: it starts no thread and
+    // issues no I/O of its own.
+    BufferPool pool(&disk_, 4);
+    EXPECT_EQ(pool.stats().misses, 0);
+  }
   EXPECT_EQ(disk_.stats().prefetch_reads, 0);
   EXPECT_EQ(disk_.stats().page_reads, 0);
+}
+
+TEST_F(BufferPoolTest, PinClaimsQueuedHintAndServicesOnlyTheTail) {
+  FileId f = NewFileWithPages(8);
+  BufferPool pool(&disk_, 16);
+  disk_.ResetStats();
+  {
+    // A pin services only the page it asks for: one demand read, and its
+    // neighbours are not pulled in with it.
+    IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 2));
+    EXPECT_EQ(g.data()[0], std::byte{2});
+  }
+  EXPECT_EQ(disk_.stats().page_reads, 1);
+  EXPECT_EQ(disk_.stats().prefetch_reads, 0);
+  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 3)); (void)g; }
+  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 0)); (void)g; }
+  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 1)); (void)g; }
+  EXPECT_EQ(disk_.stats().page_reads, 4);
+  EXPECT_EQ(pool.stats().misses, 4);
+  EXPECT_EQ(pool.stats().hits, 0);
+  EXPECT_EQ(pool.stats().prefetch_hits, 0);
 }
 
 TEST_F(BufferPoolTest, DestructorWritesBackDirtyPages) {
@@ -284,109 +311,6 @@ TEST_F(BufferPoolTest, DestructorWritesBackDirtyPages) {
   EXPECT_EQ(page[7], std::byte{0x5A});
 }
 
-TEST_F(BufferPoolTest, DisablingReadAheadPurgesQueuedHints) {
-  FileId f = NewFileWithPages(8);
-  BufferPool pool(&disk_, 16);
-  pool.ConfigureReadAhead(4);
-  // Freeze the worker so the hints stay queued across the disable.
-  pool.SetPrefetcherPausedForTest(true);
-  disk_.ResetStats();
-  pool.Prefetch(f, 0, 4);
-  pool.Prefetch(f, 4, 4);
-  pool.ConfigureReadAhead(0);  // must purge both queued requests
-  pool.SetPrefetcherPausedForTest(false);
-  pool.DrainPrefetches();  // returns immediately: nothing left to service
-  EXPECT_EQ(disk_.stats().prefetch_reads, 0);
-  EXPECT_EQ(pool.stats().prefetch_hits, 0);
-  // The hinted pages were never loaded: pins are plain demand misses.
-  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 0)); (void)g; }
-  EXPECT_EQ(disk_.stats().page_reads, 1);
-  EXPECT_EQ(pool.stats().misses, 1);
-  // Enable/disable is idempotent: repeat disables are no-ops and a
-  // re-enable reuses the worker.
-  pool.ConfigureReadAhead(0);
-  pool.ConfigureReadAhead(4);
-  pool.ConfigureReadAhead(4);
-  pool.Prefetch(f, 4, 4);
-  pool.DrainPrefetches();
-  EXPECT_EQ(disk_.stats().prefetch_reads, 4);
-}
-
-TEST_F(BufferPoolTest, PinClaimsQueuedHintAndServicesOnlyTheTail) {
-  FileId f = NewFileWithPages(8);
-  BufferPool pool(&disk_, 16);
-  pool.ConfigureReadAhead(4);
-  // Freeze the worker: the demand Pin below must overtake the queued hint
-  // through TryServiceQueuedPrefetch, deterministically.
-  pool.SetPrefetcherPausedForTest(true);
-  disk_.ResetStats();
-  pool.Prefetch(f, 0, 4);
-  {
-    // Overtaking pin: claims the hint, services only the tail [2, 4) as
-    // prefetch reads, and charges exactly one demand read for itself.
-    IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 2));
-    EXPECT_EQ(g.data()[0], std::byte{2});
-  }
-  EXPECT_EQ(disk_.stats().prefetch_reads, 2);  // pages 2 and 3 only
-  EXPECT_EQ(disk_.stats().page_reads, 1);
-  EXPECT_EQ(pool.stats().prefetch_hits, 1);
-  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 3)); (void)g; }
-  EXPECT_EQ(pool.stats().prefetch_hits, 2);
-  EXPECT_EQ(disk_.stats().page_reads, 2);
-  // The already-demanded head [0, 2) was dropped from the hint: these are
-  // physical demand misses, not prefetch hits.
-  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 0)); (void)g; }
-  { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 1)); (void)g; }
-  EXPECT_EQ(disk_.stats().page_reads, 4);
-  EXPECT_EQ(disk_.stats().prefetch_reads, 2);
-  EXPECT_EQ(pool.stats().misses, 2);
-  pool.SetPrefetcherPausedForTest(false);
-}
-
-TEST_F(BufferPoolTest, GateFastPathFoldDoesNotCountServicedHint) {
-  // Reaches the every-64th fall-through of the closed-gate fast path at a
-  // moment when the gates have re-opened, so the fallen-through hint is
-  // enqueued and serviced: prefetch_gated must count only the 63 dropped
-  // hints plus the fold batch, not the serviced one.
-  FileId a = NewFileWithPages(33);
-  auto file_b = disk_.CreateFile("b");
-  ASSERT_TRUE(file_b.ok());
-  FileId b = *file_b;
-  std::byte page[kPageSize];
-  for (int i = 0; i < 31; ++i) {
-    std::memset(page, i, kPageSize);
-    ASSERT_TRUE(disk_.WritePage(b, i, page).ok());
-  }
-  BufferPool pool(&disk_, 64);
-  pool.ConfigureReadAhead(8);
-  pool.Prefetch(a, 0, 33);
-  pool.Prefetch(b, 0, 31);
-  pool.DrainPrefetches();  // all 64 frames hold unconsumed prefetches
-  // Evicting A decides 33 prefetches as wasted: the rolling window is now
-  // 0 hits / 33 wasted (past the 32-sample floor).
-  IOLAP_ASSERT_OK(pool.EvictFile(a));
-  // The next locked-path hint evaluates the window and closes the gate.
-  pool.Prefetch(a, 0, 1);
-  EXPECT_EQ(pool.stats().prefetch_gated, 1);
-  // Consuming B's 31 prefetched frames flips the window effective again
-  // (31 hits / 33 wasted), but the published gate stays closed until the
-  // next locked-path evaluation — exactly the fall-through scenario.
-  for (PageId p = 0; p < 31; ++p) {
-    IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(b, p));
-    (void)g;
-  }
-  EXPECT_EQ(pool.stats().prefetch_hits, 31);
-  const int64_t prefetch_reads_before = disk_.stats().prefetch_reads;
-  // 63 hints fast-drop; the 64th falls through, folds the batch, finds the
-  // gates open, and is enqueued and serviced.
-  for (int i = 0; i < 64; ++i) pool.Prefetch(a, 0, 1);
-  pool.DrainPrefetches();
-  EXPECT_EQ(disk_.stats().prefetch_reads, prefetch_reads_before + 1);
-  // 1 (gate-closing hint) + 63 fast drops. The buggy fold also counted the
-  // serviced 64th hint, reporting 65.
-  EXPECT_EQ(pool.stats().prefetch_gated, 64);
-}
-
 TEST_F(BufferPoolTest, LruOrderIsRecencyBased) {
   FileId f = NewFileWithPages(3);
   BufferPool pool(&disk_, 2);
@@ -401,6 +325,74 @@ TEST_F(BufferPoolTest, LruOrderIsRecencyBased) {
   EXPECT_EQ(pool.stats().hits, 1);
   { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 1)); (void)g; }
   EXPECT_EQ(pool.stats().misses, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Sequential scans whose page order is known up front — the access pattern
+// the allocation passes issue. The pool serves them with demand reads only;
+// these cases pin the demand-I/O and lifetime invariants those scans rely on.
+
+class PlannedPoolTest : public BufferPoolTest {
+ protected:
+  // Sequentially pins every page of `f` (npages), checks contents, returns
+  // the demand page_reads the scan charged.
+  int64_t ScanAll(BufferPool& pool, FileId f, int npages) {
+    IoStats before = disk_.stats();
+    for (int p = 0; p < npages; ++p) {
+      auto guard = pool.Pin(f, p);
+      EXPECT_TRUE(guard.ok()) << guard.status().ToString();
+      if (guard.ok()) EXPECT_EQ(guard->data()[0], std::byte(p)) << p;
+    }
+    return disk_.stats().page_reads - before.page_reads;
+  }
+};
+
+TEST_F(PlannedPoolTest, PlannedScanChargesSameDemandIoAsSerial) {
+  constexpr int kPages = 64;
+  FileId f = NewFileWithPages(kPages);
+  for (int capacity : {8, 96}) {
+    BufferPool pool(&disk_, capacity);
+    IoStats before = disk_.stats();
+    // A cold scan charges one demand read per page whatever the capacity.
+    EXPECT_EQ(ScanAll(pool, f, kPages), kPages) << "capacity " << capacity;
+    // A second scan re-reads only what the pool could not keep: LRU over a
+    // sequential scan larger than the pool keeps nothing useful.
+    const int64_t rescan = ScanAll(pool, f, kPages);
+    EXPECT_EQ(rescan, capacity >= kPages ? 0 : kPages)
+        << "capacity " << capacity;
+    EXPECT_EQ((disk_.stats() - before).prefetch_reads, 0);
+  }
+}
+
+TEST_F(PlannedPoolTest, EarlyEndAndDestructionAreSafe) {
+  constexpr int kPages = 64;
+  FileId f = NewFileWithPages(kPages);
+  {
+    BufferPool pool(&disk_, 16);
+    disk_.ResetStats();
+    // A scan that stops early leaves nothing behind but cached frames.
+    EXPECT_EQ(ScanAll(pool, f, 4), 4);
+    EXPECT_EQ(pool.pinned_pages(), 0u);
+    // A second scan on the same pool starts cleanly and hits those frames.
+    EXPECT_EQ(ScanAll(pool, f, 8), 4);
+    // Leave a dirty frame for the destructor to write back.
+    IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 5));
+    g.data()[1] = std::byte{0x6B};
+    g.MarkDirty();
+  }
+  std::byte page[kPageSize];
+  IOLAP_ASSERT_OK(disk_.ReadPage(f, 5, page));
+  EXPECT_EQ(page[1], std::byte{0x6B});
+}
+
+TEST_F(PlannedPoolTest, EvictFileMidPlanDropsPlanState) {
+  constexpr int kPages = 32;
+  FileId f = NewFileWithPages(kPages);
+  BufferPool pool(&disk_, 16);
+  EXPECT_EQ(ScanAll(pool, f, 8), 8);
+  IOLAP_ASSERT_OK(pool.EvictFile(f));
+  // Post-eviction pins demand-read every page again and see correct bytes.
+  EXPECT_EQ(ScanAll(pool, f, kPages), kPages);
 }
 
 }  // namespace

@@ -306,10 +306,7 @@ TEST(CheckpointFingerprintTest, MismatchedOptionsRefuseToResume) {
 // Checkpointing must never perturb the demand-I/O schedule the paper's cost
 // model counts: page_reads are identical with the feature on and off
 // (checkpoint copies bypass IoStats; flushes write but never evict, so no
-// demand read is re-issued). Prefetch reads are speculative and inherently
-// timing-dependent — the async read-ahead worker races file eviction, so a
-// slower run may service a few more queued prefetches (see the eviction
-// caveat in buffer_pool_test) — and write counts may differ because a
+// demand read is re-issued). Write counts may differ because a
 // flushed-then-redirtied page is written twice. That asymmetry is exactly
 // why checkpoint traffic is reported under ckpt.* instead.
 TEST(CheckpointIoPurityTest, DemandReadsUnchangedByCheckpointing) {

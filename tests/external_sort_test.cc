@@ -86,7 +86,8 @@ class ExternalSortSweep
 
 TEST_P(ExternalSortSweep, SortsAndPreservesMultiset) {
   auto [n, budget_pages] = GetParam();
-  Rng rng(n * 1000003 + budget_pages);
+  Rng rng(static_cast<uint64_t>(n) * 1000003 +
+          static_cast<uint64_t>(budget_pages));
   std::vector<Rec> data;
   data.reserve(n);
   for (int i = 0; i < n; ++i) {

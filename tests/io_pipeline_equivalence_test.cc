@@ -1,5 +1,5 @@
 // The I/O pipeline knobs (parallel run generation, loser-tree block merge,
-// read-ahead, batched write-back) may change *when* and *in what size
+// batched write-back) may change *when* and *in what size
 // transfers* bytes move — never the bytes themselves. This suite pins that
 // contract at its strongest: for every algorithm and several seeds, the EDB
 // produced with the pipeline fully on must be byte-identical (memcmp of the
@@ -103,9 +103,9 @@ TEST_P(IoPipelineEquivalence, EdbIsByteIdenticalPipelineOnVsOff) {
       << "EDB bytes diverge between serial and pipelined I/O";
 }
 
-// Plan-driven async read-ahead must neither change the EDB bytes nor the
-// *demand* page reads the cost model counts — on any backend. The serial
-// run is the reference for both.
+// The default pipeline must change neither the EDB bytes nor the demand
+// page reads and writes the cost model counts. The serial run is the
+// reference for both.
 TEST_P(IoPipelineEquivalence, EdbAndDemandIoIdenticalAcrossAsyncBackends) {
   const PipelineParam& param = GetParam();
   IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeDenseSchema());
@@ -114,23 +114,14 @@ TEST_P(IoPipelineEquivalence, EdbAndDemandIoIdenticalAcrossAsyncBackends) {
   std::vector<std::byte> serial =
       RunAndDumpEdb(schema, param.algorithm, param.seed,
                     IoPipelineOptions::Serial(), &serial_io);
-
-  std::vector<AsyncBackendKind> backends = {AsyncBackendKind::kPread};
-  if (IoUringSupported()) backends.push_back(AsyncBackendKind::kUring);
-  for (AsyncBackendKind backend : backends) {
-    IoPipelineOptions io;  // pipeline fully on
-    io.io_backend = backend;
-    IoStats piped_io;
-    std::vector<std::byte> piped =
-        RunAndDumpEdb(schema, param.algorithm, param.seed, io, &piped_io);
-    ASSERT_EQ(serial.size(), piped.size()) << AsyncBackendName(backend);
-    EXPECT_EQ(std::memcmp(serial.data(), piped.data(), serial.size()), 0)
-        << "EDB bytes diverge on backend " << AsyncBackendName(backend);
-    EXPECT_EQ(piped_io.page_reads, serial_io.page_reads)
-        << "demand reads diverge on backend " << AsyncBackendName(backend);
-    EXPECT_EQ(piped_io.page_writes, serial_io.page_writes)
-        << "page writes diverge on backend " << AsyncBackendName(backend);
-  }
+  IoStats piped_io;
+  std::vector<std::byte> piped = RunAndDumpEdb(
+      schema, param.algorithm, param.seed, IoPipelineOptions{}, &piped_io);
+  ASSERT_EQ(serial.size(), piped.size());
+  EXPECT_EQ(std::memcmp(serial.data(), piped.data(), serial.size()), 0)
+      << "EDB bytes diverge between serial and default pipeline";
+  EXPECT_EQ(piped_io.page_reads, serial_io.page_reads);
+  EXPECT_EQ(piped_io.page_writes, serial_io.page_writes);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -12,8 +12,7 @@
 //        independent|basic] [--epsilon=0.005] [--buffer-pages=4096]
 //       [--threads=1]
 //       [--serial-io=1] [--sort-threads=N] [--merge-block-pages=N]
-//       [--read-ahead-pages=N] [--batched-writeback=0|1]
-//       [--io-backend=off|auto|uring|pread] [--plan-in-flight=N]
+//       [--batched-writeback=0|1]
 //       [--checkpoint-dir=ckpt/] [--checkpoint-every=N] [--resume=1]
 //       [--io-retries=N] [--io-retry-backoff-us=100]
 //       Builds the Extended Database and writes it as CSV. --threads > 1
@@ -126,18 +125,8 @@ IoPipelineOptions ParsePipeline(const Flags& flags) {
       static_cast<int>(flags.GetInt("sort-threads", io.sort_threads));
   io.merge_block_pages = static_cast<int>(
       flags.GetInt("merge-block-pages", io.merge_block_pages));
-  io.read_ahead_pages = static_cast<int>(
-      flags.GetInt("read-ahead-pages", io.read_ahead_pages));
   io.batched_writeback =
       flags.GetInt("batched-writeback", io.batched_writeback ? 1 : 0) != 0;
-  std::string backend = flags.GetString("io-backend", "");
-  if (!backend.empty() && !ParseAsyncBackend(backend, &io.io_backend)) {
-    std::fprintf(stderr,
-                 "unknown --io-backend=%s (off|auto|uring|pread), keeping %s\n",
-                 backend.c_str(), AsyncBackendName(io.io_backend));
-  }
-  io.plan_in_flight =
-      static_cast<int>(flags.GetInt("plan-in-flight", io.plan_in_flight));
   return io;
 }
 
