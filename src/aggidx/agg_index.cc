@@ -16,6 +16,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Cells accumulated in the in-memory overlay (cells that appeared after
+/// the last build) before the next query triggers a full rebuild.
+constexpr int64_t kMaxOverlayCells = 4096;
+/// Dirty min/max rects kept individually; beyond this they are collapsed
+/// into one covering box (coarser, still conservative).
+constexpr int64_t kMaxDirtyBoxes = 64;
+
 /// Canonical (dimension-0-major) three-way comparison of cell keys. Leaf
 /// ids are non-negative, but compare as signed ints — never memcmp, which
 /// would order little-endian byte images, not values.
@@ -24,10 +31,6 @@ int CompareKeys(const int32_t* a, const int32_t* b) {
     if (a[d] != b[d]) return a[d] < b[d] ? -1 : 1;
   }
   return 0;
-}
-
-int64_t MarginalKey(int dim, NodeId node) {
-  return (static_cast<int64_t>(dim) << 32) | static_cast<uint32_t>(node);
 }
 
 /// Folds a subtree entry's partials (and bbox) into a parent entry.
@@ -45,12 +48,10 @@ void MergeEntryInto(AggIndexEntry* parent, const AggIndexEntry& child) {
 }  // namespace
 
 AggIndex::AggIndex(StorageEnv* env, const StarSchema* schema,
-                   const TypedFile<EdbRecord>* edb,
-                   const AggIndexOptions& options)
+                   const TypedFile<EdbRecord>* edb)
     : env_(env),
       schema_(schema),
       edb_(edb),
-      options_(options),
       probes_counter_(GlobalCounter("aggidx.probes")),
       nodes_read_counter_(GlobalCounter("aggidx.nodes_read")),
       builds_counter_(GlobalCounter("aggidx.builds")),
@@ -200,7 +201,6 @@ Status AggIndex::BuildLocked(bool is_refresh) {
     }
     level = std::move(parents);
   }
-  IOLAP_RETURN_IF_ERROR(BuildMarginalsLocked(cells, &next_page));
   IOLAP_RETURN_IF_ERROR(env_->pool().FlushFile(file_));
 
   num_pages_ = next_page;
@@ -224,108 +224,6 @@ Status AggIndex::BuildLocked(bool is_refresh) {
   built_ = true;
   stale_ = false;
   return Status::Ok();
-}
-
-Status AggIndex::BuildMarginalsLocked(const std::map<LeafKey, Partials>& cells,
-                                      int64_t* next_page) {
-  // Fold every occupied cell into each hierarchy node covering it, per
-  // dimension: the node partials the serve layer's rollup/dashboard
-  // queries hit directly. Sorted by (dim, node) for stable paging.
-  marginal_dir_.clear();
-  const int k = schema_->num_dims();
-  std::map<int64_t, Partials> marginals;
-  for (const auto& [key, p] : cells) {
-    for (int d = 0; d < k; ++d) {
-      const Hierarchy& h = schema_->dim(d);
-      const NodeId leaf = h.nodes_at_level(1)[key[d]];
-      for (int level = 1; level <= h.num_levels(); ++level) {
-        const NodeId anc = h.AncestorAtLevel(leaf, level);
-        auto [it, inserted] = marginals.try_emplace(MarginalKey(d, anc));
-        if (inserted) {
-          it->second.min = kInf;
-          it->second.max = -kInf;
-        }
-        it->second.sum += p.sum;
-        it->second.count += p.count;
-        it->second.min = std::min(it->second.min, p.min);
-        it->second.max = std::max(it->second.max, p.max);
-      }
-    }
-  }
-
-  std::vector<AggIndexEntry> entries;
-  entries.reserve(marginals.size());
-  for (const auto& [mkey, p] : marginals) {
-    const int d = static_cast<int>(mkey >> 32);
-    const NodeId node = static_cast<NodeId>(mkey & 0xffffffff);
-    AggIndexEntry e;
-    e.key[0] = d;
-    e.key[1] = node;
-    for (int j = 0; j < kMaxDims; ++j) {
-      e.bbox.lo[j] = 0;
-      e.bbox.hi[j] =
-          j < k ? static_cast<int32_t>(
-                      schema_->dim(j).nodes_at_level(1).size()) -
-                      1
-                : 0;
-    }
-    e.bbox.lo[d] = schema_->dim(d).leaf_begin(node);
-    e.bbox.hi[d] = schema_->dim(d).leaf_end(node) - 1;
-    e.sum = p.sum;
-    e.count = p.count;
-    e.min = p.min;
-    e.max = p.max;
-    e.child = -1;
-    entries.push_back(e);
-  }
-  const int64_t n = static_cast<int64_t>(entries.size());
-  for (int64_t i = 0; i < n; i += kAggIndexEntriesPerPage) {
-    const int64_t cnt = std::min(n - i, kAggIndexEntriesPerPage);
-    AggIndexNodeHeader header;
-    header.num_entries = static_cast<int32_t>(cnt);
-    header.level = kAggIndexMarginalLevel;
-    const int64_t page = (*next_page)++;
-    IOLAP_RETURN_IF_ERROR(WritePageLocked(page, header, &entries[i]));
-    for (int64_t j = 0; j < cnt; ++j) {
-      const AggIndexEntry& e = entries[i + j];
-      marginal_dir_[MarginalKey(e.key[0], e.key[1])] = {
-          page, static_cast<int32_t>(j)};
-    }
-  }
-  return Status::Ok();
-}
-
-/// A query rect is marginal-eligible when it constrains exactly one
-/// dimension, to exactly the leaf range of one hierarchy node.
-bool AggIndex::MarginalNodeForRect(const Rect& query, int* dim,
-                                   NodeId* node) const {
-  const int k = schema_->num_dims();
-  int cdim = -1;
-  for (int d = 0; d < k; ++d) {
-    const int32_t leaves =
-        static_cast<int32_t>(schema_->dim(d).nodes_at_level(1).size());
-    if (query.lo[d] == 0 && query.hi[d] == leaves - 1) continue;
-    if (cdim >= 0) return false;  // two or more constrained dims: tree path
-    cdim = d;
-  }
-  if (cdim < 0) return false;  // grand total: root containment is O(1)
-  const Hierarchy& h = schema_->dim(cdim);
-  const auto& leaves = h.nodes_at_level(1);
-  if (query.lo[cdim] < 0 ||
-      query.lo[cdim] >= static_cast<int32_t>(leaves.size())) {
-    return false;
-  }
-  const NodeId leaf = leaves[query.lo[cdim]];
-  for (int level = 1; level <= h.num_levels(); ++level) {
-    const NodeId anc = h.AncestorAtLevel(leaf, level);
-    if (h.leaf_begin(anc) == query.lo[cdim] &&
-        h.leaf_end(anc) == query.hi[cdim] + 1) {
-      *dim = cdim;
-      *node = anc;
-      return true;
-    }
-  }
-  return false;
 }
 
 Status AggIndex::QueryNodeLocked(int64_t page, const Rect& query,
@@ -357,33 +255,7 @@ Status AggIndex::QueryNodeLocked(int64_t page, const Rect& query,
 }
 
 Status AggIndex::QueryRectLocked(const Rect& query, AggregateResult* acc) {
-  // Fast path: a single-hierarchy-node constraint reads one marginal entry
-  // instead of descending the tree (whose dim-0-major order fragments
-  // badly for constraints on later dimensions).
-  bool served = false;
-  int mdim = -1;
-  NodeId mnode = -1;
-  if (MarginalNodeForRect(query, &mdim, &mnode)) {
-    auto it = marginal_dir_.find(MarginalKey(mdim, mnode));
-    if (it != marginal_dir_.end()) {
-      ++stats_.nodes_read;
-      if (nodes_read_counter_ != nullptr) nodes_read_counter_->Add(1);
-      IOLAP_ASSIGN_OR_RETURN(PageGuard guard,
-                             env_->pool().Pin(file_, it->second.first));
-      AggIndexEntry e;
-      std::memcpy(&e,
-                  guard.data() + sizeof(AggIndexNodeHeader) +
-                      it->second.second * sizeof(e),
-                  sizeof(e));
-      acc->sum += e.sum;
-      acc->count += e.count;
-      acc->min = std::min(acc->min, e.min);
-      acc->max = std::max(acc->max, e.max);
-      ++stats_.marginal_hits;
-      served = true;
-    }
-  }
-  if (!served && root_ >= 0) {
+  if (root_ >= 0) {
     IOLAP_RETURN_IF_ERROR(QueryNodeLocked(root_, query, acc));
   }
   const int k = schema_->num_dims();
@@ -571,44 +443,6 @@ Status AggIndex::PatchCellLocked(const LeafKey& key, const CellDelta& delta,
   return Status::Ok();
 }
 
-Status AggIndex::PatchMarginalsLocked(const LeafKey& key,
-                                      const CellDelta& delta) {
-  // Mirror of the tree patch for every marginal entry covering the cell:
-  // one per (dimension, ancestor level). Only called for cells the packed
-  // tree knows, so every covering marginal exists by construction.
-  const int k = schema_->num_dims();
-  for (int d = 0; d < k; ++d) {
-    const Hierarchy& h = schema_->dim(d);
-    const auto& leaves = h.nodes_at_level(1);
-    if (key[d] < 0 || key[d] >= static_cast<int32_t>(leaves.size())) {
-      return Status::Internal("aggidx cell key outside the leaf domain");
-    }
-    const NodeId leaf = leaves[key[d]];
-    for (int level = 1; level <= h.num_levels(); ++level) {
-      const NodeId anc = h.AncestorAtLevel(leaf, level);
-      auto it = marginal_dir_.find(MarginalKey(d, anc));
-      if (it == marginal_dir_.end()) {
-        return Status::Internal("aggidx marginal missing for a tree cell");
-      }
-      IOLAP_ASSIGN_OR_RETURN(PageGuard guard,
-                             env_->pool().Pin(file_, it->second.first));
-      std::byte* slot = guard.data() + sizeof(AggIndexNodeHeader) +
-                        it->second.second * sizeof(AggIndexEntry);
-      AggIndexEntry e;
-      std::memcpy(&e, slot, sizeof(e));
-      e.sum += delta.dsum;
-      e.count += delta.dcount;
-      if (delta.has_add && !delta.removed) {
-        e.min = std::min(e.min, delta.add_min);
-        e.max = std::max(e.max, delta.add_max);
-      }
-      std::memcpy(slot, &e, sizeof(e));
-      guard.MarkDirty();
-    }
-  }
-  return Status::Ok();
-}
-
 Status AggIndex::Commit(const Rect* touched, size_t n) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!built_ || stale_) {
@@ -621,8 +455,7 @@ Status AggIndex::Commit(const Rect* touched, size_t n) {
   for (const auto& [key, delta] : pending_) {
     any_removed |= delta.removed;
     bool found = false;
-    Status s = PatchCellLocked(key, delta, &found);
-    if (s.ok() && found) s = PatchMarginalsLocked(key, delta);
+    const Status s = PatchCellLocked(key, delta, &found);
     if (!s.ok()) {
       InvalidateLocked();
       return s;
@@ -655,8 +488,7 @@ Status AggIndex::Commit(const Rect* touched, size_t n) {
 
   if (any_removed) {
     dirty_minmax_.insert(dirty_minmax_.end(), touched, touched + n);
-    if (static_cast<int64_t>(dirty_minmax_.size()) >
-        options_.max_dirty_boxes) {
+    if (static_cast<int64_t>(dirty_minmax_.size()) > kMaxDirtyBoxes) {
       // Collapse to one covering box: coarser (more min/max queries will
       // trigger the rebuild) but still conservative, and bounds the
       // per-query dirty check.
@@ -670,7 +502,7 @@ Status AggIndex::Commit(const Rect* touched, size_t n) {
       dirty_minmax_.assign(1, all);
     }
   }
-  if (static_cast<int64_t>(overlay_.size()) > options_.max_overlay_cells) {
+  if (static_cast<int64_t>(overlay_.size()) > kMaxOverlayCells) {
     stale_ = true;  // overlay too big to stay an overlay; rebuild lazily
   }
   return Status::Ok();
@@ -680,7 +512,6 @@ void AggIndex::InvalidateLocked() {
   pending_.clear();
   overlay_.clear();
   dirty_minmax_.clear();
-  marginal_dir_.clear();
   stale_ = true;
 }
 

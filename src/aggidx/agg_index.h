@@ -8,8 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <type_traits>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -62,40 +60,22 @@ inline constexpr int64_t kAggIndexEntriesPerPage =
                          sizeof(AggIndexEntry));
 static_assert(kAggIndexEntriesPerPage == 36);
 
-/// Header level of marginal pages: per-hierarchy-node partials stored after
-/// the cell tree. A marginal entry's key is (dimension, NodeId, 0...), its
-/// bbox the node's leaf range on that dimension crossed with the full range
-/// everywhere else.
-inline constexpr int32_t kAggIndexMarginalLevel = -1;
-
-struct AggIndexOptions {
-  /// Cells accumulated in the in-memory overlay (cells that appeared after
-  /// the last build) before the next query triggers a full rebuild.
-  int64_t max_overlay_cells = 4096;
-  /// Dirty min/max rects kept individually; beyond this they are collapsed
-  /// into one covering box (coarser, still conservative).
-  int64_t max_dirty_boxes = 64;
-};
-
 /// Paged, disk-resident hierarchical aggregate index over the Extended
 /// Database: per-measure partials (sum, count, min, max) for every occupied
-/// leaf cell, packed bottom-up into a static tree in canonical cell order,
-/// plus one marginal entry per occupied hierarchy node of every dimension.
+/// leaf cell, packed bottom-up into a static tree in canonical cell order.
 /// Because every hierarchy node covers a contiguous leaf range, any query
-/// region is an axis-aligned leaf box; a region that constrains exactly one
-/// dimension to a hierarchy node — the rollup/dashboard pattern — is a
-/// single marginal-page probe, and any other box is answered by the tree:
-/// whole subtrees merge where the entry box is contained, recursion handles
-/// the fringe. Either way, a few node pages instead of a full EDB scan. All
-/// node access goes through the BufferPool, so index I/O is counted (and
-/// reported under the `aggidx.*` metric family), separate from the
-/// allocation path's demand I/O.
+/// region is an axis-aligned leaf box, answered by the tree: whole subtrees
+/// merge where the entry box is contained, recursion handles the fringe —
+/// a few node pages instead of a full EDB scan. (The serve layer answers
+/// regions that constrain at most one dimension from the per-node
+/// SynopsisStore first; see QueryService.) All node access goes through the
+/// BufferPool, so index I/O is counted (and reported under the `aggidx.*`
+/// metric family), separate from the allocation path's demand I/O.
 ///
 /// Incremental maintenance: installed as the MaintenanceManager's
 /// EdbChangeListener, it folds row-level changes into per-cell deltas and
 /// `Commit` patches sum/count (and monotone min/max growth) in place along
-/// each cell's root-to-leaf path and through every marginal entry covering
-/// the cell. Removals are non-subtractive for min/max,
+/// each cell's root-to-leaf path. Removals are non-subtractive for min/max,
 /// so the batch's `MaintenanceStats::touched_boxes` are recorded as dirty
 /// rects instead — the next MIN/MAX query intersecting one lazily rebuilds
 /// the tree from a single EDB pass. Cells first seen after the build live
@@ -113,17 +93,15 @@ class AggIndex : public EdbChangeListener {
     int64_t builds = 0;         // full builds (first use or invalidation)
     int64_t refreshes = 0;      // lazy rebuilds forced by dirty min/max
     int64_t cells_patched = 0;  // per-cell in-place partial patches
-    int64_t marginal_hits = 0;  // probes answered from one marginal entry
     int64_t cells = 0;          // cells in the packed tree
-    int64_t pages = 0;          // node pages (tree + marginals)
+    int64_t pages = 0;          // node pages
     int64_t height = 0;         // tree levels
     int64_t overlay_cells = 0;  // cells currently in the overlay
     int64_t dirty_boxes = 0;    // dirty min/max rects outstanding
   };
 
   AggIndex(StorageEnv* env, const StarSchema* schema,
-           const TypedFile<EdbRecord>* edb,
-           const AggIndexOptions& options = AggIndexOptions());
+           const TypedFile<EdbRecord>* edb);
 
   AggIndex(const AggIndex&) = delete;
   AggIndex& operator=(const AggIndex&) = delete;
@@ -206,24 +184,19 @@ class AggIndex : public EdbChangeListener {
 
   Status EnsureBuiltLocked();
   Status BuildLocked(bool is_refresh);
-  Status BuildMarginalsLocked(const std::map<LeafKey, Partials>& cells,
-                              int64_t* next_page);
   Status WritePageLocked(int64_t page, const AggIndexNodeHeader& header,
                          const AggIndexEntry* entries);
   Status QueryNodeLocked(int64_t page, const Rect& query,
                          AggregateResult* acc);
   Status QueryRectLocked(const Rect& query, AggregateResult* acc);
-  bool MarginalNodeForRect(const Rect& query, int* dim, NodeId* node) const;
   bool IntersectsDirtyLocked(const Rect& query) const;
   Status PatchCellLocked(const LeafKey& key, const CellDelta& delta,
                          bool* found);
-  Status PatchMarginalsLocked(const LeafKey& key, const CellDelta& delta);
   void InvalidateLocked();
 
   StorageEnv* env_;
   const StarSchema* schema_;
   const TypedFile<EdbRecord>* edb_;
-  AggIndexOptions options_;
 
   mutable std::mutex mu_;
   FileId file_ = kInvalidFileId;
@@ -236,8 +209,6 @@ class AggIndex : public EdbChangeListener {
   std::map<LeafKey, Partials> overlay_;  // cells added after the build
   std::vector<Rect> dirty_minmax_;       // regions with stale min/max
   std::map<LeafKey, CellDelta> pending_;  // in-flight batch deltas
-  /// (dim << 32 | NodeId) -> (page, slot) of the node's marginal entry.
-  std::unordered_map<int64_t, std::pair<int64_t, int32_t>> marginal_dir_;
   Stats stats_;
 
   // Cached global-metrics handles (null when observability is disabled).

@@ -5,14 +5,19 @@
 
 namespace iolap {
 
-/// Per-query answer contract. Exact answers are byte-identical to a scan of
-/// the current snapshot; bounded answers may come from the synopsis tier and
-/// promise |answer - exact| <= bound <= epsilon with probability >= 1 - delta
-/// (with certainty when the bound is Fréchet-derived). Cache entries carry
-/// the mode so a bounded result can never serve an exact query.
+/// Per-query answer contract. Exact answers equal a scan of the current
+/// snapshot: byte-identical with ServeOptions::agg_index off, within 1e-9
+/// with it on (stored partials sum in a different order than the scan).
+/// Bounded answers may come from the synopsis tier and promise
+/// |answer - exact| <= bound <= epsilon with probability >= 1 - delta (with
+/// certainty when the bound is Fréchet-derived). Cache entries carry the
+/// mode so a bounded result can never serve an exact query.
 enum class AnswerMode : int8_t { kExact = 0, kBounded = 1 };
 
-/// Which tier produced an answer, in escalation order.
+/// Which store produced an answer, in escalation order: kCache the
+/// AggregateCache, kIndex the aggregate index's cell tree, kSynopsis the
+/// per-node moment store (an exact answer with bound 0 or a bounded one),
+/// kScan the group-by scan.
 enum class AnswerTier : int8_t { kCache = 0, kIndex = 1, kSynopsis = 2,
                                  kScan = 3 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -42,9 +43,21 @@ ServeOptions WithEnvOverrides(ServeOptions options) {
 
 QueryService::QueryService(MaintenanceManager* manager,
                            const ServeOptions& options)
-    : env_(&manager->env()),
-      schema_(&manager->schema()),
-      edb_(&manager->edb()),
+    : QueryService(&manager->env(), &manager->schema(), &manager->edb(),
+                   manager, options) {}
+
+QueryService::QueryService(StorageEnv* env, const StarSchema* schema,
+                           const TypedFile<EdbRecord>* edb,
+                           const ServeOptions& options)
+    : QueryService(env, schema, edb, /*manager=*/nullptr, options) {}
+
+QueryService::QueryService(StorageEnv* env, const StarSchema* schema,
+                           const TypedFile<EdbRecord>* edb,
+                           MaintenanceManager* manager,
+                           const ServeOptions& options)
+    : env_(env),
+      schema_(schema),
+      edb_(edb),
       manager_(manager),
       options_(WithEnvOverrides(options)),
       queries_counter_(GlobalCounter("serve.queries")),
@@ -71,65 +84,19 @@ QueryService::QueryService(MaintenanceManager* manager,
           [this] { return ColumnarSnapshot(); });
     }
   }
-  if (options_.synopsis) {
+  // The per-node store answers the index's node-aligned exact probes as
+  // well as bounded queries. In read-only mode the EDB is static, so the
+  // build-time store stays exact forever.
+  if (options_.agg_index || options_.synopsis) {
     synopsis_ = std::make_unique<SynopsisStore>(env_, schema_, edb_);
   }
-  if (agg_index_ != nullptr) change_fanout_.Add(agg_index_.get());
-  if (synopsis_ != nullptr) change_fanout_.Add(synopsis_.get());
-  if (!change_fanout_.empty()) manager_->set_change_listener(&change_fanout_);
-  for (int t = 0; t < 4; ++t) {
-    tier_counters_[t] = GlobalCounter(
-        std::string("serve.answer_tier.") +
-        AnswerTierName(static_cast<AnswerTier>(t)));
-  }
-  GroupByOptions gopts;
-  gopts.chunk_rows = options_.min_partition_rows;
-  gopts.radix_min_groups = options_.radix_min_groups;
-  groupby_ = std::make_unique<GroupByEngine>(env_, schema_, edb_, pool_.get(),
-                                             gopts);
-  // Front-load shard construction (one EDB scan); on failure the first
-  // query retries and surfaces the error.
-  const Status init = EnsureShardsReady();
-  (void)init;
-}
-
-QueryService::QueryService(StorageEnv* env, const StarSchema* schema,
-                           const TypedFile<EdbRecord>* edb,
-                           const ServeOptions& options)
-    : env_(env),
-      schema_(schema),
-      edb_(edb),
-      manager_(nullptr),
-      options_(WithEnvOverrides(options)),
-      queries_counter_(GlobalCounter("serve.queries")),
-      mutations_counter_(GlobalCounter("serve.mutations")),
-      partitions_counter_(GlobalCounter("serve.scan_partitions")),
-      index_answers_counter_(GlobalCounter("serve.index_answers")),
-      index_fallbacks_counter_(GlobalCounter("serve.index_fallbacks")),
-      generation_gauge_(GlobalGauge("serve.generation")),
-      shards_gauge_(GlobalGauge("serve.shards")),
-      query_us_histogram_(GlobalHistogram("serve.query_us")),
-      scan_rows_histogram_(GlobalHistogram("serve.scan_rows")),
-      partitions_histogram_(GlobalHistogram("serve.partitions_per_query")) {
-  options_.num_shards = ClampShards(options_.num_shards);
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  if (options_.cache_slots > 0) {
-    cache_ = std::make_unique<AggregateCache>(options_.cache_slots);
-  }
-  if (options_.agg_index) {
-    agg_index_ = std::make_unique<AggIndex>(env_, schema_, edb_);
-    if (options_.edb_format == EdbFormat::kColumnar) {
-      agg_index_->set_columnar_provider(
-          [this] { return ColumnarSnapshot(); });
+  if (manager_ != nullptr) {
+    if (agg_index_ != nullptr) change_fanout_.Add(agg_index_.get());
+    if (synopsis_ != nullptr) change_fanout_.Add(synopsis_.get());
+    if (!change_fanout_.empty()) {
+      manager_->set_change_listener(&change_fanout_);
     }
   }
-  if (options_.synopsis) {
-    // Read-only mode: no change stream to subscribe to, but the EDB is
-    // static, so the build-time synopsis stays exact forever.
-    synopsis_ = std::make_unique<SynopsisStore>(env_, schema_, edb_);
-  }
   for (int t = 0; t < 4; ++t) {
     tier_counters_[t] = GlobalCounter(
         std::string("serve.answer_tier.") +
@@ -140,6 +107,8 @@ QueryService::QueryService(StorageEnv* env, const StarSchema* schema,
   gopts.radix_min_groups = options_.radix_min_groups;
   groupby_ = std::make_unique<GroupByEngine>(env_, schema_, edb_, pool_.get(),
                                              gopts);
+  // Front-load shard construction (one EDB scan) and the partial stores'
+  // builds; on failure the first query retries and surfaces the error.
   const Status init = EnsureShardsReady();
   (void)init;
 }
@@ -174,6 +143,10 @@ Status QueryService::EnsureShardsReady() {
   std::lock_guard<std::mutex> init_lock(init_mu_);
   if (shards_ready_.load(std::memory_order_acquire)) return Status::Ok();
   IOLAP_RETURN_IF_ERROR(InitShardsLocked());
+  // The mirror and the partial stores below each scan the whole EDB, so
+  // writers stay out (a re-init can follow a failed batch while other
+  // writers wait on mutation_mu_).
+  std::lock_guard<std::mutex> mutation_lock(mutation_mu_);
   if (options_.edb_format == EdbFormat::kColumnar &&
       ColumnarSnapshot() == nullptr) {
     // Front-load the mirror conversion while everything is quiescent.
@@ -181,9 +154,18 @@ Status QueryService::EnsureShardsReady() {
     const Status built = BuildColumnar();
     (void)built;
   }
+  if (agg_index_ != nullptr) {
+    // Sharded mode gates the index's query-path rebuilds (a query holds
+    // only its shards' locks, so it must not scan the whole EDB). Either
+    // way the build runs here, while everything is quiescent and after the
+    // columnar mirror it prefers to scan.
+    if (shards_.size() > 1) agg_index_->set_rebuild_on_query(false);
+    const Status built = agg_index_->RebuildIfStale();
+    (void)built;  // failure: queries fall back to scans until a commit
+  }
   if (synopsis_ != nullptr && !synopsis_->ready()) {
     // One EDB scan while everything is quiescent; like the index, a build
-    // failure just leaves bounded queries falling back to scans.
+    // failure just leaves queries falling back to the lower tiers.
     synopsis_->SetShardBounds(SynopsisBounds());
     const Status built = synopsis_->RebuildIfStale();
     (void)built;
@@ -249,16 +231,7 @@ Status QueryService::InitShardsLocked() {
   if (shards_.size() == 1) return Status::Ok();  // atoms forced one shard
   for (auto& s : shards_) s->ranges.clear();
   int prev_shard = 0;
-  IOLAP_RETURN_IF_ERROR(AppendRangesFromScan(0, edb_->size(), &prev_shard));
-  if (agg_index_ != nullptr) {
-    // Sharded mode gates the index's query-path rebuilds (a query holds
-    // only its shards' locks, so it must not scan the whole EDB) and
-    // front-loads the first build here, where everything is quiescent.
-    agg_index_->set_rebuild_on_query(false);
-    const Status built = agg_index_->RebuildIfStale();
-    (void)built;  // failure: queries fall back to scans until a commit
-  }
-  return Status::Ok();
+  return AppendRangesFromScan(0, edb_->size(), &prev_shard);
 }
 
 Status QueryService::AppendRangesFromScan(int64_t begin, int64_t end,
@@ -546,9 +519,28 @@ Result<AggregateResult> QueryService::Aggregate(const QueryRegion& region,
     }
   }
 
-  // Index tier: exact answers from covering node partials. Any index error
-  // falls through — the lower tiers are always correct.
+  // The per-node store answers exact walks (agg_index on) and bounded
+  // ones (synopsis on); one estimate serves both checks below.
+  const bool approximate = bounded && options_.synopsis;
+  std::optional<BoundedAggregate> est;
+  if (synopsis_ != nullptr && (agg_index_ != nullptr || approximate)) {
+    Result<BoundedAggregate> r =
+        synopsis_->EstimateAggregate(region, func, spec.delta);
+    if (r.ok()) est = *r;
+  }
+
+  // Index tier: exact answers from stored partials — the per-node store
+  // when its answer is exact, else the cell tree. Any index error falls
+  // through; the lower tiers are always correct.
   if (agg_index_ != nullptr) {
+    if (est && est->bound == 0) {
+      if (cache_ != nullptr) {
+        cache_->Insert(exact_key, rect, {est->result}, ls.global_gen,
+                       ShardMap::MaskOfRange(ls.first, ls.last));
+      }
+      finish(AnswerTier::kSynopsis, 0, true, false);
+      return est->result;
+    }
     Result<AggregateResult> indexed = agg_index_->Aggregate(region, func);
     if (indexed.ok()) {
       span.AddArg("index_answer", 1);
@@ -563,21 +555,17 @@ Result<AggregateResult> QueryService::Aggregate(const QueryRegion& region,
     if (index_fallbacks_counter_ != nullptr) index_fallbacks_counter_->Add(1);
   }
 
-  // Synopsis tier (bounded contracts only): accept the in-memory moment
-  // answer iff its proven bound fits the query's epsilon. Cached under the
-  // *bounded* key even when the bound is 0, so exact-key entries stay pure
-  // index/scan products.
-  if (bounded && synopsis_ != nullptr) {
-    Result<BoundedAggregate> est =
-        synopsis_->EstimateAggregate(region, func, spec.delta);
-    if (est.ok() && est->bound <= spec.epsilon) {
-      if (cache_ != nullptr) {
-        cache_->Insert(bounded_key, rect, {est->result}, ls.global_gen,
-                       ShardMap::MaskOfRange(ls.first, ls.last), est->bound);
-      }
-      finish(AnswerTier::kSynopsis, est->bound, est->exact, false);
-      return est->result;
+  // Approximate tier (bounded contracts only): accept the store's answer
+  // iff its proven bound fits the query's epsilon. Cached under the
+  // *bounded* key even when the bound is 0, so with agg_index off
+  // exact-key entries stay pure scan products.
+  if (approximate && est && est->bound <= spec.epsilon) {
+    if (cache_ != nullptr) {
+      cache_->Insert(bounded_key, rect, {est->result}, ls.global_gen,
+                     ShardMap::MaskOfRange(ls.first, ls.last), est->bound);
     }
+    finish(AnswerTier::kSynopsis, est->bound, est->exact, false);
+    return est->result;
   }
 
   // Scan tier: the oracle.
@@ -623,15 +611,25 @@ Result<std::vector<AggregateResult>> QueryService::RollUp(
   std::vector<AggregateResult> groups;
   bool answered = false;
   if (agg_index_ != nullptr) {
-    Result<std::vector<AggregateResult>> indexed =
-        agg_index_->RollUp(region, dim, level, func);
-    if (indexed.ok()) {
-      groups = std::move(*indexed);
+    // Every group from the per-node store when all are exact, else every
+    // group from the cell tree.
+    Result<std::vector<AggregateResult>> stored =
+        synopsis_->ExactRollUp(region, dim, level, func);
+    if (stored.ok()) {
+      groups = std::move(*stored);
       answered = true;
-      span.AddArg("index_answer", 1);
-      if (index_answers_counter_ != nullptr) index_answers_counter_->Add(1);
-    } else if (index_fallbacks_counter_ != nullptr) {
-      index_fallbacks_counter_->Add(1);
+      span.AddArg("synopsis_answer", 1);
+    } else {
+      Result<std::vector<AggregateResult>> indexed =
+          agg_index_->RollUp(region, dim, level, func);
+      if (indexed.ok()) {
+        groups = std::move(*indexed);
+        answered = true;
+        span.AddArg("index_answer", 1);
+        if (index_answers_counter_ != nullptr) index_answers_counter_->Add(1);
+      } else if (index_fallbacks_counter_ != nullptr) {
+        index_fallbacks_counter_->Add(1);
+      }
     }
   }
   if (!answered) {

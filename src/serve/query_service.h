@@ -47,10 +47,11 @@ struct ServeOptions {
   /// Aggregate-cache capacity in result slots (a point aggregate costs 1
   /// slot, a rollup one slot per group). 0 disables caching entirely.
   int64_t cache_slots = 4096;
-  /// Maintain a disk-resident hierarchical aggregate index (src/aggidx) and
-  /// answer cache misses from its node partials instead of scanning the
-  /// EDB; in maintained mode the index is kept incrementally consistent
-  /// from the same touched_boxes that drive cache invalidation.
+  /// Answer exact cache misses from stored partials instead of scanning the
+  /// EDB: first the per-node store (src/synopsis) when its answer is exact,
+  /// then the disk-resident cell tree (src/aggidx). Exact answers are then
+  /// within 1e-9 of a scan rather than memcmp-equal. In maintained mode
+  /// both are kept incrementally consistent from the change stream.
   bool agg_index = false;
   /// Shards to partition the EDB into (clamped to [1, kMaxShards] and to
   /// what the component layout allows — see ShardMap). 1 keeps the classic
@@ -69,11 +70,11 @@ struct ServeOptions {
   EdbFormat edb_format = EdbFormat::kRow;
   /// Rows per extent of the columnar mirror (ColumnarWriteOptions).
   int64_t columnar_rows_per_extent = 16384;
-  /// Maintain an in-memory per-shard moment synopsis (src/synopsis) and let
+  /// Maintain the in-memory per-shard moment store (src/synopsis) and let
   /// bounded-mode queries (AnswerSpec::Bounded) be answered from it with a
   /// probabilistic error bound instead of scanning. Exact-mode queries are
-  /// unaffected. Kept incrementally consistent from the same change stream
-  /// as the aggregate index.
+  /// unaffected unless agg_index is on. Kept incrementally consistent from
+  /// the same change stream as the aggregate index.
   bool synopsis = false;
 };
 
@@ -89,12 +90,13 @@ struct ShardSnapshot {
 ///
 /// Answer tiers (each one falls through to the next): the AggregateCache
 /// (exact region+function hit, no I/O), then — with `agg_index` on — the
-/// hierarchical aggregate index (a few node pages instead of an EDB scan),
-/// then — for bounded-mode queries with `synopsis` on — the moment synopsis
-/// (an in-memory probabilistic answer, no I/O, accepted when its error
-/// bound fits the query's epsilon; see serve/answer.h and DESIGN.md §15),
-/// then the parallel group-by scan (serve/groupby.h). The scan stays the
-/// oracle: Uncached* never consults the cache, the index or the synopsis.
+/// per-node moment store when its answer is exact (in memory, no I/O) and
+/// the hierarchical aggregate index's cell tree (a few node pages instead
+/// of an EDB scan), then — for bounded-mode queries — the store's bounded
+/// estimate (accepted when its error bound fits the query's epsilon; see
+/// serve/answer.h and DESIGN.md §15), then the parallel group-by scan
+/// (serve/groupby.h). The scan stays the oracle: Uncached* never consults
+/// the cache, the index or the store.
 ///
 /// The environment variable IOLAP_EDB_FORMAT (values `row` / `columnar`)
 /// overrides ServeOptions::edb_format at construction — a deployment-level
@@ -155,7 +157,7 @@ class QueryService {
 
   /// Aggregate with an explicit answer contract. Exact specs behave exactly
   /// like the overload above. Bounded specs walk cache -> index -> synopsis
-  /// -> scan and accept a synopsis answer whenever its error bound is
+  /// -> scan and accept a store answer whenever its error bound is
   /// <= spec.epsilon (see serve/answer.h); `answer_stats` reports the tier
   /// that answered and the promised bound. A bounded spec with epsilon <= 0
   /// leaves no error budget and takes literally the exact path, so its
@@ -237,11 +239,18 @@ class QueryService {
   AggregateCache* cache() { return cache_.get(); }
   /// Null when options.agg_index is false.
   AggIndex* agg_index() { return agg_index_.get(); }
-  /// Null when options.synopsis is false.
+  /// The per-node moment store; null unless options.agg_index or
+  /// options.synopsis is set.
   SynopsisStore* synopsis() { return synopsis_.get(); }
   const StarSchema& schema() const { return *schema_; }
 
  private:
+  /// The one member setup both public constructors delegate to;
+  /// `manager` is null in read-only mode.
+  QueryService(StorageEnv* env, const StarSchema* schema,
+               const TypedFile<EdbRecord>* edb, MaintenanceManager* manager,
+               const ServeOptions& options);
+
   struct Shard {
     mutable std::shared_mutex mu;
     std::atomic<int64_t> gen{0};
@@ -322,7 +331,8 @@ class QueryService {
   std::unique_ptr<ThreadPool> pool_;       // null when num_threads <= 1
   std::unique_ptr<AggregateCache> cache_;  // null when cache_slots <= 0
   std::unique_ptr<AggIndex> agg_index_;    // null when !options.agg_index
-  std::unique_ptr<SynopsisStore> synopsis_;  // null when !options.synopsis
+  /// Null unless options.agg_index or options.synopsis.
+  std::unique_ptr<SynopsisStore> synopsis_;
   /// Fans the maintenance change stream out to agg_index_ and synopsis_
   /// (the MaintenanceManager holds a single listener slot).
   EdbChangeFanout change_fanout_;

@@ -13,6 +13,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Any delta: exact answers (bound 0) do not depend on it.
+constexpr double kExactDelta = 0.05;
+
 bool IsTombstone(const EdbRecord& rec) {
   return rec.weight == 0 && rec.fact_id == -1;
 }
@@ -213,12 +216,67 @@ void SynopsisStore::Invalidate() {
 Result<BoundedAggregate> SynopsisStore::EstimateAggregate(
     const QueryRegion& region, AggregateFunc func, double delta) {
   std::lock_guard<std::mutex> lock(mu_);
+  IOLAP_RETURN_IF_ERROR(BeginEstimateLocked());
+  BoundedAggregate out = EstimateLocked(region, func, delta);
+  if (out.exact) CountExactLocked();
+  return out;
+}
+
+Result<std::vector<AggregateResult>> SynopsisStore::ExactRollUp(
+    const QueryRegion& region, int dim, int level, AggregateFunc func) {
+  if (dim < 0 || dim >= schema_->num_dims()) {
+    return Status::InvalidArgument("rollup dimension out of range");
+  }
+  const Hierarchy& h = schema_->dim(dim);
+  if (level < 1 || level > h.num_levels()) {
+    return Status::InvalidArgument("rollup level out of range");
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  IOLAP_RETURN_IF_ERROR(BeginEstimateLocked());
+  const NodeId within = region.node[dim];
+  const int32_t wlo = h.leaf_begin(within);
+  const int32_t whi = h.leaf_end(within);
+  const std::vector<NodeId>& nodes = h.nodes_at_level(level);
+  std::vector<AggregateResult> groups(nodes.size());
+  for (size_t g = 0; g < nodes.size(); ++g) {
+    // Hierarchy nodes nest or are disjoint, so the group region is the
+    // region with its `dim` node narrowed to whichever of the two nodes
+    // lies inside the other — or empty.
+    const int32_t glo = h.leaf_begin(nodes[g]);
+    const int32_t ghi = h.leaf_end(nodes[g]);
+    if (ghi <= wlo || glo >= whi) {
+      FinalizeAggregate(&groups[g], func);
+      continue;
+    }
+    QueryRegion group = region;
+    if (glo >= wlo && ghi <= whi) group.node[dim] = nodes[g];
+    const BoundedAggregate est = EstimateLocked(group, func, kExactDelta);
+    if (est.bound != 0) {
+      return Status::Unavailable("rollup group not exact in the synopsis");
+    }
+    groups[g] = est.result;
+  }
+  CountExactLocked();
+  return groups;
+}
+
+Status SynopsisStore::BeginEstimateLocked() {
   if (!built_ || stale_) {
     return Status::Unavailable("synopsis store unbuilt or stale");
   }
   ++stats_.estimates;
   if (estimates_counter_ != nullptr) estimates_counter_->Add(1);
+  return Status::Ok();
+}
 
+void SynopsisStore::CountExactLocked() {
+  ++stats_.exact_hits;
+  if (exact_counter_ != nullptr) exact_counter_->Add(1);
+}
+
+BoundedAggregate SynopsisStore::EstimateLocked(const QueryRegion& region,
+                                               AggregateFunc func,
+                                               double delta) const {
   const QueryRegion reg = NormalizeRegion(*schema_, region);
   const Hierarchy& h0 = schema_->dim(0);
   const int32_t lo0 = h0.leaf_begin(reg.node[0]);
@@ -323,12 +381,7 @@ Result<BoundedAggregate> SynopsisStore::EstimateAggregate(
     terms.push_back(t);
   }
 
-  BoundedAggregate out = ComposeBounded(terms, func, delta);
-  if (out.exact) {
-    ++stats_.exact_hits;
-    if (exact_counter_ != nullptr) exact_counter_->Add(1);
-  }
-  return out;
+  return ComposeBounded(terms, func, delta);
 }
 
 SynopsisMoments SynopsisStore::MomentsFor(int shard, int dim,

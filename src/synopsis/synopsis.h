@@ -38,17 +38,24 @@ struct SynopsisMoments {
 };
 
 /// In-memory per-shard × per-hierarchy-node moment synopses over the EDB —
-/// the serve layer's approximate answer tier. One EDB pass builds a
+/// the serve layer's one per-node partial store. One EDB pass builds a
 /// SynopsisMoments entry for every (shard, dim, node); the hierarchy node
 /// counts are small (a few thousand per schema), so the whole store is a
 /// few hundred KiB per shard. Shards follow the serve layer's dimension-0
 /// ShardMap so a query's shard set is identical across tiers.
 ///
-/// Incremental maintenance mirrors the aggregate index: installed as (one
-/// of) the MaintenanceManager's EdbChangeListeners, it folds row changes
-/// into per-slice deltas along each row's root-to-leaf node path on every
-/// dimension, buffered until `Commit` (mutation success) or dropped by
-/// `Invalidate` (failed batch → stale, rebuilt by `RebuildIfStale`).
+/// It answers two kinds of query from the same slices. A region that, in
+/// every shard it reaches, constrains at most one dimension reads one slice
+/// per shard and is exact (bound 0; MIN/MAX only until a removal touches
+/// the slice): the serve layer's exact walk takes these before the
+/// aggregate index's cell tree. Any other region gets a bounded estimate
+/// for the approximate tier.
+///
+/// Incremental maintenance: installed as (one of) the MaintenanceManager's
+/// EdbChangeListeners, it folds row changes into per-slice deltas along
+/// each row's root-to-leaf node path on every dimension, buffered until
+/// `Commit` (mutation success) or dropped by `Invalidate` (failed batch →
+/// stale, rebuilt by `RebuildIfStale`).
 /// Removals patch mass/moments exactly but only mark the extremes; a slice
 /// whose live row count returns to zero resets to the exactly-empty state.
 ///
@@ -60,8 +67,8 @@ class SynopsisStore : public EdbChangeListener {
     int64_t builds = 0;      // full builds from an EDB pass
     int64_t commits = 0;     // delta batches folded in
     int64_t patched = 0;     // slice entries patched by commits
-    int64_t estimates = 0;   // EstimateAggregate calls served
-    int64_t exact_hits = 0;  // estimates that came out exact (bound 0)
+    int64_t estimates = 0;   // EstimateAggregate / ExactRollUp calls served
+    int64_t exact_hits = 0;  // of those, answered exactly (bound 0)
     int64_t entries = 0;     // slice entries resident
   };
 
@@ -104,6 +111,15 @@ class SynopsisStore : public EdbChangeListener {
   Result<BoundedAggregate> EstimateAggregate(const QueryRegion& region,
                                              AggregateFunc func, double delta);
 
+  /// Rollup (one aggregate per node of `dim` at `level`, restricted to
+  /// `region`, indexed by node ordinal) answered only if every group's
+  /// answer is exact (bound 0). Returns kUnavailable when unbuilt, stale,
+  /// or some group would need a bounded estimate; the caller then falls
+  /// back to an exact tier.
+  Result<std::vector<AggregateResult>> ExactRollUp(const QueryRegion& region,
+                                                   int dim, int level,
+                                                   AggregateFunc func);
+
   /// The slice entry for (shard, dim, node) — test/bench introspection.
   SynopsisMoments MomentsFor(int shard, int dim, NodeId node) const;
   /// All live rows of one shard: the root slice (any dimension's root).
@@ -127,6 +143,13 @@ class SynopsisStore : public EdbChangeListener {
   using SliceKey = std::tuple<int, int, NodeId>;
 
   int ShardOfLeafLocked(int32_t leaf0) const;
+  /// Refuses when unbuilt or stale; otherwise counts one estimate.
+  Status BeginEstimateLocked();
+  void CountExactLocked();
+  /// The bounded answer for one region: per-shard terms from the slices
+  /// of its constrained dimensions, composed by ComposeBounded.
+  BoundedAggregate EstimateLocked(const QueryRegion& region,
+                                  AggregateFunc func, double delta) const;
   Status BuildLocked();
   void FoldRowLocked(const EdbRecord& rec, double sign);
   SynopsisMoments& SliceLocked(int shard, int dim, NodeId node);

@@ -74,13 +74,20 @@ TEST(AggIdxConcurrentTest, IndexAnswersMatchSerialRescanAtPinnedGeneration) {
   ASSERT_NE(service.agg_index(), nullptr);
 
   // Min/max probes exercise the dirty-rect lazy rebuild concurrently with
-  // the additive in-place patches.
+  // the additive in-place patches. Node-aligned probes are answered by the
+  // per-node store; the 2-dimension ones always reach the cell tree.
   std::vector<Probe> probes = {{QueryRegion::All(), AggregateFunc::kSum},
                                {QueryRegion::All(), AggregateFunc::kCount},
                                {QueryRegion::All(), AggregateFunc::kMax}};
   for (NodeId node : schema.dim(0).nodes_at_level(1)) {
     probes.push_back({QueryRegion::All().With(0, node), AggregateFunc::kSum});
     probes.push_back({QueryRegion::All().With(0, node), AggregateFunc::kMin});
+  }
+  const NodeId truck = schema.dim(1).nodes_at_level(2)[1];
+  for (NodeId node : schema.dim(0).nodes_at_level(2)) {
+    const QueryRegion cross = QueryRegion::All().With(0, node).With(1, truck);
+    probes.push_back({cross, AggregateFunc::kSum});
+    probes.push_back({cross, AggregateFunc::kMax});
   }
 
   std::map<int64_t, std::vector<double>> expected;
@@ -158,8 +165,9 @@ TEST(AggIdxConcurrentTest, IndexAnswersMatchSerialRescanAtPinnedGeneration) {
           << obs.generation;
     }
   }
-  // The index tier must have carried real traffic.
+  // The cell tree and the per-node store must both have carried traffic.
   EXPECT_GT(service.agg_index()->stats().probes, 0);
+  EXPECT_GT(service.synopsis()->stats().exact_hits, 0);
 }
 
 }  // namespace

@@ -176,6 +176,9 @@ class ColumnarServeTest : public ::testing::Test {
         manager_, MaintenanceManager::Build(env_, schema_, &file, options));
   }
 
+  /// Node-aligned regions plus 2-dimension regions; with agg_index on the
+  /// service answers the former from the per-node store and only the
+  /// latter from the cell tree.
   std::vector<QueryRegion> ProbeRegions() const {
     std::vector<QueryRegion> regions = {QueryRegion::All()};
     for (NodeId node : schema_.dim(0).nodes_at_level(1)) {
@@ -183,6 +186,11 @@ class ColumnarServeTest : public ::testing::Test {
     }
     for (NodeId node : schema_.dim(1).nodes_at_level(2)) {
       regions.push_back(QueryRegion::All().With(1, node));
+    }
+    for (NodeId n0 : schema_.dim(0).nodes_at_level(2)) {
+      for (NodeId n1 : schema_.dim(1).nodes_at_level(2)) {
+        regions.push_back(QueryRegion::All().With(0, n0).With(1, n1));
+      }
     }
     return regions;
   }
@@ -319,10 +327,12 @@ TEST_F(ColumnarServeTest, AggIndexBuildsFromColumnarMirror) {
   ServeOptions opts;
   opts.edb_format = EdbFormat::kColumnar;
   opts.columnar_rows_per_extent = 16;
+  opts.cache_slots = 0;
   opts.agg_index = true;
   QueryService service(manager_.get(), opts);
   ASSERT_TRUE(service.columnar_active());
 
+  ASSERT_NE(service.agg_index(), nullptr);
   QueryEngine engine(&env_, &schema_, &manager_->edb());
   for (const QueryRegion& region : ProbeRegions()) {
     for (AggregateFunc func : kAllFuncs) {
@@ -331,10 +341,29 @@ TEST_F(ColumnarServeTest, AggIndexBuildsFromColumnarMirror) {
       IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult got,
                                  service.Aggregate(region, func));
       EXPECT_NEAR(want.value, got.value, 1e-9);
+      // The tree built from the mirror answers every region directly too.
+      IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult tree,
+                                 service.agg_index()->Aggregate(region, func));
+      EXPECT_NEAR(want.value, tree.value, 1e-9);
+      EXPECT_NEAR(want.sum, tree.sum, 1e-9);
+      EXPECT_NEAR(want.count, tree.count, 1e-9);
     }
   }
-  ASSERT_NE(service.agg_index(), nullptr);
-  EXPECT_GE(service.agg_index()->stats().builds, 1);
+  EXPECT_EQ(service.agg_index()->stats().builds, 1);
+  EXPECT_TRUE(service.columnar_active());
+  // The 2-dimension regions reached the tree through the service.
+  const int64_t probes = service.agg_index()->stats().probes;
+  const QueryRegion cross =
+      QueryRegion::All()
+          .With(0, schema_.dim(0).nodes_at_level(2)[0])
+          .With(1, schema_.dim(1).nodes_at_level(2)[0]);
+  AnswerStats as;
+  IOLAP_ASSERT_OK(service
+                      .Aggregate(cross, AggregateFunc::kSum,
+                                 AnswerSpec::Exact(), &as)
+                      .status());
+  EXPECT_EQ(as.tier, AnswerTier::kIndex);
+  EXPECT_GT(service.agg_index()->stats().probes, probes);
 }
 
 }  // namespace

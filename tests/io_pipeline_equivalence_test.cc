@@ -106,7 +106,7 @@ TEST_P(IoPipelineEquivalence, EdbIsByteIdenticalPipelineOnVsOff) {
 // The default pipeline must change neither the EDB bytes nor the demand
 // page reads and writes the cost model counts. The serial run is the
 // reference for both.
-TEST_P(IoPipelineEquivalence, EdbAndDemandIoIdenticalAcrossAsyncBackends) {
+TEST_P(IoPipelineEquivalence, SerialVsDefaultPipelineSameEdbAndDemandIo) {
   const PipelineParam& param = GetParam();
   IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeDenseSchema());
 

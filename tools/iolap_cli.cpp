@@ -33,7 +33,8 @@
 //   iolap_cli serve --schema=s.csv --facts=f.csv --serve-workload=trace.txt
 //       [--serve-threads=4] [--cache-slots=4096] [--min-partition-rows=4096]
 //       [--shards=1] [--agg-index=0]
-//       [--agg-index=1]   # answer cache misses from the aggregate index
+//       [--agg-index=1]   # answer exact cache misses from stored partials:
+//       # the per-node store when exact, else the aggregate index's tree
 //       [--edb-format=row|columnar] [--columnar-rows-per-extent=16384]
 //       # columnar: scans read a compressed column-major mirror of the EDB
 //       # (projected columns only; mutations fall back to row until the
