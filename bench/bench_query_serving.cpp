@@ -97,11 +97,10 @@ int main(int argc, char** argv) {
   const double hit_us = hit_watch.ElapsedSeconds() * 1e6 /
                         static_cast<double>(num_probes * hit_rounds);
   for (size_t i = 0; i < probes.size(); ++i) {
-    bool hit = false;
-    AggregateResult r =
-        Unwrap(service.Aggregate(probes[i], AggregateFunc::kSum, nullptr,
-                                 &hit));
-    if (!hit) cache_correct = false;  // steady state must be all hits
+    AnswerStats as;
+    AggregateResult r = Unwrap(service.Aggregate(
+        probes[i], AggregateFunc::kSum, AnswerSpec::Exact(), &as));
+    if (!as.cache_hit) cache_correct = false;  // steady state: all hits
     check(r.value, expected[i]);
   }
 

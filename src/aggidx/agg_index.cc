@@ -17,11 +17,19 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Cells accumulated in the in-memory overlay (cells that appeared after
-/// the last build) before the next query triggers a full rebuild.
+/// the last build) before a commit leaves the index stale for a rebuild.
 constexpr int64_t kMaxOverlayCells = 4096;
-/// Dirty min/max rects kept individually; beyond this they are collapsed
-/// into one covering box (coarser, still conservative).
-constexpr int64_t kMaxDirtyBoxes = 64;
+
+/// Whether a MIN/MAX probe may merge these extremes: false for the
+/// removal mark (-inf, +inf). A real measure of ±inf is refused too; the
+/// caller's scan answers it.
+bool ExtremesKnown(double min, double max) {
+  return min != -kInf && max != kInf;
+}
+
+bool IsMinMax(AggregateFunc func) {
+  return func == AggregateFunc::kMin || func == AggregateFunc::kMax;
+}
 
 /// Canonical (dimension-0-major) three-way comparison of cell keys. Leaf
 /// ids are non-negative, but compare as signed ints — never memcmp, which
@@ -65,18 +73,9 @@ Status AggIndex::Build() {
   return BuildLocked(/*is_refresh=*/false);
 }
 
-Status AggIndex::EnsureBuiltLocked() {
+Status AggIndex::EnsureBuiltLocked() const {
   if (built_ && !stale_) return Status::Ok();
-  if (!rebuild_on_query_) {
-    return Status::Unavailable(
-        "aggregate index stale and query-path rebuilds are gated off");
-  }
-  return BuildLocked(/*is_refresh=*/false);
-}
-
-void AggIndex::set_rebuild_on_query(bool allowed) {
-  std::lock_guard<std::mutex> lock(mu_);
-  rebuild_on_query_ = allowed;
+  return Status::Unavailable("aggregate index unbuilt or stale");
 }
 
 void AggIndex::set_columnar_provider(
@@ -220,14 +219,13 @@ Status AggIndex::BuildLocked(bool is_refresh) {
   span.AddArg("pages", stats_.pages);
 
   overlay_.clear();
-  dirty_minmax_.clear();
   built_ = true;
   stale_ = false;
   return Status::Ok();
 }
 
 Status AggIndex::QueryNodeLocked(int64_t page, const Rect& query,
-                                 AggregateResult* acc) {
+                                 bool minmax, AggregateResult* acc) {
   ++stats_.nodes_read;
   if (nodes_read_counter_ != nullptr) nodes_read_counter_->Add(1);
   IOLAP_ASSIGN_OR_RETURN(PageGuard guard, env_->pool().Pin(file_, page));
@@ -239,6 +237,9 @@ Status AggIndex::QueryNodeLocked(int64_t page, const Rect& query,
     std::memcpy(&e, guard.data() + sizeof(header) + i * sizeof(e), sizeof(e));
     if (!RectsIntersect(e.bbox, query, k)) continue;
     if (RectContains(query, e.bbox, k)) {
+      if (minmax && !ExtremesKnown(e.min, e.max)) {
+        return Status::Unavailable("min/max unknown since a removal");
+      }
       acc->sum += e.sum;
       acc->count += e.count;
       acc->min = std::min(acc->min, e.min);
@@ -248,15 +249,16 @@ Status AggIndex::QueryNodeLocked(int64_t page, const Rect& query,
     // A leaf entry's bbox is a single cell, so intersection implies
     // containment; only internal entries can straddle the query boundary.
     if (header.level > 0) {
-      IOLAP_RETURN_IF_ERROR(QueryNodeLocked(e.child, query, acc));
+      IOLAP_RETURN_IF_ERROR(QueryNodeLocked(e.child, query, minmax, acc));
     }
   }
   return Status::Ok();
 }
 
-Status AggIndex::QueryRectLocked(const Rect& query, AggregateResult* acc) {
+Status AggIndex::QueryRectLocked(const Rect& query, bool minmax,
+                                 AggregateResult* acc) {
   if (root_ >= 0) {
-    IOLAP_RETURN_IF_ERROR(QueryNodeLocked(root_, query, acc));
+    IOLAP_RETURN_IF_ERROR(QueryNodeLocked(root_, query, minmax, acc));
   }
   const int k = schema_->num_dims();
   for (const auto& [key, p] : overlay_) {
@@ -268,6 +270,9 @@ Status AggIndex::QueryRectLocked(const Rect& query, AggregateResult* acc) {
       }
     }
     if (!inside) continue;
+    if (minmax && !ExtremesKnown(p.min, p.max)) {
+      return Status::Unavailable("min/max unknown since a removal");
+    }
     acc->sum += p.sum;
     acc->count += p.count;
     acc->min = std::min(acc->min, p.min);
@@ -276,29 +281,13 @@ Status AggIndex::QueryRectLocked(const Rect& query, AggregateResult* acc) {
   return Status::Ok();
 }
 
-bool AggIndex::IntersectsDirtyLocked(const Rect& query) const {
-  const int k = schema_->num_dims();
-  for (const Rect& r : dirty_minmax_) {
-    if (RectsIntersect(query, r, k)) return true;
-  }
-  return false;
-}
-
 Result<AggregateResult> AggIndex::Aggregate(const QueryRegion& region,
                                             AggregateFunc func) {
   std::lock_guard<std::mutex> lock(mu_);
   IOLAP_RETURN_IF_ERROR(EnsureBuiltLocked());
-  const Rect query = RegionToRect(*schema_, region);
-  if ((func == AggregateFunc::kMin || func == AggregateFunc::kMax) &&
-      IntersectsDirtyLocked(query)) {
-    if (!rebuild_on_query_) {
-      return Status::Unavailable(
-          "min/max dirty and query-path rebuilds are gated off");
-    }
-    IOLAP_RETURN_IF_ERROR(BuildLocked(/*is_refresh=*/true));
-  }
   AggregateResult acc;
-  IOLAP_RETURN_IF_ERROR(QueryRectLocked(query, &acc));
+  IOLAP_RETURN_IF_ERROR(
+      QueryRectLocked(RegionToRect(*schema_, region), IsMinMax(func), &acc));
   FinalizeAggregate(&acc, func);
   ++stats_.probes;
   if (probes_counter_ != nullptr) probes_counter_->Add(1);
@@ -317,14 +306,6 @@ Result<std::vector<AggregateResult>> AggIndex::RollUp(
   std::lock_guard<std::mutex> lock(mu_);
   IOLAP_RETURN_IF_ERROR(EnsureBuiltLocked());
   const Rect base = RegionToRect(*schema_, region);
-  if ((func == AggregateFunc::kMin || func == AggregateFunc::kMax) &&
-      IntersectsDirtyLocked(base)) {
-    if (!rebuild_on_query_) {
-      return Status::Unavailable(
-          "min/max dirty and query-path rebuilds are gated off");
-    }
-    IOLAP_RETURN_IF_ERROR(BuildLocked(/*is_refresh=*/true));
-  }
   const std::vector<NodeId>& nodes = h.nodes_at_level(level);
   std::vector<AggregateResult> groups(nodes.size());
   for (size_t g = 0; g < nodes.size(); ++g) {
@@ -337,12 +318,14 @@ Result<std::vector<AggregateResult>> AggIndex::RollUp(
       Rect q = base;
       q.lo[dim] = glo;
       q.hi[dim] = ghi;
-      IOLAP_RETURN_IF_ERROR(QueryRectLocked(q, &acc));
+      IOLAP_RETURN_IF_ERROR(QueryRectLocked(q, IsMinMax(func), &acc));
     }
     FinalizeAggregate(&acc, func);
     groups[g] = acc;
-    ++stats_.probes;
-    if (probes_counter_ != nullptr) probes_counter_->Add(1);
+  }
+  stats_.probes += static_cast<int64_t>(groups.size());
+  if (probes_counter_ != nullptr) {
+    probes_counter_->Add(static_cast<int64_t>(groups.size()));
   }
   return groups;
 }
@@ -418,9 +401,8 @@ Status AggIndex::PatchCellLocked(const LeafKey& key, const CellDelta& delta,
   }
 
   // Patch the partials along the whole root-to-leaf path. Additive partials
-  // (sum, count) take the delta exactly; min/max only ever widen, and only
-  // from pure additions — a batch that removed rows marks dirty rects
-  // instead (handled by Commit).
+  // (sum, count) take the delta exactly; min/max widen with additions, and
+  // a removal marks every entry on the path.
   for (int i = 0; i < depth; ++i) {
     IOLAP_ASSIGN_OR_RETURN(PageGuard guard,
                            env_->pool().Pin(file_, path[i].page));
@@ -430,10 +412,7 @@ Status AggIndex::PatchCellLocked(const LeafKey& key, const CellDelta& delta,
     std::memcpy(&e, slot, sizeof(e));
     e.sum += delta.dsum;
     e.count += delta.dcount;
-    if (delta.has_add && !delta.removed) {
-      e.min = std::min(e.min, delta.add_min);
-      e.max = std::max(e.max, delta.add_max);
-    }
+    delta.FoldExtremes(&e.min, &e.max);
     std::memcpy(slot, &e, sizeof(e));
     guard.MarkDirty();
   }
@@ -443,17 +422,28 @@ Status AggIndex::PatchCellLocked(const LeafKey& key, const CellDelta& delta,
   return Status::Ok();
 }
 
-Status AggIndex::Commit(const Rect* touched, size_t n) {
+void AggIndex::CellDelta::FoldExtremes(double* min, double* max) const {
+  if (has_add) {
+    *min = std::min(*min, add_min);
+    *max = std::max(*max, add_max);
+  }
+  if (removed) {
+    // Non-subtractive: the extremes stay unknown until the next rebuild
+    // (no later addition can narrow -inf / +inf back).
+    *min = -kInf;
+    *max = kInf;
+  }
+}
+
+Status AggIndex::Commit() {
   std::lock_guard<std::mutex> lock(mu_);
   if (!built_ || stale_) {
-    // Nothing to patch — the next query rebuilds from the already-mutated
-    // EDB, which subsumes these deltas.
+    // Nothing to patch — the next rebuild reads the already-mutated EDB,
+    // which subsumes these deltas.
     pending_.clear();
     return Status::Ok();
   }
-  bool any_removed = false;
   for (const auto& [key, delta] : pending_) {
-    any_removed |= delta.removed;
     bool found = false;
     const Status s = PatchCellLocked(key, delta, &found);
     if (!s.ok()) {
@@ -461,10 +451,8 @@ Status AggIndex::Commit(const Rect* touched, size_t n) {
       return s;
     }
     if (found) continue;
-    // Cell not in the packed tree: merge into the overlay. (A removal for
-    // an unknown cell can only be the counterpart of earlier overlay
-    // additions; the residue stays in the overlay and the dirty rects
-    // below cover its min/max.)
+    // Cell not in the packed tree: merge into the overlay, under the same
+    // marking rule as tree entries.
     auto [it, inserted] = overlay_.try_emplace(key);
     Partials& p = it->second;
     if (inserted) {
@@ -473,37 +461,11 @@ Status AggIndex::Commit(const Rect* touched, size_t n) {
     }
     p.sum += delta.dsum;
     p.count += delta.dcount;
-    if (delta.has_add && !delta.removed) {
-      p.min = std::min(p.min, delta.add_min);
-      p.max = std::max(p.max, delta.add_max);
-    } else if (delta.removed) {
-      // The overlay cell's extremes can no longer be trusted; widen them so
-      // only the dirty-rect rebuild path answers min/max here.
-      p.min = kInf;
-      p.max = -kInf;
-      any_removed = true;
-    }
+    delta.FoldExtremes(&p.min, &p.max);
   }
   pending_.clear();
-
-  if (any_removed) {
-    dirty_minmax_.insert(dirty_minmax_.end(), touched, touched + n);
-    if (static_cast<int64_t>(dirty_minmax_.size()) > kMaxDirtyBoxes) {
-      // Collapse to one covering box: coarser (more min/max queries will
-      // trigger the rebuild) but still conservative, and bounds the
-      // per-query dirty check.
-      Rect all = dirty_minmax_[0];
-      for (const Rect& r : dirty_minmax_) {
-        for (int d = 0; d < kMaxDims; ++d) {
-          all.lo[d] = std::min(all.lo[d], r.lo[d]);
-          all.hi[d] = std::max(all.hi[d], r.hi[d]);
-        }
-      }
-      dirty_minmax_.assign(1, all);
-    }
-  }
   if (static_cast<int64_t>(overlay_.size()) > kMaxOverlayCells) {
-    stale_ = true;  // overlay too big to stay an overlay; rebuild lazily
+    stale_ = true;  // overlay too big to stay an overlay; rebuild
   }
   return Status::Ok();
 }
@@ -511,7 +473,6 @@ Status AggIndex::Commit(const Rect* touched, size_t n) {
 void AggIndex::InvalidateLocked() {
   pending_.clear();
   overlay_.clear();
-  dirty_minmax_.clear();
   stale_ = true;
 }
 
@@ -524,7 +485,6 @@ AggIndex::Stats AggIndex::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s = stats_;
   s.overlay_cells = static_cast<int64_t>(overlay_.size());
-  s.dirty_boxes = static_cast<int64_t>(dirty_minmax_.size());
   return s;
 }
 

@@ -42,7 +42,8 @@ static_assert(sizeof(AggIndexNodeHeader) == 16);
 /// point) or a whole child subtree (internal, bbox is the union of the
 /// child's entries). The partials answer all five aggregate functions over
 /// the entry's rows: SUM = sum, COUNT = count, AVERAGE = sum / count,
-/// MIN/MAX = min/max of the unweighted measure.
+/// MIN/MAX = min/max of the unweighted measure. `min = -inf, max = +inf`
+/// marks extremes unknown since a removal under the entry.
 struct AggIndexEntry {
   int32_t key[kMaxDims] = {};  // canonical sort key: first cell of the run
   Rect bbox;                   // inclusive leaf box covered
@@ -72,14 +73,21 @@ static_assert(kAggIndexEntriesPerPage == 36);
 /// BufferPool, so index I/O is counted (and reported under the `aggidx.*`
 /// metric family), separate from the allocation path's demand I/O.
 ///
-/// Incremental maintenance: installed as the MaintenanceManager's
-/// EdbChangeListener, it folds row-level changes into per-cell deltas and
-/// `Commit` patches sum/count (and monotone min/max growth) in place along
-/// each cell's root-to-leaf path. Removals are non-subtractive for min/max,
-/// so the batch's `MaintenanceStats::touched_boxes` are recorded as dirty
-/// rects instead — the next MIN/MAX query intersecting one lazily rebuilds
-/// the tree from a single EDB pass. Cells first seen after the build live
-/// in an in-memory overlay until that next rebuild.
+/// Incremental maintenance follows the SynopsisStore's staleness rule.
+/// Installed as (one of) the MaintenanceManager's EdbChangeListeners, it
+/// folds row-level changes into per-cell deltas and `Commit` patches
+/// sum/count (and monotone min/max growth) in place along each cell's
+/// root-to-leaf path. Removals are non-subtractive for min/max, so a cell
+/// that lost a row marks every entry on its path with the widened envelope
+/// `min = -inf, max = +inf`; a MIN/MAX probe that would merge a marked
+/// entry returns kUnavailable and the caller falls through to the next
+/// tier. Only a rebuild clears the marks. Cells first seen after the build
+/// live in an in-memory overlay (marked the same way) until that rebuild.
+///
+/// Queries never build: an unbuilt or stale index refuses every probe with
+/// kUnavailable. `Build` / `RebuildIfStale` scan the whole EDB, so the
+/// serve layer calls them only at init or after a commit, under its
+/// mutation lock.
 ///
 /// Thread-safety: one internal mutex serializes all operations. The serve
 /// layer calls queries under its shared snapshot lock and Commit/Invalidate
@@ -90,14 +98,13 @@ class AggIndex : public EdbChangeListener {
   struct Stats {
     int64_t probes = 0;         // aggregate / rollup-group lookups served
     int64_t nodes_read = 0;     // node pages visited by lookups
-    int64_t builds = 0;         // full builds (first use or invalidation)
-    int64_t refreshes = 0;      // lazy rebuilds forced by dirty min/max
+    int64_t builds = 0;         // Build() calls and first builds
+    int64_t refreshes = 0;      // rebuilds of a previously built index
     int64_t cells_patched = 0;  // per-cell in-place partial patches
     int64_t cells = 0;          // cells in the packed tree
     int64_t pages = 0;          // node pages
     int64_t height = 0;         // tree levels
     int64_t overlay_cells = 0;  // cells currently in the overlay
-    int64_t dirty_boxes = 0;    // dirty min/max rects outstanding
   };
 
   AggIndex(StorageEnv* env, const StarSchema* schema,
@@ -107,19 +114,21 @@ class AggIndex : public EdbChangeListener {
   AggIndex& operator=(const AggIndex&) = delete;
 
   /// Builds (or rebuilds) the tree from one EDB pass; clears the overlay
-  /// and all dirty state. Queries build lazily, so calling this is only
-  /// needed to front-load the cost.
+  /// and every min/max mark. Scans the whole EDB: call only where no
+  /// writer can be concurrent.
   Status Build();
 
   /// Allocation-weighted aggregate over `region`, answered from node
-  /// partials (triggers a lazy rebuild first if the index is stale for
-  /// `func` — see class comment).
+  /// partials. kUnavailable when the index is unbuilt or stale, or when
+  /// `func` is MIN/MAX and the region covers a cell that lost a row since
+  /// the last build (see class comment).
   Result<AggregateResult> Aggregate(const QueryRegion& region,
                                     AggregateFunc func);
 
   /// Rollup: one aggregate per node of `dim` at `level` restricted to
   /// `region`, indexed by node ordinal — answered as one index probe per
-  /// group (each group region is still a box).
+  /// group (each group region is still a box). Refused as a whole, as
+  /// Aggregate refuses, if any group is.
   Result<std::vector<AggregateResult>> RollUp(const QueryRegion& region,
                                               int dim, int level,
                                               AggregateFunc func);
@@ -129,22 +138,14 @@ class AggIndex : public EdbChangeListener {
   void OnAdd(const EdbRecord& rec) override;
   void OnRemove(const EdbRecord& rec) override;
 
-  /// Folds the buffered deltas into the index after a successful batch.
-  /// `touched` / `n` is the batch's MaintenanceStats::touched_boxes slice;
-  /// if the batch removed rows these become dirty min/max rects.
-  Status Commit(const Rect* touched, size_t n);
+  /// Folds the buffered deltas into the index after a successful batch;
+  /// a cell that lost a row has its path's min/max marked. Leaves the
+  /// index stale when the overlay outgrows its cap.
+  Status Commit();
 
   /// Drops buffered deltas and marks the whole index stale (failed or
-  /// partially applied batch); the next query rebuilds from the EDB.
+  /// partially applied batch); queries refuse until RebuildIfStale.
   void Invalidate();
-
-  /// Whether a query may trigger a full (re)build, which scans the whole
-  /// EDB (default true). The sharded serve layer turns this off: a query
-  /// there holds only a subset of the shard locks, so a full EDB scan from
-  /// the query path could race a concurrent writer on an unlocked shard.
-  /// With rebuilds gated off, a query needing one returns kUnavailable and
-  /// the caller falls back to its own (safely locked) scan.
-  void set_rebuild_on_query(bool allowed);
 
   /// Optional columnar scan source for (re)builds. The provider is called
   /// at the start of every build; when it returns a mirror covering
@@ -157,10 +158,10 @@ class AggIndex : public EdbChangeListener {
       std::function<std::shared_ptr<const ColumnarEdb>()> provider);
 
   /// Rebuilds now if the index is unbuilt or stale; a no-op otherwise.
-  /// The mutation-path companion of the gate above — called where the
-  /// caller knows no writer can be concurrent (e.g. after a commit, under
-  /// the mutation lock). Dirty min/max rects alone do not trigger this
-  /// (they only pessimize MIN/MAX queries, which keep falling back).
+  /// Call only where no writer can be concurrent (init, or post-commit
+  /// under the mutation lock) — the pass scans the whole EDB. Min/max
+  /// marks alone do not make the index stale (they only send MIN/MAX
+  /// probes over marked cells to the next tier).
   Status RebuildIfStale();
 
   Stats stats() const;
@@ -179,17 +180,24 @@ class AggIndex : public EdbChangeListener {
     double add_max = 0;
     bool has_add = false;
     bool removed = false;
+
+    /// Folds this delta into a cell's (or entry's) extremes: additions
+    /// widen them, a removal marks them (-inf, +inf).
+    void FoldExtremes(double* min, double* max) const;
   };
   using LeafKey = std::array<int32_t, kMaxDims>;
 
-  Status EnsureBuiltLocked();
+  /// Refuses when unbuilt or stale.
+  Status EnsureBuiltLocked() const;
   Status BuildLocked(bool is_refresh);
   Status WritePageLocked(int64_t page, const AggIndexNodeHeader& header,
                          const AggIndexEntry* entries);
-  Status QueryNodeLocked(int64_t page, const Rect& query,
+  /// Fold the partials of every cell inside `query` into `acc`; with
+  /// `minmax` set, refuse as soon as a marked entry would merge.
+  Status QueryNodeLocked(int64_t page, const Rect& query, bool minmax,
                          AggregateResult* acc);
-  Status QueryRectLocked(const Rect& query, AggregateResult* acc);
-  bool IntersectsDirtyLocked(const Rect& query) const;
+  Status QueryRectLocked(const Rect& query, bool minmax,
+                         AggregateResult* acc);
   Status PatchCellLocked(const LeafKey& key, const CellDelta& delta,
                          bool* found);
   void InvalidateLocked();
@@ -204,10 +212,8 @@ class AggIndex : public EdbChangeListener {
   int64_t num_pages_ = 0;  // node pages written by the last build
   bool built_ = false;
   bool stale_ = false;  // full rebuild required before any answer
-  bool rebuild_on_query_ = true;  // see set_rebuild_on_query
   std::function<std::shared_ptr<const ColumnarEdb>()> columnar_provider_;
   std::map<LeafKey, Partials> overlay_;  // cells added after the build
-  std::vector<Rect> dirty_minmax_;       // regions with stale min/max
   std::map<LeafKey, CellDelta> pending_;  // in-flight batch deltas
   Stats stats_;
 

@@ -20,14 +20,18 @@ namespace {
 /// mask below.
 constexpr int kRadixBuckets = 64;
 
+/// Group counts at most this use dense per-chunk arrays; above it (up to
+/// GroupByOptions::radix_min_groups) a per-chunk open-addressing hash.
+constexpr int64_t kDenseGroupLimit = 512;
+
 /// Chunk-private group accumulator: dense array for small group counts, an
 /// open-addressing hash (linear probing, power-of-two capacity) above
-/// dense_group_limit. Both hold exactly one accumulator per touched group,
+/// kDenseGroupLimit. Both hold exactly one accumulator per touched group,
 /// so which one is chosen never changes any value — only memory.
 class LocalAcc {
  public:
-  LocalAcc(int64_t num_groups, int64_t dense_limit)
-      : dense_(num_groups <= dense_limit) {
+  explicit LocalAcc(int64_t num_groups)
+      : dense_(num_groups <= kDenseGroupLimit) {
     if (dense_) {
       vals_.resize(num_groups);
     } else {
@@ -216,8 +220,7 @@ Result<std::vector<AggregateResult>> GroupByEngine::LocalGroupBy(
     unit.cost = unit_cost;
     unit.run = [this, &chunks, &accs, &rows, &region, dim, level, num_groups,
                 columnar, c]() -> Status {
-      auto acc =
-          std::make_unique<LocalAcc>(num_groups, options_.dense_group_limit);
+      auto acc = std::make_unique<LocalAcc>(num_groups);
       auto add = [&acc](int32_t g, double w, double m) { acc->Add(g, w, m); };
       if (columnar != nullptr) {
         IOLAP_RETURN_IF_ERROR(ScanChunkColumnar(env_, schema_, columnar,

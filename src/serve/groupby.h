@@ -32,10 +32,6 @@ struct GroupByOptions {
   /// instead of the local-accumulator variant. Selection depends only on
   /// the query (its group count), never on threads/shards/ranges.
   int64_t radix_min_groups = 4096;
-  /// Group counts at most this use dense per-chunk arrays; above it (up to
-  /// radix_min_groups) a per-chunk open-addressing hash. Affects memory and
-  /// speed only — both accumulate identical values.
-  int64_t dense_group_limit = 512;
 };
 
 struct GroupByStats {
@@ -49,7 +45,7 @@ struct GroupByStats {
 /// Two variants, selected per query from the group count alone:
 ///  * local (two-phase local accumulator + ordered merge): each grid chunk
 ///    scans its rows into a chunk-private accumulator (dense array for
-///    small group counts, open-addressing hash above dense_group_limit);
+///    small group counts, open-addressing hash above that);
 ///    partials then merge into the result in ascending chunk order on the
 ///    calling thread, with in-flight partials bounded — compute is
 ///    unordered, output is ordered, the same discipline as the parallel

@@ -154,18 +154,16 @@ Status QueryService::EnsureShardsReady() {
     const Status built = BuildColumnar();
     (void)built;
   }
+  // The partial stores never build on the query path (a query holds only
+  // its shards' locks, so it must not scan the whole EDB): they build
+  // here, while everything is quiescent and after the columnar mirror the
+  // index prefers to scan. A build failure just leaves queries falling
+  // back to the lower tiers until a commit rebuilds.
   if (agg_index_ != nullptr) {
-    // Sharded mode gates the index's query-path rebuilds (a query holds
-    // only its shards' locks, so it must not scan the whole EDB). Either
-    // way the build runs here, while everything is quiescent and after the
-    // columnar mirror it prefers to scan.
-    if (shards_.size() > 1) agg_index_->set_rebuild_on_query(false);
     const Status built = agg_index_->RebuildIfStale();
-    (void)built;  // failure: queries fall back to scans until a commit
+    (void)built;
   }
   if (synopsis_ != nullptr && !synopsis_->ready()) {
-    // One EDB scan while everything is quiescent; like the index, a build
-    // failure just leaves queries falling back to the lower tiers.
     synopsis_->SetShardBounds(SynopsisBounds());
     const Status built = synopsis_->RebuildIfStale();
     (void)built;
@@ -447,17 +445,15 @@ void QueryService::RecordScanStats(const GroupByStats& gstats) {
   }
 }
 
-Result<AggregateResult> QueryService::Aggregate(const QueryRegion& region,
-                                                AggregateFunc func,
-                                                int64_t* generation,
-                                                bool* cache_hit,
-                                                ShardSnapshot* shards) {
-  AnswerStats as;
-  IOLAP_ASSIGN_OR_RETURN(
-      AggregateResult out,
-      Aggregate(region, func, AnswerSpec::Exact(), &as, generation, shards));
-  if (cache_hit != nullptr) *cache_hit = as.cache_hit;
-  return out;
+void QueryService::FinishQuery(AnswerTier tier, TraceSpan* span,
+                               const Stopwatch& timer) {
+  span->AddArg("tier", static_cast<int64_t>(tier));
+  const int t = static_cast<int>(tier);
+  if (tier_counters_[t] != nullptr) tier_counters_[t]->Add(1);
+  if (query_us_histogram_ != nullptr) {
+    query_us_histogram_->Record(
+        static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
+  }
 }
 
 Result<AggregateResult> QueryService::Aggregate(const QueryRegion& region,
@@ -482,13 +478,7 @@ Result<AggregateResult> QueryService::Aggregate(const QueryRegion& region,
       answer_stats->cache_hit = cache_hit;
       answer_stats->exact = exact;
     }
-    span.AddArg("tier", static_cast<int64_t>(tier));
-    const int t = static_cast<int>(tier);
-    if (tier_counters_[t] != nullptr) tier_counters_[t]->Add(1);
-    if (query_us_histogram_ != nullptr) {
-      query_us_histogram_->Record(
-          static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
-    }
+    FinishQuery(tier, &span, timer);
   };
   const Rect rect = RegionToRect(*schema_, region);
   LockedShards ls = AcquireShared(rect, shards);
@@ -543,7 +533,6 @@ Result<AggregateResult> QueryService::Aggregate(const QueryRegion& region,
     }
     Result<AggregateResult> indexed = agg_index_->Aggregate(region, func);
     if (indexed.ok()) {
-      span.AddArg("index_answer", 1);
       if (index_answers_counter_ != nullptr) index_answers_counter_->Add(1);
       if (cache_ != nullptr) {
         cache_->Insert(exact_key, rect, {*indexed}, ls.global_gen,
@@ -585,12 +574,6 @@ Result<std::vector<AggregateResult>> QueryService::RollUp(
   Stopwatch timer;
   if (queries_counter_ != nullptr) queries_counter_->Add(1);
   IOLAP_RETURN_IF_ERROR(EnsureShardsReady());
-  const auto record_time = [&] {
-    if (query_us_histogram_ != nullptr) {
-      query_us_histogram_->Record(
-          static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
-    }
-  };
   const Rect rect = RegionToRect(*schema_, region);
   LockedShards ls = AcquireShared(rect, shards);
   if (generation != nullptr) *generation = ls.global_gen;
@@ -602,14 +585,13 @@ Result<std::vector<AggregateResult>> QueryService::RollUp(
     key = AggregateCache::MakeRollUpKey(*schema_, region, dim, level, func);
     if (cache_->Lookup(key, &cached)) {
       if (cache_hit != nullptr) *cache_hit = true;
-      span.AddArg("cache_hit", 1);
-      record_time();
+      FinishQuery(AnswerTier::kCache, &span, timer);
       return cached;
     }
   }
 
   std::vector<AggregateResult> groups;
-  bool answered = false;
+  AnswerTier tier = AnswerTier::kScan;
   if (agg_index_ != nullptr) {
     // Every group from the per-node store when all are exact, else every
     // group from the cell tree.
@@ -617,29 +599,27 @@ Result<std::vector<AggregateResult>> QueryService::RollUp(
         synopsis_->ExactRollUp(region, dim, level, func);
     if (stored.ok()) {
       groups = std::move(*stored);
-      answered = true;
-      span.AddArg("synopsis_answer", 1);
+      tier = AnswerTier::kSynopsis;
     } else {
       Result<std::vector<AggregateResult>> indexed =
           agg_index_->RollUp(region, dim, level, func);
       if (indexed.ok()) {
         groups = std::move(*indexed);
-        answered = true;
-        span.AddArg("index_answer", 1);
+        tier = AnswerTier::kIndex;
         if (index_answers_counter_ != nullptr) index_answers_counter_->Add(1);
       } else if (index_fallbacks_counter_ != nullptr) {
         index_fallbacks_counter_->Add(1);
       }
     }
   }
-  if (!answered) {
+  if (tier == AnswerTier::kScan) {
     IOLAP_ASSIGN_OR_RETURN(groups, ScanRollUp(ls, region, dim, level, func));
   }
   if (cache_ != nullptr) {
     cache_->Insert(key, rect, groups, ls.global_gen,
                    ShardMap::MaskOfRange(ls.first, ls.last));
   }
-  record_time();
+  FinishQuery(tier, &span, timer);
   return groups;
 }
 
@@ -755,41 +735,21 @@ Status QueryService::MutateLocked(
     }
     span.AddArg("invalidated_entries", dropped);
   }
-  if (agg_index_ != nullptr) {
-    if (status.ok()) {
-      // Fold the batch's buffered row deltas into the index; its dirty
-      // min/max marks come from the same touched boxes the cache used.
-      Status committed =
-          agg_index_->Commit(s->touched_boxes.data() + box_start,
-                             s->touched_boxes.size() - box_start);
-      if (!committed.ok()) agg_index_->Invalidate();
-      if (shards_.size() > 1) {
-        // Query-path rebuilds are gated off in sharded mode; if the commit
-        // left the index stale, bring it back here while mutation_mu_
-        // still excludes every other writer (concurrent readers are safe).
-        const Status rebuilt = agg_index_->RebuildIfStale();
-        (void)rebuilt;  // failure: queries keep falling back to scans
-      }
-    } else {
-      agg_index_->Invalidate();
-    }
-  }
-  if (synopsis_ != nullptr) {
-    if (status.ok()) {
-      const Status committed = synopsis_->Commit();
-      if (!committed.ok()) synopsis_->Invalidate();
-    } else {
-      // A failed batch may have applied any prefix of its row changes;
-      // the buffered deltas no longer describe the EDB.
-      synopsis_->Invalidate();
-    }
-    // Rebuild while mutation_mu_ still excludes every other writer
-    // (concurrent readers never touch a stale synopsis: EstimateAggregate
-    // refuses until ready). A failure just leaves bounded queries
-    // falling back to the scan tier.
-    const Status rebuilt = synopsis_->RebuildIfStale();
+  // Both partial stores settle the batch the same way. A successful batch
+  // folds its buffered row deltas in; a failed one may have applied any
+  // prefix of its row changes, so the deltas no longer describe the EDB
+  // and the store goes stale. A stale store is rebuilt here, while
+  // mutation_mu_ still excludes every other writer; until then its
+  // queries refuse, and a failed rebuild just leaves readers falling back
+  // to the scan tier.
+  const auto settle = [&status](auto* store) {
+    if (store == nullptr) return;
+    if (!status.ok() || !store->Commit().ok()) store->Invalidate();
+    const Status rebuilt = store->RebuildIfStale();
     (void)rebuilt;
-  }
+  };
+  settle(agg_index_.get());
+  settle(synopsis_.get());
   return status;
 }
 

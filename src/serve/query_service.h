@@ -24,6 +24,8 @@
 namespace iolap {
 
 class ColumnarEdb;
+class Stopwatch;
+class TraceSpan;
 
 /// Which on-disk EDB layout query scans read. The row-major file is always
 /// the writer / maintenance format; kColumnar adds a compressed
@@ -145,31 +147,24 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
   ~QueryService();
 
-  /// Allocation-weighted aggregate over `region`, served from the cache
-  /// when possible. Outputs the pinned global generation, whether the
-  /// answer came from the cache, and the pinned per-shard generations (all
-  /// optional).
-  Result<AggregateResult> Aggregate(const QueryRegion& region,
-                                    AggregateFunc func,
-                                    int64_t* generation = nullptr,
-                                    bool* cache_hit = nullptr,
-                                    ShardSnapshot* shards = nullptr);
-
-  /// Aggregate with an explicit answer contract. Exact specs behave exactly
-  /// like the overload above. Bounded specs walk cache -> index -> synopsis
-  /// -> scan and accept a store answer whenever its error bound is
-  /// <= spec.epsilon (see serve/answer.h); `answer_stats` reports the tier
-  /// that answered and the promised bound. A bounded spec with epsilon <= 0
-  /// leaves no error budget and takes literally the exact path, so its
-  /// answers are memcmp-equal to exact-mode answers.
-  Result<AggregateResult> Aggregate(const QueryRegion& region,
-                                    AggregateFunc func, const AnswerSpec& spec,
-                                    AnswerStats* answer_stats = nullptr,
-                                    int64_t* generation = nullptr,
-                                    ShardSnapshot* shards = nullptr);
+  /// Allocation-weighted aggregate over `region` under an answer contract
+  /// (exact by default). Exact specs walk cache -> index -> scan; bounded
+  /// specs walk cache -> index -> synopsis -> scan and accept a store
+  /// answer whenever its error bound is <= spec.epsilon (see
+  /// serve/answer.h). A bounded spec with epsilon <= 0 leaves no error
+  /// budget and takes literally the exact path, so its answers are
+  /// memcmp-equal to exact-mode answers. Optional outputs: the answering
+  /// tier, promised bound and cache hit (`answer_stats`), the pinned global
+  /// generation, and the pinned per-shard generations.
+  Result<AggregateResult> Aggregate(
+      const QueryRegion& region, AggregateFunc func,
+      const AnswerSpec& spec = AnswerSpec::Exact(),
+      AnswerStats* answer_stats = nullptr, int64_t* generation = nullptr,
+      ShardSnapshot* shards = nullptr);
 
   /// Cached rollup (one aggregate per node of `dim` at `level`, restricted
-  /// to `region`), indexed by node ordinal.
+  /// to `region`), indexed by node ordinal. Exact; walks the same tiers as
+  /// an exact Aggregate and is counted in the same serve.answer_tier.*.
   Result<std::vector<AggregateResult>> RollUp(const QueryRegion& region,
                                               int dim, int level,
                                               AggregateFunc func,
@@ -318,6 +313,11 @@ class QueryService {
                                                   const QueryRegion& region,
                                                   int dim, int level,
                                                   AggregateFunc func);
+
+  /// Ends one served Aggregate or RollUp: bumps the answering tier's
+  /// serve.answer_tier.* counter, tags `span` with the tier and records
+  /// serve.query_us.
+  void FinishQuery(AnswerTier tier, TraceSpan* span, const Stopwatch& timer);
 
   /// Dimension-0 shard partition for the synopsis store: the shard map's
   /// begins when sharded, the whole leaf range otherwise.

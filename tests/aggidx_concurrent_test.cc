@@ -142,7 +142,7 @@ TEST(AggIdxConcurrentTest, IndexAnswersMatchSerialRescanAtPinnedGeneration) {
         obs.probe = static_cast<size_t>(t * 31 + i * 7) % probes.size();
         Result<AggregateResult> r = service.Aggregate(
             probes[obs.probe].region, probes[obs.probe].func,
-            &obs.generation);
+            AnswerSpec::Exact(), nullptr, &obs.generation);
         obs.ok = r.ok();
         if (r.ok()) obs.value = r->value;
         log.push_back(obs);

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -19,6 +21,7 @@
 #include "datagen/table2.h"
 #include "edb/maintenance.h"
 #include "edb/query.h"
+#include "obs/metrics.h"
 #include "serve/query_service.h"
 #include "tests/test_util.h"
 
@@ -160,6 +163,7 @@ TEST_F(AggIndexTest, DirectAggregateMatchesEngineAllFuncs) {
 
 TEST_F(AggIndexTest, DirectRollUpMatchesEngine) {
   AggIndex index(&env_, &schema_, &manager_->edb());
+  IOLAP_ASSERT_OK(index.Build());
   QueryEngine engine(&env_, &schema_, &manager_->edb());
   for (int dim = 0; dim < schema_.num_dims(); ++dim) {
     for (int level = 1; level <= schema_.dim(dim).num_levels(); ++level) {
@@ -189,15 +193,25 @@ TEST_F(AggIndexTest, RollUpRejectsBadArguments) {
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(AggIndexTest, LazyBuildOnFirstQuery) {
+TEST_F(AggIndexTest, UnbuiltIndexRefusesUntilRebuilt) {
   AggIndex index(&env_, &schema_, &manager_->edb());
+  // Queries never build: an unbuilt index refuses every probe.
+  for (AggregateFunc func : kAllFuncs) {
+    EXPECT_EQ(index.Aggregate(QueryRegion::All(), func).status().code(),
+              StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(index.RollUp(QueryRegion::All(), 0, 1, AggregateFunc::kSum)
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
   EXPECT_EQ(index.stats().builds, 0);
-  IOLAP_ASSERT_OK(
-      index.Aggregate(QueryRegion::All(), AggregateFunc::kSum).status());
+  IOLAP_ASSERT_OK(index.RebuildIfStale());
   EXPECT_EQ(index.stats().builds, 1);
   IOLAP_ASSERT_OK(
       index.Aggregate(QueryRegion::All(), AggregateFunc::kMax).status());
-  EXPECT_EQ(index.stats().builds, 1);  // built once, reused
+  IOLAP_ASSERT_OK(index.RebuildIfStale());  // fresh: a no-op
+  EXPECT_EQ(index.stats().builds, 1);
+  EXPECT_EQ(index.stats().refreshes, 0);
 }
 
 TEST_F(AggIndexTest, ServiceAnswersMissesFromIndex) {
@@ -216,8 +230,8 @@ TEST_F(AggIndexTest, UpdateKeepsIndexConsistent) {
   IOLAP_ASSERT_OK(service.ApplyUpdates({u}));
   ExpectIndexMatchesEngine(service);
 
-  // A second update, downward this time (min/max can only shrink via the
-  // dirty-rebuild path).
+  // A second update, downward this time (min/max cannot shrink in place:
+  // the marked cells' MIN/MAX fall through to the scan).
   FactRecord cur = facts_[0];
   cur.measure += 900;
   IOLAP_ASSERT_OK(service.ApplyUpdates({FactUpdate{cur, 1.0}}));
@@ -251,12 +265,12 @@ TEST_F(AggIndexTest, DeleteKeepsIndexConsistent) {
   ExpectIndexMatchesEngine(service);
 
   IOLAP_ASSERT_OK(service.DeleteFacts({facts_[1]}));
-  // Min/max over a region covering the delete must come from the dirty
-  // rebuild, never a stale extremum; sum/count are patched in place.
+  // Min/max over a region covering the delete falls through to the scan,
+  // never a stale extremum; sum/count are patched in place. Neither the
+  // commit nor any query rebuilds.
   ExpectIndexMatchesEngine(service);
-  EXPECT_GT(service.agg_index()->stats().refreshes +
-                service.agg_index()->stats().builds,
-            1);
+  EXPECT_EQ(service.agg_index()->stats().builds, 1);
+  EXPECT_EQ(service.agg_index()->stats().refreshes, 0);
 }
 
 TEST_F(AggIndexTest, CompactKeepsIndexConsistent) {
@@ -311,13 +325,15 @@ TEST_F(AggIndexTest, IndexAndCacheTiersAgree) {
     for (AggregateFunc func : kAllFuncs) {
       IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult expected,
                                  engine.Aggregate(region, func));
-      bool hit = true;
+      AnswerStats as;
       IOLAP_ASSERT_OK_AND_ASSIGN(
-          AggregateResult miss, service.Aggregate(region, func, nullptr, &hit));
-      EXPECT_FALSE(hit);
+          AggregateResult miss, service.Aggregate(region, func,
+                                                  AnswerSpec::Exact(), &as));
+      EXPECT_FALSE(as.cache_hit);
       IOLAP_ASSERT_OK_AND_ASSIGN(
-          AggregateResult warm, service.Aggregate(region, func, nullptr, &hit));
-      EXPECT_TRUE(hit);
+          AggregateResult warm, service.Aggregate(region, func,
+                                                  AnswerSpec::Exact(), &as));
+      EXPECT_TRUE(as.cache_hit);
       EXPECT_NEAR(miss.value, expected.value, 1e-9);
       EXPECT_NEAR(warm.value, expected.value, 1e-9);
     }
@@ -357,10 +373,10 @@ TEST_F(AggIndexTest, ExactWalkRoutesNodeAlignedProbesToStore) {
         if (!extreme || !rows_removed) {
           EXPECT_EQ(as.tier, AnswerTier::kSynopsis);
         } else {
-          // Removals leave a slice's extremes a mere envelope; the cell
-          // tree answers MIN/MAX over the slices they touched.
-          EXPECT_TRUE(as.tier == AnswerTier::kSynopsis ||
-                      as.tier == AnswerTier::kIndex);
+          // Removals leave a slice's extremes a mere envelope and mark the
+          // tree cells that lost rows; MIN/MAX over those falls through to
+          // the tree or on to the scan.
+          EXPECT_NE(as.tier, AnswerTier::kCache);
         }
       }
     }
@@ -373,7 +389,14 @@ TEST_F(AggIndexTest, ExactWalkRoutesNodeAlignedProbesToStore) {
             AggregateResult got,
             service.Aggregate(region, func, AnswerSpec::Exact(), &as));
         EXPECT_NEAR(got.value, want.value, 1e-9);
-        EXPECT_EQ(as.tier, AnswerTier::kIndex);
+        const bool extreme =
+            func == AggregateFunc::kMin || func == AggregateFunc::kMax;
+        if (!extreme || !rows_removed) {
+          EXPECT_EQ(as.tier, AnswerTier::kIndex);
+        } else {
+          EXPECT_TRUE(as.tier == AnswerTier::kIndex ||
+                      as.tier == AnswerTier::kScan);
+        }
       }
     }
     // Rollups whose region constrains no dimension other than the rolled
@@ -467,10 +490,10 @@ TEST_F(AggIndexTest, ExactQueriesSkipStoreWithIndexOff) {
 
 /// Two spatially separated halves (same layout as the serve layer's
 /// selective-invalidation fixture): mutations in one half must patch or
-/// dirty only what they touched, and min/max staleness must be confined to
-/// the touched boxes. The service tests probe 2-dimension regions (a half
-/// crossed with a dimension-1 leaf), which the per-node store cannot answer
-/// exactly, so the cell tree answers them.
+/// mark only what they touched, and min/max staleness must be confined to
+/// the cells that lost rows. The service tests probe 2-dimension regions (a
+/// half crossed with a dimension-1 leaf), which the per-node store cannot
+/// answer exactly, so the cell tree answers them.
 class AggIndexSelectiveTest : public ::testing::Test {
  protected:
   AggIndexSelectiveTest() : env_(MakeTempDir(), 256) {}
@@ -539,30 +562,30 @@ TEST_F(AggIndexSelectiveTest, DeleteInOneHalfOnlyDirtiesThatHalf) {
   const int64_t builds_before = service.agg_index()->stats().builds +
                                 service.agg_index()->stats().refreshes;
 
-  // Delete fact 5 (in half B): its boxes lie entirely in B.
+  // Delete fact 5 (in half B): the cells that lose rows lie in B.
   IOLAP_ASSERT_OK(service.DeleteFacts({facts_[4]}));
-  EXPECT_GT(service.agg_index()->stats().dirty_boxes, 0);
 
-  // A min/max query inside half A is disjoint from every dirty rect, so it
-  // must be answered without a rebuild — and still be exact.
+  // A min/max query inside half A covers no marked cell, so the tree
+  // answers it — exactly.
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult a_after,
       TreeAnswer(service, cross_a_, AggregateFunc::kMax));
   EXPECT_NEAR(a_after.value, 30, 1e-9);
-  EXPECT_EQ(service.agg_index()->stats().builds +
-                service.agg_index()->stats().refreshes,
-            builds_before);
 
-  // Inside half B the dirty rect forces the lazy rebuild, and the fresh
-  // answer matches the engine.
+  // Inside half B the marked cells send MIN/MAX to the scan, which
+  // matches the engine.
   QueryEngine engine(&env_, &schema_, &manager_->edb());
+  AnswerStats as;
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult b_after,
-      TreeAnswer(service, cross_b_, AggregateFunc::kMax));
+      service.Aggregate(cross_b_, AggregateFunc::kMax, AnswerSpec::Exact(),
+                        &as));
+  EXPECT_EQ(as.tier, AnswerTier::kScan);
   IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult b_expected,
                              engine.Aggregate(cross_b_, AggregateFunc::kMax));
   EXPECT_NEAR(b_after.value, b_expected.value, 1e-9);
-  EXPECT_GT(service.agg_index()->stats().builds +
+  // Neither the commit nor either query rebuilt the tree.
+  EXPECT_EQ(service.agg_index()->stats().builds +
                 service.agg_index()->stats().refreshes,
             builds_before);
 }
@@ -596,14 +619,26 @@ TEST_F(AggIndexSelectiveTest, SumQueriesNeverRebuildAfterDeletes) {
             rebuilds_before);
 }
 
-TEST_F(AggIndexSelectiveTest, InvalidateForcesRebuildOnNextQuery) {
+TEST_F(AggIndexSelectiveTest, InvalidatedIndexRefusesUntilRebuilt) {
   AggIndex index(&env_, &schema_, &manager_->edb());
   IOLAP_ASSERT_OK(index.Build());
   EXPECT_EQ(index.stats().builds, 1);
   index.Invalidate();
-  IOLAP_ASSERT_OK(
-      index.Aggregate(QueryRegion::All(), AggregateFunc::kSum).status());
-  EXPECT_EQ(index.stats().builds, 2);
+  for (AggregateFunc func : kAllFuncs) {
+    EXPECT_EQ(index.Aggregate(cross_a_, func).status().code(),
+              StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(index.stats().builds + index.stats().refreshes, 1);
+  IOLAP_ASSERT_OK(index.RebuildIfStale());
+  EXPECT_EQ(index.stats().refreshes, 1);  // a rebuild of a built index
+  QueryEngine engine(&env_, &schema_, &manager_->edb());
+  for (AggregateFunc func : kAllFuncs) {
+    IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult expected,
+                               engine.Aggregate(cross_a_, func));
+    IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult got,
+                               index.Aggregate(cross_a_, func));
+    EXPECT_NEAR(got.value, expected.value, 1e-9);
+  }
 }
 
 TEST_F(AggIndexSelectiveTest, EmptyEdbAnswersEmptyAggregates) {
@@ -621,7 +656,25 @@ TEST_F(AggIndexSelectiveTest, EmptyEdbAnswersEmptyAggregates) {
                                  service.Aggregate(region, func));
       EXPECT_NEAR(got.value, expected.value, 1e-9);
       // The store may answer an empty EDB exactly everywhere, so ask the
-      // cell tree directly as well.
+      // cell tree directly as well. Every cell lost its rows, so the tree
+      // refuses MIN/MAX until a rebuild.
+      Result<AggregateResult> tree =
+          service.agg_index()->Aggregate(region, func);
+      if (func == AggregateFunc::kMin || func == AggregateFunc::kMax) {
+        EXPECT_EQ(tree.status().code(), StatusCode::kUnavailable);
+        continue;
+      }
+      IOLAP_ASSERT_OK(tree.status());
+      EXPECT_NEAR(tree->value, expected.value, 1e-9);
+      EXPECT_NEAR(tree->count, expected.count, 1e-9);
+    }
+  }
+  // A rebuild over the empty EDB answers all five from an empty tree.
+  IOLAP_ASSERT_OK(service.agg_index()->Build());
+  for (const QueryRegion& region : {QueryRegion::All(), cross_a_, cross_b_}) {
+    for (AggregateFunc func : kAllFuncs) {
+      IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult expected,
+                                 engine.Aggregate(region, func));
       IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult tree,
                                  service.agg_index()->Aggregate(region, func));
       EXPECT_NEAR(tree.value, expected.value, 1e-9);
@@ -629,6 +682,205 @@ TEST_F(AggIndexSelectiveTest, EmptyEdbAnswersEmptyAggregates) {
     }
   }
 }
+
+/// The removal-marking rule, in 1-shard and 2-shard services (split at
+/// the halves). Leaves: D0 has 8 (halves A = 0..3, B = 4..7), D1 has 4
+/// under two parents. One component joins an imprecise column at D0 leaf 0
+/// with an imprecise row across half A; its bounding box also holds a
+/// precise singleton cell (D0 leaf 2, D1 leaf 1) that no fact of the
+/// component overlaps, so a batch re-allocating the component touches that
+/// cell's box but never removes its row. Every probe region constrains two
+/// dimensions within its shard and shares each constrained slice with rows
+/// outside it, so the per-node store cannot answer it exactly and the cell
+/// tree does.
+class AggIndexMarkTest : public ::testing::TestWithParam<int> {
+ protected:
+  AggIndexMarkTest() : env_(MakeTempDir(), 256) {}
+
+  void SetUp() override {
+    std::vector<Hierarchy> dims;
+    IOLAP_ASSERT_OK_AND_ASSIGN(Hierarchy d0,
+                               HierarchyBuilder::Uniform("D0", {2, 4}));
+    IOLAP_ASSERT_OK_AND_ASSIGN(Hierarchy d1,
+                               HierarchyBuilder::Uniform("D1", {2, 2}));
+    dims.push_back(d0);
+    dims.push_back(d1);
+    IOLAP_ASSERT_OK_AND_ASSIGN(schema_, StarSchema::Create(std::move(dims)));
+    const auto& l0 = schema_.dim(0).nodes_at_level(1);
+    const auto& l1 = schema_.dim(1).nodes_at_level(1);
+    const NodeId half_a = schema_.dim(0).nodes_at_level(2)[0];
+    const NodeId p0 = schema_.dim(1).nodes_at_level(2)[0];  // leaves 0, 1
+    const NodeId p1 = schema_.dim(1).nodes_at_level(2)[1];  // leaves 2, 3
+    new_cell_ = {l0[5], l1[3]};
+    facts_ = {
+        MakeFactAt(schema_, 1, 10, l0[0], l1[0]),
+        MakeFactAt(schema_, 2, 20, l0[0], l1[1]),
+        MakeFactAt(schema_, 3, 30, l0[0], p0),      // imprecise column
+        MakeFactAt(schema_, 4, 40, half_a, l1[0]),  // imprecise row
+        MakeFactAt(schema_, 5, 50, l0[2], l1[1]),   // singleton in the bbox
+        MakeFactAt(schema_, 6, 60, l0[5], l1[2]),   // singletons in half B
+        MakeFactAt(schema_, 7, 70, l0[5], l1[0]),
+        MakeFactAt(schema_, 8, 80, l0[4], l1[2]),
+        MakeFactAt(schema_, 9, 90, l0[2], l1[3]),   // beside the bbox
+    };
+    singleton_ = QueryRegion::All().With(0, l0[2]).With(1, l1[1]);
+    column_ = QueryRegion::All().With(0, l0[0]).With(1, p0);
+    leaf5_ = QueryRegion::All().With(0, l0[5]).With(1, p1);
+    AllocationOptions options;
+    options.policy = PolicyKind::kUniform;
+    IOLAP_ASSERT_OK_AND_ASSIGN(auto file, WriteFacts(env_, facts_));
+    IOLAP_ASSERT_OK_AND_ASSIGN(
+        manager_, MaintenanceManager::Build(env_, schema_, &file, options));
+  }
+
+  ServeOptions Options() const {
+    ServeOptions opts;
+    opts.cache_slots = 0;
+    opts.agg_index = true;
+    opts.num_shards = GetParam();
+    return opts;
+  }
+
+  /// A served exact answer from `want_tier`, checked against an uncached
+  /// rescan.
+  AggregateResult Served(QueryService& service, const QueryRegion& region,
+                         AggregateFunc func, AnswerTier want_tier) {
+    AnswerStats as;
+    Result<AggregateResult> got =
+        service.Aggregate(region, func, AnswerSpec::Exact(), &as);
+    Result<AggregateResult> want = service.UncachedAggregate(region, func);
+    EXPECT_TRUE(got.ok() && want.ok());
+    if (!got.ok() || !want.ok()) return AggregateResult{};
+    EXPECT_EQ(as.tier, want_tier) << "func " << static_cast<int>(func);
+    EXPECT_NEAR(got->value, want->value, 1e-9);
+    return *got;
+  }
+
+  int64_t Rebuilds(QueryService& service) {
+    const AggIndex::Stats s = service.agg_index()->stats();
+    return s.builds + s.refreshes;
+  }
+
+  StorageEnv env_;
+  StarSchema schema_;
+  std::array<NodeId, 2> new_cell_ = {};  // a cell no fact occupies
+  QueryRegion singleton_;  // the singleton cell inside the component's box
+  QueryRegion column_;     // D0 leaf 0 × D1 parent 0: cells that lose rows
+  QueryRegion leaf5_;      // D0 leaf 5 × D1 parent 1: fact 6, new_cell_
+  std::vector<FactRecord> facts_;
+  std::unique_ptr<MaintenanceManager> manager_;
+};
+
+TEST_P(AggIndexMarkTest, MinMaxInsideTouchedBoxesStaysOnTreeUnlessRowLost) {
+  QueryService service(manager_.get(), Options());
+  ASSERT_EQ(service.num_shards(), GetParam());
+  const int64_t rebuilds = Rebuilds(service);
+
+  // Deleting fact 1 re-allocates its whole component.
+  MaintenanceStats stats;
+  IOLAP_ASSERT_OK(service.DeleteFacts({facts_[0]}, &stats));
+  const Rect singleton = RegionToRect(schema_, singleton_);
+  bool touched = false;
+  for (const Rect& box : stats.touched_boxes) {
+    touched |= RectsIntersect(box, singleton, schema_.num_dims());
+  }
+  ASSERT_TRUE(touched);
+
+  // The singleton lost no row: the tree still answers its extremes.
+  for (AggregateFunc func : {AggregateFunc::kMin, AggregateFunc::kMax}) {
+    EXPECT_NEAR(Served(service, singleton_, func, AnswerTier::kIndex).value,
+                50, 1e-9);
+  }
+  // The column covers cells that lost rows: MIN/MAX fall through to the
+  // scan, while SUM stays on the tree.
+  for (AggregateFunc func : {AggregateFunc::kMin, AggregateFunc::kMax}) {
+    Served(service, column_, func, AnswerTier::kScan);
+  }
+  Served(service, column_, AggregateFunc::kSum, AnswerTier::kIndex);
+  // Neither the commit nor any query rebuilt the tree.
+  EXPECT_EQ(Rebuilds(service), rebuilds);
+}
+
+TEST_P(AggIndexMarkTest, OverlayCellThatLosesARowNeverServesStaleMinMax) {
+  QueryService service(manager_.get(), Options());
+  ASSERT_EQ(service.num_shards(), GetParam());
+  // Two precise facts in a cell first occupied after the build: it lives
+  // in the overlay, and the tree answers over it.
+  const FactRecord high =
+      MakeFactAt(schema_, 7, 100, new_cell_[0], new_cell_[1]);
+  const FactRecord low = MakeFactAt(schema_, 8, 5, new_cell_[0], new_cell_[1]);
+  IOLAP_ASSERT_OK(service.InsertFacts({high, low}));
+  EXPECT_EQ(service.agg_index()->stats().overlay_cells, 1);
+  EXPECT_NEAR(
+      Served(service, leaf5_, AggregateFunc::kMin, AnswerTier::kIndex).value,
+      5, 1e-9);
+
+  // The cell loses a row. Its extremes must not read as empty, which would
+  // answer MIN = 60 from fact 6 alone: the marked cell sends MIN/MAX to
+  // the scan, and SUM stays on the tree.
+  IOLAP_ASSERT_OK(service.DeleteFacts({high}));
+  EXPECT_NEAR(
+      Served(service, leaf5_, AggregateFunc::kMin, AnswerTier::kScan).value,
+      5, 1e-9);
+  Served(service, leaf5_, AggregateFunc::kMax, AnswerTier::kScan);
+  Served(service, leaf5_, AggregateFunc::kSum, AnswerTier::kIndex);
+}
+
+TEST_P(AggIndexMarkTest, TierCountersCountEveryAggregateAndRollUp) {
+  MetricsRegistry registry;
+  SetGlobalMetrics(&registry);
+  struct Uninstall {
+    ~Uninstall() { SetGlobalMetrics(nullptr); }
+  } uninstall;
+  ServeOptions opts = Options();
+  opts.cache_slots = 4096;
+  opts.synopsis = true;
+  QueryService service(manager_.get(), opts);
+  const auto tier_total = [&registry] {
+    int64_t total = 0;
+    for (int t = 0; t < 4; ++t) {
+      total += registry
+                   .counter(std::string("serve.answer_tier.") +
+                            AnswerTierName(static_cast<AnswerTier>(t)))
+                   ->value();
+    }
+    return total;
+  };
+
+  int64_t calls = 0;
+  const auto traffic = [&] {
+    for (const QueryRegion& region :
+         {QueryRegion::All(), singleton_, column_, leaf5_}) {
+      for (AggregateFunc func : kAllFuncs) {
+        for (int repeat = 0; repeat < 2; ++repeat) {  // miss, then hit
+          IOLAP_ASSERT_OK(service.Aggregate(region, func).status());
+          IOLAP_ASSERT_OK(
+              service.Aggregate(region, func, AnswerSpec::Bounded(1e9))
+                  .status());
+          IOLAP_ASSERT_OK(service.RollUp(region, 1, 1, func).status());
+          calls += 3;
+        }
+      }
+    }
+  };
+  traffic();
+  // One rollup alone moves the total by exactly one.
+  const int64_t before = tier_total();
+  IOLAP_ASSERT_OK(
+      service.RollUp(column_, 0, 2, AggregateFunc::kCount).status());
+  ++calls;
+  EXPECT_EQ(tier_total(), before + 1);
+  IOLAP_ASSERT_OK(service.DeleteFacts({facts_[0]}));
+  traffic();
+  EXPECT_EQ(tier_total(), calls);
+  for (int t = 0; t < 4; ++t) {
+    const std::string name = std::string("serve.answer_tier.") +
+                             AnswerTierName(static_cast<AnswerTier>(t));
+    EXPECT_GT(registry.counter(name)->value(), 0) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, AggIndexMarkTest, ::testing::Values(1, 2));
 
 }  // namespace
 }  // namespace iolap

@@ -151,7 +151,7 @@ TEST(ServeConcurrentTest, QueriesMatchSerialRescanAtPinnedGeneration) {
         } else {
           Result<AggregateResult> r = service.Aggregate(
               probes[obs.probe].region, probes[obs.probe].func,
-              &obs.generation);
+              AnswerSpec::Exact(), nullptr, &obs.generation);
           obs.ok = r.ok();
           if (r.ok()) obs.value = r->value;
         }
@@ -347,7 +347,8 @@ TEST(ServeConcurrentTest, ShardedTortureMatchesRescanAtPinnedShardGeneration) {
         obs.probe = static_cast<size_t>(t * 17 + i * 5) % probes.size();
         ShardSnapshot snap;
         Result<AggregateResult> r = service.Aggregate(
-            probes[obs.probe], AggregateFunc::kSum, nullptr, nullptr, &snap);
+            probes[obs.probe], AggregateFunc::kSum, AnswerSpec::Exact(),
+            nullptr, nullptr, &snap);
         obs.ok = r.ok();
         obs.snap_ok = snap.generations.size() == 1 &&
                       snap.first_shard == probe_shard[obs.probe];

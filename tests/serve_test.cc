@@ -94,15 +94,15 @@ TEST_F(ServeTest, CachedAggregateMatchesEngine) {
     for (AggregateFunc func : kAllFuncs) {
       IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult expected,
                                  engine.Aggregate(region, func));
-      bool hit = true;
+      AnswerStats as;
       IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult cold,
-                                 service.Aggregate(region, func, nullptr,
-                                                   &hit));
-      EXPECT_FALSE(hit);
+                                 service.Aggregate(region, func,
+                                                   AnswerSpec::Exact(), &as));
+      EXPECT_FALSE(as.cache_hit);
       IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult warm,
-                                 service.Aggregate(region, func, nullptr,
-                                                   &hit));
-      EXPECT_TRUE(hit);
+                                 service.Aggregate(region, func,
+                                                   AnswerSpec::Exact(), &as));
+      EXPECT_TRUE(as.cache_hit);
       EXPECT_NEAR(cold.value, expected.value, 1e-9);
       EXPECT_NEAR(warm.value, expected.value, 1e-9);
       IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult uncached,
@@ -199,7 +199,8 @@ TEST_F(ServeTest, MutationBumpsGenerationAndRefreshesAnswers) {
   int64_t gen = -1;
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult before,
-      service.Aggregate(QueryRegion::All(), AggregateFunc::kSum, &gen));
+      service.Aggregate(QueryRegion::All(), AggregateFunc::kSum,
+                        AnswerSpec::Exact(), nullptr, &gen));
   EXPECT_EQ(gen, 0);
   EXPECT_NEAR(before.value, 1705.0, 1e-9);
 
@@ -211,12 +212,13 @@ TEST_F(ServeTest, MutationBumpsGenerationAndRefreshesAnswers) {
   EXPECT_EQ(service.generation(), 1);
   EXPECT_GT(stats.touched_boxes.size(), 0u);
 
-  bool hit = true;
+  AnswerStats as;
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult after,
-      service.Aggregate(QueryRegion::All(), AggregateFunc::kSum, &gen, &hit));
+      service.Aggregate(QueryRegion::All(), AggregateFunc::kSum,
+                        AnswerSpec::Exact(), &as, &gen));
   EXPECT_EQ(gen, 1);
-  EXPECT_FALSE(hit);  // the global region intersects every touched box
+  EXPECT_FALSE(as.cache_hit);  // the global region intersects every touched box
   EXPECT_NEAR(after.value, 1705.0 + 900, 1e-9);
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult rescan,
@@ -238,15 +240,17 @@ TEST_F(ServeTest, TombstonesSkippedOnCachedPath) {
     IOLAP_ASSERT_OK_AND_ASSIGN(
         AggregateResult expected,
         engine.Aggregate(region, AggregateFunc::kCount));
-    bool hit = true;
+    AnswerStats as;
     IOLAP_ASSERT_OK_AND_ASSIGN(
         AggregateResult cold,
-        service.Aggregate(region, AggregateFunc::kCount, nullptr, &hit));
-    EXPECT_FALSE(hit);
+        service.Aggregate(region, AggregateFunc::kCount,
+                          AnswerSpec::Exact(), &as));
+    EXPECT_FALSE(as.cache_hit);
     IOLAP_ASSERT_OK_AND_ASSIGN(
         AggregateResult warm,
-        service.Aggregate(region, AggregateFunc::kCount, nullptr, &hit));
-    EXPECT_TRUE(hit);
+        service.Aggregate(region, AggregateFunc::kCount,
+                          AnswerSpec::Exact(), &as));
+    EXPECT_TRUE(as.cache_hit);
     EXPECT_NEAR(cold.value, expected.value, 1e-9);
     EXPECT_NEAR(warm.value, expected.value, 1e-9);
   }
@@ -292,11 +296,9 @@ TEST_F(ServeTest, DeletedExtremumIsNeverServedStale) {
       EXPECT_NEAR(served.value, expected.value, 1e-9);
     }
   }
-  bool hit = true;
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult max_after,
-      service.Aggregate(QueryRegion::All(), AggregateFunc::kMax, nullptr,
-                        &hit));
+      service.Aggregate(QueryRegion::All(), AggregateFunc::kMax));
   EXPECT_LT(max_after.value, max_before.value);
 }
 
@@ -324,16 +326,17 @@ TEST_F(ServeTest, CompactionKeepsCachedExtremaCorrect) {
   QueryEngine engine(&env_, &schema_, &manager_->edb());
   const std::vector<QueryRegion> regions = ProbeRegions();
   for (size_t i = 0; i < regions.size(); ++i) {
-    bool hit = false;
+    AnswerStats as;
     IOLAP_ASSERT_OK_AND_ASSIGN(
         AggregateResult mn,
-        service.Aggregate(regions[i], AggregateFunc::kMin, nullptr, &hit));
-    EXPECT_TRUE(hit);
-    hit = false;
+        service.Aggregate(regions[i], AggregateFunc::kMin,
+                          AnswerSpec::Exact(), &as));
+    EXPECT_TRUE(as.cache_hit);
     IOLAP_ASSERT_OK_AND_ASSIGN(
         AggregateResult mx,
-        service.Aggregate(regions[i], AggregateFunc::kMax, nullptr, &hit));
-    EXPECT_TRUE(hit);
+        service.Aggregate(regions[i], AggregateFunc::kMax,
+                          AnswerSpec::Exact(), &as));
+    EXPECT_TRUE(as.cache_hit);
     EXPECT_NEAR(mn.value, min_before[i], 1e-9);
     EXPECT_NEAR(mx.value, max_before[i], 1e-9);
     IOLAP_ASSERT_OK_AND_ASSIGN(
@@ -362,12 +365,12 @@ TEST_F(ServeTest, CompactionKeepsCacheAndGeneration) {
   // Logical content unchanged: same generation, same cache, same answer.
   EXPECT_EQ(service.generation(), gen_before);
   EXPECT_EQ(service.cache()->entries(), entries_before);
-  bool hit = false;
+  AnswerStats as;
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult after,
-      service.Aggregate(QueryRegion::All(), AggregateFunc::kSum, nullptr,
-                        &hit));
-  EXPECT_TRUE(hit);
+      service.Aggregate(QueryRegion::All(), AggregateFunc::kSum,
+                        AnswerSpec::Exact(), &as));
+  EXPECT_TRUE(as.cache_hit);
   EXPECT_NEAR(after.value, before.value, 1e-9);
 }
 
@@ -386,11 +389,12 @@ TEST_F(ServeTest, LruEvictionBoundsTheCache) {
   EXPECT_GT(service.cache()->stats().evicted_entries, 0);
   // The oldest region was evicted: querying it again is a miss, and the
   // recomputed answer still matches a fresh scan.
-  bool hit = true;
+  AnswerStats as;
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult again,
-      service.Aggregate(regions[0], AggregateFunc::kSum, nullptr, &hit));
-  EXPECT_FALSE(hit);
+      service.Aggregate(regions[0], AggregateFunc::kSum,
+                        AnswerSpec::Exact(), &as));
+  EXPECT_FALSE(as.cache_hit);
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult rescan,
       service.UncachedAggregate(regions[0], AggregateFunc::kSum));
@@ -503,18 +507,19 @@ TEST_F(SelectiveInvalidationTest, UnrelatedMutationKeepsCacheEntry) {
 
   // A's entry survived (hit, same value); B's was invalidated (miss, new
   // value) — and both equal a fresh rescan at the new generation.
-  bool hit = false;
+  AnswerStats as;
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult a_after,
-      service.Aggregate(region_a, AggregateFunc::kSum, nullptr, &hit));
-  EXPECT_TRUE(hit);
+      service.Aggregate(region_a, AggregateFunc::kSum,
+                        AnswerSpec::Exact(), &as));
+  EXPECT_TRUE(as.cache_hit);
   EXPECT_NEAR(a_after.value, a_before.value, 1e-9);
 
-  hit = true;
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult b_after,
-      service.Aggregate(region_b, AggregateFunc::kSum, nullptr, &hit));
-  EXPECT_FALSE(hit);
+      service.Aggregate(region_b, AggregateFunc::kSum,
+                        AnswerSpec::Exact(), &as));
+  EXPECT_FALSE(as.cache_hit);
   EXPECT_NEAR(b_after.value, 400 + 50 + 60, 1e-9);
 
   IOLAP_ASSERT_OK_AND_ASSIGN(
@@ -542,11 +547,12 @@ TEST_F(SelectiveInvalidationTest, IntersectingInsertDropsEntry) {
   MaintenanceStats stats;
   IOLAP_ASSERT_OK(service.InsertFacts({f}, &stats));
 
-  bool hit = true;
+  AnswerStats as;
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult a_after,
-      service.Aggregate(region_a, AggregateFunc::kSum, nullptr, &hit));
-  EXPECT_FALSE(hit);
+      service.Aggregate(region_a, AggregateFunc::kSum,
+                        AnswerSpec::Exact(), &as));
+  EXPECT_FALSE(as.cache_hit);
   EXPECT_NEAR(a_after.value, 10 + 20 + 30 + 70, 1e-9);
 }
 
@@ -562,18 +568,19 @@ TEST_F(SelectiveInvalidationTest, DeleteInOneHalfKeepsOtherHalfCached) {
   MaintenanceStats stats;
   IOLAP_ASSERT_OK(service.DeleteFacts({facts_[4]}, &stats));  // fact 5, in B
 
-  bool hit = false;
+  AnswerStats as;
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult a_after,
-      service.Aggregate(region_a, AggregateFunc::kSum, nullptr, &hit));
-  EXPECT_TRUE(hit);
+      service.Aggregate(region_a, AggregateFunc::kSum,
+                        AnswerSpec::Exact(), &as));
+  EXPECT_TRUE(as.cache_hit);
   EXPECT_NEAR(a_after.value, 10 + 20 + 30, 1e-9);
 
-  hit = true;
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult b_after,
-      service.Aggregate(region_b, AggregateFunc::kCount, nullptr, &hit));
-  EXPECT_FALSE(hit);
+      service.Aggregate(region_b, AggregateFunc::kCount,
+                        AnswerSpec::Exact(), &as));
+  EXPECT_FALSE(as.cache_hit);
   IOLAP_ASSERT_OK_AND_ASSIGN(
       AggregateResult b_rescan,
       service.UncachedAggregate(region_b, AggregateFunc::kCount));
