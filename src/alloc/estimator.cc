@@ -70,14 +70,14 @@ SampleStats AnalyzeSample(const StarSchema& schema,
   UnionFind uf(static_cast<int32_t>(num_cells + num_entries));
   std::vector<bool> cell_connected(num_cells, false);
   for (int64_t e = 0; e < num_entries; ++e) {
-    for (int32_t c : ma.edges()[e]) {
+    for (int32_t c : ma.edges(static_cast<size_t>(e))) {
       uf.Union(static_cast<int32_t>(num_cells + e), c);
       cell_connected[c] = true;
     }
   }
   std::map<int32_t, int64_t> sizes;
   for (int64_t e = 0; e < num_entries; ++e) {
-    if (!ma.edges()[e].empty()) {
+    if (!ma.edges(static_cast<size_t>(e)).empty()) {
       ++sizes[uf.Find(static_cast<int32_t>(num_cells + e))];
     }
   }

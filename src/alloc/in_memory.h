@@ -2,6 +2,7 @@
 #define IOLAP_ALLOC_IN_MEMORY_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "alloc/policy.h"
@@ -23,8 +24,9 @@ namespace iolap {
 /// one per in-flight component. A single instance is not thread-safe.
 class MemoryAllocator {
  public:
-  /// `cells` must be sorted in canonical order. `entries` may come from any
-  /// mix of summary tables; they are indexed against the cells once.
+  /// `cells` may arrive in any order (they are sorted into canonical order
+  /// unless already in it). `entries` may come from any mix of summary
+  /// tables; they are indexed against the cells once.
   MemoryAllocator(const StarSchema* schema, std::vector<CellRecord> cells,
                   std::vector<ImpreciseRecord> entries);
 
@@ -53,20 +55,27 @@ class MemoryAllocator {
 
   const std::vector<CellRecord>& cells() const { return cells_; }
   const std::vector<ImpreciseRecord>& entries() const { return entries_; }
-  int64_t num_edges() const { return num_edges_; }
-  /// edges()[e] lists the indexes of the cells entry `e` overlaps.
-  const std::vector<std::vector<int32_t>>& edges() const { return edges_; }
+  /// The indexes into cells() of the cells entry `e` overlaps, ascending.
+  std::span<const int32_t> edges(size_t e) const {
+    return {edge_cells_.data() + edge_begin_[e],
+            edge_cells_.data() + edge_begin_[e + 1]};
+  }
+  /// Every entry's edges(e), concatenated in entry order.
+  const std::vector<int32_t>& edge_cells() const { return edge_cells_; }
 
  private:
   void BuildEdges();
   double Step(std::vector<double>* delta_cur);
+  template <typename Sink>
+  Status EmitRows(int64_t* unallocatable, Sink&& sink);
 
   const StarSchema* schema_;
   std::vector<CellRecord> cells_;
   std::vector<ImpreciseRecord> entries_;
-  // edges_[e] = indexes into cells_ covered by entries_[e].
-  std::vector<std::vector<int32_t>> edges_;
-  int64_t num_edges_ = 0;
+  // The allocation graph in CSR form: entries_[e] covers the cells
+  // edge_cells_[edge_begin_[e]] .. edge_cells_[edge_begin_[e + 1] - 1].
+  std::vector<int64_t> edge_begin_;
+  std::vector<int32_t> edge_cells_;
 };
 
 }  // namespace iolap

@@ -282,20 +282,24 @@ Status MaintenanceManager::ReallocateComponent(
     // Candidates covered by this component's facts join it for good.
     if (candidate_cells != nullptr && !candidate_keys.empty()) {
       std::vector<bool> covered(ma.cells().size(), false);
-      for (const auto& edge_list : ma.edges()) {
-        for (int32_t ci : edge_list) covered[ci] = true;
+      for (int32_t ci : ma.edge_cells()) covered[ci] = true;
+      // A candidate is claimed by the first covered cell with its key.
+      std::map<LeafKey, size_t> candidate_pos;
+      for (size_t i = 0; i < candidate_keys.size(); ++i) {
+        candidate_pos.emplace(candidate_keys[i], i);
       }
-      std::set<LeafKey> claimed;
-      for (const LeafKey& key : candidate_keys) {
-        for (size_t ci = 0; ci < ma.cells().size(); ++ci) {
-          if (!covered[ci]) continue;
-          if (std::memcmp(ma.cells()[ci].leaf, key.data(),
-                          sizeof(int32_t) * kMaxDims) == 0) {
-            c.overlay_cells.push_back(ma.cells()[ci]);
-            claimed.insert(key);
-            break;
-          }
+      std::vector<int32_t> claimed_cell(candidate_keys.size(), -1);
+      for (size_t ci = 0; ci < ma.cells().size(); ++ci) {
+        if (!covered[ci]) continue;
+        LeafKey key{};
+        std::memcpy(key.data(), ma.cells()[ci].leaf, sizeof(key));
+        auto it = candidate_pos.find(key);
+        if (it != candidate_pos.end() && claimed_cell[it->second] < 0) {
+          claimed_cell[it->second] = static_cast<int32_t>(ci);
         }
+      }
+      for (int32_t ci : claimed_cell) {
+        if (ci >= 0) c.overlay_cells.push_back(ma.cells()[ci]);
       }
       candidate_cells->erase(
           std::remove_if(candidate_cells->begin(), candidate_cells->end(),
@@ -303,7 +307,9 @@ Status MaintenanceManager::ReallocateComponent(
                            LeafKey key{};
                            std::memcpy(key.data(), cand.leaf,
                                        sizeof(cand.leaf));
-                           return claimed.count(key) != 0;
+                           auto it = candidate_pos.find(key);
+                           return it != candidate_pos.end() &&
+                                  claimed_cell[it->second] >= 0;
                          }),
           candidate_cells->end());
     }

@@ -1,5 +1,7 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 
 #include "obs/json_util.h"
@@ -35,6 +37,28 @@ void Histogram::Record(int64_t v) {
   while (v > seen &&
          !max_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
   }
+}
+
+int64_t Histogram::Percentile(double q) const {
+  // Rank against the buckets' own total, so a concurrent Record cannot
+  // push the rank past the last bucket.
+  int64_t n = 0;
+  for (int b = 0; b < kBuckets; ++b) n += bucket(b);
+  if (n == 0) return 0;
+  const int64_t rank = std::max<int64_t>(
+      1, static_cast<int64_t>(std::ceil(q * static_cast<double>(n))));
+  int64_t seen = 0;
+  int b = 0;
+  for (; b < kBuckets - 1; ++b) {
+    seen += bucket(b);
+    if (seen >= rank) break;
+  }
+  const int64_t edge =
+      b == 0 ? 0
+             : static_cast<int64_t>((uint64_t{1} << b) - 1);  // 2^b - 1
+  // max() lags the buckets while a Record is in flight.
+  const int64_t hi = max();
+  return hi < 0 ? edge : std::min(edge, hi);
 }
 
 Counter* MetricsRegistry::counter(const std::string& name) {
@@ -97,6 +121,9 @@ std::string MetricsRegistry::ToJson() const {
       AppendJsonString(&out, name + ".avg");
       out += ": ";
       AppendJsonDouble(&out, n > 0 ? static_cast<double>(h->sum()) / n : 0.0);
+      field(name + ".p50", h->Percentile(0.50));
+      field(name + ".p90", h->Percentile(0.90));
+      field(name + ".p99", h->Percentile(0.99));
     }
     for (const auto& [name, fn] : callbacks_) callbacks.emplace_back(name, fn);
   }

@@ -57,6 +57,10 @@ class Histogram {
   int64_t bucket(int b) const {
     return buckets_[b].load(std::memory_order_relaxed);
   }
+  /// The `q`-quantile (0 < q <= 1) as the inclusive upper edge of the
+  /// bucket holding the sample of rank ceil(q * n), clamped to max():
+  /// bucket 0 gives 0 and bucket b gives 2^b - 1. 0 while empty.
+  int64_t Percentile(double q) const;
 
  private:
   std::atomic<int64_t> count_{0};
@@ -96,7 +100,8 @@ class MetricsRegistry {
       const std::function<void(const std::string&, int64_t)>& fn) const;
 
   /// One flat JSON object: counters and gauges by name; histograms as
-  /// name.count/.sum/.min/.max/.avg; callbacks sampled now.
+  /// name.count/.sum/.min/.max/.avg/.p50/.p90/.p99 (percentiles per
+  /// Histogram::Percentile); callbacks sampled now.
   std::string ToJson() const;
   Status WriteJsonFile(const std::string& path) const;
 

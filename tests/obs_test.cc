@@ -84,6 +84,33 @@ TEST(MetricsTest, HistogramBucketsAndEmptyState) {
   EXPECT_EQ(h->max(), 0);
 }
 
+TEST(MetricsTest, HistogramPercentilesFromLog2Buckets) {
+  MetricsRegistry registry;
+  Histogram* h = registry.histogram("lat");
+  EXPECT_EQ(h->Percentile(0.5), 0);  // empty
+  // 50 zeros, 40 samples of 5 (bucket 3: [4, 8)), 9 of 100 (bucket 7:
+  // [64, 128)) and one of 1000 (bucket 10: [512, 1024)).
+  for (int i = 0; i < 50; ++i) h->Record(0);
+  for (int i = 0; i < 40; ++i) h->Record(5);
+  for (int i = 0; i < 9; ++i) h->Record(100);
+  h->Record(1000);
+  EXPECT_EQ(h->Percentile(0.50), 0);    // rank 50: still the zeros
+  EXPECT_EQ(h->Percentile(0.51), 7);    // rank 51: bucket 3's upper edge
+  EXPECT_EQ(h->Percentile(0.90), 7);    // rank 90
+  EXPECT_EQ(h->Percentile(0.99), 127);  // rank 99: bucket 7
+  EXPECT_EQ(h->Percentile(1.00), 1000);  // bucket 10's edge 1023, clamped
+  const std::string json = registry.ToJson();
+  EXPECT_NE(json.find("\"lat.p50\": 0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"lat.p90\": 7"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"lat.p99\": 127"), std::string::npos) << json;
+
+  // A single sample: every percentile is clamped to it.
+  Histogram* one = registry.histogram("one");
+  one->Record(37);
+  EXPECT_EQ(one->Percentile(0.5), 37);
+  EXPECT_EQ(one->Percentile(0.99), 37);
+}
+
 TEST(MetricsTest, RegistryGetOrCreateIsStable) {
   MetricsRegistry registry;
   Counter* a = registry.counter("same.name");
