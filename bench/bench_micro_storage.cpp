@@ -10,7 +10,7 @@
 #include "datagen/table2.h"
 #include "edb/query.h"
 #include "examples/example_util.h"
-#include "rtree/rtree.h"
+#include "rtree/paged_rtree.h"
 #include "storage/external_sort.h"
 #include "storage/storage_env.h"
 
@@ -79,8 +79,12 @@ void BM_ExternalSort(benchmark::State& state) {
 }
 BENCHMARK(BM_ExternalSort)->Arg(10'000)->Arg(100'000);
 
+// The paged R-tree maintenance probes, at its full-page fan-out, with a
+// pool large enough to keep the whole tree resident.
 void BM_RTreeSearch(benchmark::State& state) {
-  RTree tree(4, 16);
+  StorageEnv env(MakeWorkDir("micro_rtree"), 4096);
+  PagedRTree tree =
+      Unwrap(PagedRTree::Create(&env.disk(), &env.pool(), /*num_dims=*/4));
   Rng rng(3);
   for (int i = 0; i < state.range(0); ++i) {
     Rect r;
@@ -88,7 +92,7 @@ void BM_RTreeSearch(benchmark::State& state) {
       r.lo[d] = static_cast<int32_t>(rng.Uniform(1000));
       r.hi[d] = r.lo[d] + static_cast<int32_t>(rng.Uniform(20));
     }
-    tree.Insert(r, i);
+    DieOnError(tree.Insert(r, i));
   }
   std::vector<int64_t> hits;
   for (auto _ : state) {
@@ -98,7 +102,7 @@ void BM_RTreeSearch(benchmark::State& state) {
       q.hi[d] = q.lo[d] + 10;
     }
     hits.clear();
-    tree.Search(q, &hits);
+    DieOnError(tree.Search(q, &hits));
     benchmark::DoNotOptimize(hits);
   }
 }

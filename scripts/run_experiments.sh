@@ -53,7 +53,6 @@ run build/bench/bench_fig5ij_scalability $FIG5IJ
 run build/bench/bench_fig6_maintenance $FIG6
 run build/bench/bench_ablation_convergence $ABL
 run build/bench/bench_ext_mutations $MUT
-run build/bench/bench_parallel_scaling $FIG5AB
 run build/bench/bench_micro_storage
 run build/bench/bench_io_pipeline $IOPIPE --json=BENCH_io_pipeline.json
 run build/bench/bench_query_serving $SERVE --json=BENCH_query_serving.json

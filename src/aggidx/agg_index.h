@@ -15,7 +15,7 @@
 #include "edb/query.h"
 #include "model/records.h"
 #include "model/schema.h"
-#include "rtree/rtree.h"
+#include "rtree/rect.h"
 #include "storage/paged_file.h"
 #include "storage/storage_env.h"
 

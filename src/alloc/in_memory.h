@@ -19,9 +19,7 @@ namespace iolap {
 ///
 /// Thread compatibility: an instance owns all of its mutable state (its
 /// copies of the cells and entries, the edge lists, and the Δ/Γ values) and
-/// only reads the shared `schema`, so distinct instances may run
-/// concurrently on different threads — the parallel Transitive path runs
-/// one per in-flight component. A single instance is not thread-safe.
+/// only reads the shared `schema`. A single instance is not thread-safe.
 class MemoryAllocator {
  public:
   /// `cells` may arrive in any order (they are sorted into canonical order

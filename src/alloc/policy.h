@@ -101,18 +101,6 @@ struct AllocationOptions {
   /// Cap on |C| when domain == kImpreciseUnion (region unions can explode).
   int64_t max_domain_cells = 50'000'000;
 
-  /// Transitive only: worker threads for component-parallel allocation.
-  /// Components are disjoint subgraphs, so their floating-point results are
-  /// scheduling-independent, and the scheduler emits EDB rows in strict
-  /// component order — any value here produces a byte-identical EDB.
-  /// 1 (the default) is exactly the serial algorithm; values are clamped to
-  /// what the buffer pool can pin concurrently. Demand page I/O is not
-  /// thread-count-invariant: workers pin pages of the shared pool in the
-  /// order they happen to run, so when the pool is smaller than the data
-  /// the LRU order, and with it `alloc_io`, can differ between repeats of
-  /// one input (DESIGN.md §7). Only 1 thread repeats its counts exactly.
-  int num_threads = 1;
-
   /// Storage I/O pipeline tuning (parallel run generation, merge block
   /// buffers, batched write-back). Every setting yields a byte-identical
   /// EDB and identical demand I/O counts; only wall-clock changes.

@@ -1,13 +1,11 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "alloc/algorithms.h"
 #include "alloc/in_memory.h"
-#include "exec/parallel_scheduler.h"
-#include "exec/thread_pool.h"
 #include "graph/bin_packing.h"
 #include "graph/union_find.h"
 #include "model/sort_key.h"
@@ -214,30 +212,75 @@ Status RunExternalComponent(StorageEnv& env, const StarSchema& schema,
   return Status::Ok();
 }
 
-/// Computed output of one in-memory component, filled on a worker thread
-/// and drained in strict component order by the orchestrator.
-struct ComponentOutput {
-  std::vector<EdbRecord> rows;
-  int iterations = 0;
-  int64_t unallocatable = 0;
-};
-
-/// One pooled scheduling unit: a contiguous run of in-memory components
-/// batched by cost so tiny components amortize task overhead.
-struct ComponentBatch {
-  std::vector<ComponentInfo>* info_source = nullptr;  // the directory
-  std::vector<size_t> dir_index;  // indexes into the component directory
-  std::vector<ComponentOutput> outputs;
-  int64_t cost = 0;  // cells + entries across the batch
-};
-
+/// Step 3b: process components [start_component, dir.size()) to
+/// convergence and emit, in strict component order — exactly the classic
+/// Algorithm 5 loop. Components that fit the buffer pool are loaded and
+/// iterated in memory; larger ones run the external Block passes with the
+/// whole pool. With `ckpt`, commits a checkpoint every `checkpoint.every`
+/// finished components plus a final one.
 Status RunTransitiveComponents(StorageEnv& env, const StarSchema& schema,
                                PreparedDataset* data,
                                const AllocationOptions& options,
                                AllocationResult* result,
                                std::vector<ComponentInfo>& dir,
                                int64_t start_component,
-                               CheckpointManager* ckpt);
+                               CheckpointManager* ckpt) {
+  BufferPool& pool = env.pool();
+  SpecComparator canonical(&schema, SortSpec::Canonical(schema));
+  const int64_t cell_rpp = TypedFile<CellRecord>::kRecordsPerPage;
+  const int64_t imp_rpp = TypedFile<ImpreciseRecord>::kRecordsPerPage;
+  const int64_t budget_records_limit =
+      std::max<int64_t>(1, env.buffer_pages() - 2);
+  auto appender = result->edb.MakeAppender(pool);
+
+  for (size_t i = static_cast<size_t>(start_component); i < dir.size(); ++i) {
+    ComponentInfo& info = dir[i];
+    TraceSpan component_span("transitive.component");
+    component_span.AddArg("ccid", info.ccid);
+    component_span.AddArg("tuples", info.tuples());
+    info.edb_begin = result->edb.size();
+    const int64_t pages =
+        (info.cell_end - info.cell_begin + cell_rpp - 1) / cell_rpp +
+        (info.entry_end - info.entry_begin + imp_rpp - 1) / imp_rpp;
+    int iterations = 0;
+    if (pages <= budget_records_limit) {
+      std::vector<CellRecord> cells;
+      std::vector<ImpreciseRecord> entries;
+      IOLAP_RETURN_IF_ERROR(LoadComponent(pool, *data, info, &cells, &entries));
+      MemoryAllocator ma(&schema, std::move(cells), std::move(entries));
+      iterations = ConvergeComponent(&ma, options);
+      IOLAP_RETURN_IF_ERROR(ma.Emit(&appender, &result->edges_emitted,
+                                    &result->unallocatable_facts));
+    } else {
+      ++result->components.num_large_components;
+      result->components.large_component_pages += pages;
+      IOLAP_RETURN_IF_ERROR(RunExternalComponent(env, schema, data, options,
+                                                 canonical, info, &appender,
+                                                 result, &iterations));
+    }
+    info.edb_end = result->edb.size();
+
+    result->components.largest_component =
+        std::max(result->components.largest_component, info.tuples());
+    ++result->components.num_components;
+    result->components.max_component_iterations = std::max<int64_t>(
+        result->components.max_component_iterations, iterations);
+    result->components.total_component_iterations += iterations;
+    result->iterations =
+        static_cast<int>(result->components.max_component_iterations);
+
+    if (ckpt != nullptr && ckpt->DueAtComponent(static_cast<int64_t>(i) + 1)) {
+      IOLAP_RETURN_IF_ERROR(ckpt->CheckpointComponents(
+          static_cast<int64_t>(i) + 1, data, *result, dir));
+    }
+  }
+  appender.Close();
+  if (ckpt != nullptr) {
+    IOLAP_RETURN_IF_ERROR(ckpt->CheckpointComponents(
+        static_cast<int64_t>(dir.size()), data, *result, dir));
+  }
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -367,237 +410,5 @@ Status RunTransitive(StorageEnv& env, const StarSchema& schema,
   return RunTransitiveComponents(env, schema, data, options, result, dir,
                                  start_component, ckpt);
 }
-
-namespace {
-
-/// Step 3b: process components [start_component, dir.size()) to
-/// convergence and emit, in strict component order. Compute runs serially
-/// or component-parallel (options.num_threads); emission order — and
-/// therefore the EDB bytes — is identical either way, because components
-/// are disjoint subgraphs whose floating-point results do not depend on
-/// scheduling. With `ckpt`, commits a checkpoint every
-/// `checkpoint.every` finished components plus a final one; both paths
-/// checkpoint only from the orchestration thread.
-Status RunTransitiveComponents(StorageEnv& env, const StarSchema& schema,
-                               PreparedDataset* data,
-                               const AllocationOptions& options,
-                               AllocationResult* result,
-                               std::vector<ComponentInfo>& dir,
-                               int64_t start_component,
-                               CheckpointManager* ckpt) {
-  BufferPool& pool = env.pool();
-  SpecComparator canonical(&schema, SortSpec::Canonical(schema));
-  const int64_t cell_rpp = TypedFile<CellRecord>::kRecordsPerPage;
-  const int64_t imp_rpp = TypedFile<ImpreciseRecord>::kRecordsPerPage;
-  const int64_t budget_records_limit =
-      std::max<int64_t>(1, env.buffer_pages() - 2);
-  auto appender = result->edb.MakeAppender(pool);
-
-  auto pages_of = [&](const ComponentInfo& info) {
-    return (info.cell_end - info.cell_begin + cell_rpp - 1) / cell_rpp +
-           (info.entry_end - info.entry_begin + imp_rpp - 1) / imp_rpp;
-  };
-  // Census bookkeeping shared by the serial and parallel paths; called in
-  // component order.
-  auto account = [&](const ComponentInfo& info, int iterations) {
-    result->components.largest_component =
-        std::max(result->components.largest_component, info.tuples());
-    ++result->components.num_components;
-    result->components.max_component_iterations =
-        std::max<int64_t>(result->components.max_component_iterations,
-                          iterations);
-    result->components.total_component_iterations += iterations;
-    result->iterations =
-        static_cast<int>(result->components.max_component_iterations);
-  };
-
-  // Every worker holds at most one pinned page while loading its
-  // component, and the appender holds one more — clamp the thread count so
-  // the pool can never run out of frames.
-  const int num_threads = static_cast<int>(std::min<int64_t>(
-      std::max(1, options.num_threads),
-      std::max<int64_t>(1, env.buffer_pages() - 2)));
-
-  if (num_threads <= 1) {
-    // Serial path: exactly the classic Algorithm 5 loop.
-    for (size_t i = static_cast<size_t>(start_component); i < dir.size();
-         ++i) {
-      ComponentInfo& info = dir[i];
-      TraceSpan component_span("transitive.component");
-      component_span.AddArg("ccid", info.ccid);
-      component_span.AddArg("tuples", info.tuples());
-      info.edb_begin = result->edb.size();
-      const int64_t pages = pages_of(info);
-      int iterations = 0;
-      if (pages <= budget_records_limit) {
-        std::vector<CellRecord> cells;
-        std::vector<ImpreciseRecord> entries;
-        IOLAP_RETURN_IF_ERROR(
-            LoadComponent(pool, *data, info, &cells, &entries));
-        MemoryAllocator ma(&schema, std::move(cells), std::move(entries));
-        iterations = ConvergeComponent(&ma, options);
-        IOLAP_RETURN_IF_ERROR(ma.Emit(&appender, &result->edges_emitted,
-                                      &result->unallocatable_facts));
-      } else {
-        ++result->components.num_large_components;
-        result->components.large_component_pages += pages;
-        IOLAP_RETURN_IF_ERROR(
-            RunExternalComponent(env, schema, data, options, canonical, info,
-                                 &appender, result, &iterations));
-      }
-      info.edb_end = result->edb.size();
-      account(info, iterations);
-      if (ckpt != nullptr &&
-          ckpt->DueAtComponent(static_cast<int64_t>(i) + 1)) {
-        IOLAP_RETURN_IF_ERROR(ckpt->CheckpointComponents(
-            static_cast<int64_t>(i) + 1, data, *result, dir));
-      }
-    }
-    appender.Close();
-    if (ckpt != nullptr) {
-      IOLAP_RETURN_IF_ERROR(ckpt->CheckpointComponents(
-          static_cast<int64_t>(dir.size()), data, *result, dir));
-    }
-    return Status::Ok();
-  }
-
-  // Parallel path: shard the in-memory components across a worker pool,
-  // batching consecutive components by cost (cells + entries) so tiny
-  // components amortize task overhead. External components become inline
-  // barrier units — they get the whole buffer pool, exactly as in the
-  // serial path.
-  int64_t total_small_cost = 0;
-  for (size_t i = static_cast<size_t>(start_component); i < dir.size(); ++i) {
-    if (pages_of(dir[i]) <= budget_records_limit) {
-      total_small_cost += dir[i].tuples();
-    }
-  }
-  const int64_t chunk_target = std::max<int64_t>(
-      1, total_small_cost / (static_cast<int64_t>(num_threads) * 16));
-
-  std::vector<std::unique_ptr<ComponentBatch>> batches;
-  std::vector<ScheduledUnit> units;
-  ComponentBatch* open_batch = nullptr;
-
-  auto add_pooled_unit = [&](ComponentBatch* batch) {
-    batch->outputs.resize(batch->dir_index.size());
-    ScheduledUnit unit;
-    unit.cost = batch->cost;
-    unit.run = [batch, &pool, data, &schema, &options]() -> Status {
-      TraceSpan batch_span("transitive.batch");
-      batch_span.AddArg("components",
-                        static_cast<int64_t>(batch->dir_index.size()));
-      batch_span.AddArg("cost", batch->cost);
-      for (size_t j = 0; j < batch->dir_index.size(); ++j) {
-        const ComponentInfo& info_j = (*batch->info_source)[batch->dir_index[j]];
-        std::vector<CellRecord> cells;
-        std::vector<ImpreciseRecord> entries;
-        IOLAP_RETURN_IF_ERROR(
-            LoadComponent(pool, *data, info_j, &cells, &entries));
-        MemoryAllocator ma(&schema, std::move(cells), std::move(entries));
-        ComponentOutput& out = batch->outputs[j];
-        out.iterations = ConvergeComponent(&ma, options);
-        ma.EmitToVector(&out.rows, &out.unallocatable);
-      }
-      return Status::Ok();
-    };
-    unit.emit = [batch, &appender, result, &account, ckpt, &dir,
-                 data]() -> Status {
-      for (size_t j = 0; j < batch->dir_index.size(); ++j) {
-        ComponentInfo& info_j = (*batch->info_source)[batch->dir_index[j]];
-        ComponentOutput& out = batch->outputs[j];
-        info_j.edb_begin = result->edb.size();
-        for (const EdbRecord& row : out.rows) {
-          IOLAP_RETURN_IF_ERROR(appender.Append(row));
-        }
-        info_j.edb_end = result->edb.size();
-        result->edges_emitted += static_cast<int64_t>(out.rows.size());
-        result->unallocatable_facts += out.unallocatable;
-        account(info_j, out.iterations);
-        std::vector<EdbRecord>().swap(out.rows);  // free as we go
-      }
-      // Emit closures run in strict component order on the orchestration
-      // thread, so checkpointing here sees exactly the serial-path state.
-      if (ckpt != nullptr) {
-        int64_t next = static_cast<int64_t>(batch->dir_index.back()) + 1;
-        if (ckpt->DueAtComponent(next)) {
-          IOLAP_RETURN_IF_ERROR(
-              ckpt->CheckpointComponents(next, data, *result, dir));
-        }
-      }
-      return Status::Ok();
-    };
-    units.push_back(std::move(unit));
-  };
-  auto flush_batch = [&]() {
-    if (open_batch != nullptr) add_pooled_unit(open_batch);
-    open_batch = nullptr;
-  };
-
-  for (size_t i = static_cast<size_t>(start_component); i < dir.size(); ++i) {
-    ComponentInfo& info = dir[i];
-    const int64_t pages = pages_of(info);
-    if (pages > budget_records_limit) {
-      // External component: an inline barrier unit. The scheduler drains
-      // every in-flight worker before running it, so the Block passes get
-      // the whole buffer pool — exactly as in the serial path.
-      flush_batch();
-      ScheduledUnit unit;
-      unit.cost = info.tuples();
-      unit.run_inline = true;
-      ComponentInfo* info_ptr = &info;
-      const int64_t next = static_cast<int64_t>(i) + 1;
-      unit.run = [&env, &schema, data, &options, &canonical, info_ptr,
-                  &appender, result, &account, pages, ckpt, &dir,
-                  next]() -> Status {
-        TraceSpan external_span("transitive.external_component");
-        external_span.AddArg("ccid", info_ptr->ccid);
-        external_span.AddArg("pages", pages);
-        info_ptr->edb_begin = result->edb.size();
-        ++result->components.num_large_components;
-        result->components.large_component_pages += pages;
-        int iterations = 0;
-        IOLAP_RETURN_IF_ERROR(
-            RunExternalComponent(env, schema, data, options, canonical,
-                                 *info_ptr, &appender, result, &iterations));
-        info_ptr->edb_end = result->edb.size();
-        account(*info_ptr, iterations);
-        // Inline units run with no worker in flight, on the orchestration
-        // thread — safe to checkpoint.
-        if (ckpt != nullptr && ckpt->DueAtComponent(next)) {
-          IOLAP_RETURN_IF_ERROR(
-              ckpt->CheckpointComponents(next, data, *result, dir));
-        }
-        return Status::Ok();
-      };
-      units.push_back(std::move(unit));
-      continue;
-    }
-    if (open_batch == nullptr) {
-      batches.push_back(std::make_unique<ComponentBatch>());
-      open_batch = batches.back().get();
-      open_batch->info_source = &dir;
-    }
-    open_batch->dir_index.push_back(i);
-    open_batch->cost += info.tuples();
-    if (open_batch->cost >= chunk_target) flush_batch();
-  }
-  flush_batch();
-
-  ThreadPool workers(num_threads);
-  // Bound computed-but-unemitted work: a handful of chunks per worker.
-  ParallelScheduler scheduler(&workers,
-                              chunk_target * (static_cast<int64_t>(num_threads) + 2));
-  IOLAP_RETURN_IF_ERROR(scheduler.Execute(units));
-
-  appender.Close();
-  if (ckpt != nullptr) {
-    IOLAP_RETURN_IF_ERROR(ckpt->CheckpointComponents(
-        static_cast<int64_t>(dir.size()), data, *result, dir));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 }  // namespace iolap

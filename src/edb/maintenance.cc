@@ -75,7 +75,8 @@ Result<std::unique_ptr<MaintenanceManager>> MaintenanceManager::Build(
   manager->build_result_.alloc_seconds = watch.ElapsedSeconds();
 
   // Translate the build's component directory into the overlay model and
-  // bulk-load the R-tree (Section 9's index over component bounding boxes).
+  // insert each component's bounding box into the R-tree (Section 9's index
+  // over component bounding boxes), one Insert per component.
   IOLAP_ASSIGN_OR_RETURN(
       PagedRTree tree,
       PagedRTree::Create(&env.disk(), &env.pool(), schema.num_dims()));

@@ -12,7 +12,7 @@
 #include "alloc/dataset.h"
 #include "common/result.h"
 #include "rtree/paged_rtree.h"
-#include "rtree/rtree.h"
+#include "rtree/rect.h"
 #include "storage/storage_env.h"
 
 namespace iolap {

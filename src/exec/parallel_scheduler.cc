@@ -8,14 +8,13 @@ Status ParallelScheduler::Execute(std::vector<ScheduledUnit>& units) {
   size_t next_submit = 0;   // first unit not yet submitted / passed over
   int64_t inflight_cost = 0;  // submitted but not yet emitted
 
-  // Submits pooled units in order until the cost window is full or an
-  // inline barrier is reached. Admission is deterministic: it depends only
-  // on unit order and costs, never on thread timing.
+  // Submits units in order until the cost window is full. Admission is
+  // deterministic: it depends only on unit order and costs, never on
+  // thread timing.
   auto submit_ready = [&] {
     if (pool_ == nullptr) return;
     while (next_submit < n) {
       ScheduledUnit& unit = units[next_submit];
-      if (unit.run_inline) break;  // barrier: nothing runs past it
       if (!unit.run) {
         ++next_submit;
         continue;
@@ -37,10 +36,7 @@ Status ParallelScheduler::Execute(std::vector<ScheduledUnit>& units) {
       status = futures[i].Wait();
       inflight_cost -= unit.cost;
     } else if (unit.run) {
-      // Inline unit, or no pool: run on the calling thread. By the time an
-      // inline unit's turn comes every earlier future has been waited on,
-      // so it has the machine (and the buffer pool) to itself.
-      status = unit.run();
+      status = unit.run();  // no pool: run on the calling thread
     }
     if (status.ok() && unit.emit) status = unit.emit();
     if (i == next_submit) ++next_submit;  // step past a non-submitted unit

@@ -12,24 +12,18 @@ namespace iolap {
 
 /// One unit of work for ParallelScheduler::Execute. The scheduler runs
 /// `run` closures concurrently on the pool but calls `emit` closures
-/// strictly in input order on the calling thread — this is how the parallel
-/// Transitive path keeps its EDB output byte-identical to the serial path:
-/// compute is unordered, output is ordered.
+/// strictly in input order on the calling thread — this is how group-by
+/// keeps its output independent of the thread count: compute is
+/// unordered, output is ordered.
 struct ScheduledUnit {
-  /// Deterministic cost estimate (Transitive uses cells + entries of the
-  /// component batch). Bounds how much computed-but-not-yet-emitted work
-  /// may be in flight, i.e. the scheduler's memory footprint.
+  /// Deterministic cost estimate (group-by charges each chunk the size of
+  /// its partial accumulator). Bounds how much computed-but-not-yet-emitted
+  /// work may be in flight, i.e. the scheduler's memory footprint.
   int64_t cost = 1;
 
-  /// Inline units run `run` on the calling thread when their turn to emit
-  /// comes, and act as a barrier: no later unit starts until they finish.
-  /// Transitive uses this for components too large for memory — their
-  /// external Block passes need the whole buffer pool to themselves.
-  bool run_inline = false;
-
   /// Heavy compute. May be empty. Runs on a worker thread (or the calling
-  /// thread for inline units). Must only touch state owned by the unit
-  /// plus thread-safe shared services (BufferPool, DiskManager).
+  /// thread when there is no pool). Must only touch state owned by the
+  /// unit plus thread-safe shared services (BufferPool, DiskManager).
   std::function<Status()> run;
 
   /// Ordered output. May be empty. Always runs on the calling thread,
@@ -44,15 +38,13 @@ struct ScheduledUnit {
 ///  * At most `max_inflight_cost` worth of units is submitted but not yet
 ///    emitted (a single unit larger than the budget is still admitted when
 ///    nothing else is in flight, so progress is never blocked).
-///  * Inline units are barriers; pooled units never run concurrently with
-///    an inline unit.
 ///  * On error, the first failing Status in *unit order* is returned, and
 ///    Execute does not return before every submitted task has finished
 ///    (units may reference caller-owned state).
 class ParallelScheduler {
  public:
-  /// `pool` may be null — then every unit runs inline on the calling
-  /// thread, which is the num_threads = 1 configuration.
+  /// `pool` may be null — then every unit runs on the calling thread, in
+  /// order.
   ParallelScheduler(ThreadPool* pool, int64_t max_inflight_cost)
       : pool_(pool), max_inflight_cost_(std::max<int64_t>(1, max_inflight_cost)) {}
 

@@ -98,9 +98,8 @@ inline constexpr uint32_t kManifestFlagConverged = 1u << 1;
 /// still consults the DiskManager fault injector (op 'c') so recovery tests
 /// can kill a run mid-checkpoint.
 ///
-/// Not thread-safe: call only from the orchestration thread (the parallel
-/// Transitive path checkpoints from its ordered-emit closures, which the
-/// scheduler already serializes).
+/// Not thread-safe: the allocation loops call it from the one thread that
+/// runs them.
 class CheckpointManager {
  public:
   /// Creates the checkpoint directory if needed. `options` supplies both

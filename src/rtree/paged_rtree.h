@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "rtree/rtree.h"
+#include "rtree/rect.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 
@@ -16,9 +16,9 @@ namespace iolap {
 /// the spatial index Section 9 builds over component bounding boxes (the
 /// paper used Hadjieleftheriou's disk R-tree [13]).
 ///
-/// Same algorithms as the in-memory `RTree` (quadratic split, condense-with-
-/// reinsert on delete); the two are differentially tested against each
-/// other. Fan-out is 72 at kMaxDims = 6 (settable lower for tests).
+/// Guttman's algorithms: quadratic split, condense-with-reinsert on delete;
+/// tested against a brute-force scan under random insert/remove/search
+/// workloads. Fan-out is 72 at kMaxDims = 6 (settable lower for tests).
 class PagedRTree {
  public:
   /// Creates an empty tree in a fresh file of `disk`, paged through `pool`.

@@ -10,7 +10,7 @@
 
 #include "edb/query.h"
 #include "model/schema.h"
-#include "rtree/rtree.h"
+#include "rtree/rect.h"
 #include "serve/answer.h"
 
 namespace iolap {

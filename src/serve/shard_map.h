@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "model/schema.h"
-#include "rtree/rtree.h"
+#include "rtree/rect.h"
 
 namespace iolap {
 

@@ -14,7 +14,7 @@
 #include "datagen/table2.h"
 #include "edb/maintenance.h"
 #include "edb/query.h"
-#include "rtree/rtree.h"
+#include "rtree/rect.h"
 #include "tests/test_util.h"
 
 namespace iolap {

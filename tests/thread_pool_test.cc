@@ -101,45 +101,6 @@ TEST(ParallelScheduler, EmitsInInputOrderDespiteConcurrentRuns) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(emitted[i], i);
 }
 
-TEST(ParallelScheduler, InlineUnitsAreBarriers) {
-  ThreadPool pool(4);
-  ParallelScheduler scheduler(&pool, 1 << 20);
-  std::atomic<int> running{0};
-  std::atomic<bool> overlap_with_inline{false};
-  std::vector<int> emitted;
-  std::vector<ScheduledUnit> units;
-  auto add_pooled = [&](int id) {
-    ScheduledUnit unit;
-    unit.run = [&running]() {
-      running.fetch_add(1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      running.fetch_sub(1);
-      return Status::Ok();
-    };
-    unit.emit = [id, &emitted]() {
-      emitted.push_back(id);
-      return Status::Ok();
-    };
-    units.push_back(std::move(unit));
-  };
-  for (int i = 0; i < 8; ++i) add_pooled(i);
-  ScheduledUnit inline_unit;
-  inline_unit.run_inline = true;
-  inline_unit.run = [&running, &overlap_with_inline, &emitted]() {
-    if (running.load() != 0) overlap_with_inline.store(true);
-    emitted.push_back(100);
-    return Status::Ok();
-  };
-  units.push_back(std::move(inline_unit));
-  for (int i = 9; i < 17; ++i) add_pooled(i);
-
-  EXPECT_TRUE(scheduler.Execute(units).ok());
-  EXPECT_FALSE(overlap_with_inline.load())
-      << "a pooled unit ran concurrently with the inline barrier";
-  ASSERT_EQ(emitted.size(), 17u);
-  EXPECT_EQ(emitted[8], 100);  // barrier emitted in position
-}
-
 TEST(ParallelScheduler, ReturnsFirstErrorInUnitOrder) {
   ThreadPool pool(4);
   ParallelScheduler scheduler(&pool, 1 << 20);

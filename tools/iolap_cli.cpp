@@ -10,16 +10,14 @@
 //   iolap_cli allocate --schema=s.csv --facts=f.csv --out=edb.csv
 //       [--policy=count|measure|uniform] [--algorithm=transitive|block|
 //        independent|basic] [--epsilon=0.005] [--buffer-pages=4096]
-//       [--threads=1]
 //       [--serial-io=1] [--sort-threads=N] [--merge-block-pages=N]
 //       [--batched-writeback=0|1]
 //       [--checkpoint-dir=ckpt/] [--checkpoint-every=N] [--resume=1]
 //       [--io-retries=N] [--io-retry-backoff-us=100]
-//       Builds the Extended Database and writes it as CSV. --threads > 1
-//       runs Transitive's components in parallel (output is byte-identical
-//       to the serial run). The I/O pipeline flags tune the storage layer
-//       (--serial-io=1 selects the fully serial baseline; individual flags
-//       override it); every setting produces a byte-identical EDB.
+//       Builds the Extended Database and writes it as CSV. The I/O
+//       pipeline flags tune the storage layer (--serial-io=1 selects the
+//       fully serial baseline; individual flags override it); every
+//       setting produces a byte-identical EDB.
 //       --checkpoint-dir persists restartable state there at iteration /
 //       component boundaries (every N boundaries with --checkpoint-every);
 //       --resume=1 continues a killed run from its newest valid checkpoint.
@@ -199,7 +197,6 @@ int CmdAllocate(const Flags& flags) {
   options.algorithm =
       ParseAlgorithm(flags.GetString("algorithm", "transitive"));
   options.epsilon = flags.GetDouble("epsilon", 0.005);
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
   options.io = ParsePipeline(flags);
   options.checkpoint.directory = flags.GetString("checkpoint-dir", "");
   options.checkpoint.every =
@@ -237,7 +234,6 @@ int CmdQuery(const Flags& flags) {
       Unwrap(LoadFactsCsv(env, schema, flags.GetString("facts", "")));
   AllocationOptions options;
   options.policy = ParsePolicy(flags.GetString("policy", "count"));
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
   options.io = ParsePipeline(flags);
   AllocationResult result =
       Unwrap(Allocator::Run(env, schema, &facts, options));
