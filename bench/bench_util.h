@@ -69,18 +69,6 @@ inline int64_t EstimateDataPages(int64_t facts, double imprecise_fraction) {
          (imprecise + imp_rpp - 1) / imp_rpp + 2;
 }
 
-/// As RunOnce, but with the full AllocationOptions (algorithm/epsilon in
-/// the struct) — used by benchmarks that tune the I/O pipeline knobs.
-inline AllocationResult RunOnceWithOptions(const StarSchema& schema,
-                                           const DatasetSpec& spec,
-                                           int64_t buffer_pages,
-                                           const AllocationOptions& options,
-                                           const char* tag) {
-  StorageEnv env(MakeWorkDir(tag), buffer_pages);
-  TypedFile<FactRecord> facts = Unwrap(GenerateFacts(env, schema, spec));
-  return Unwrap(Allocator::Run(env, schema, &facts, options));
-}
-
 inline void PrintHeader(const char* title) {
   std::printf("\n==== %s ====\n", title);
 }

@@ -2,15 +2,15 @@
 # Builds the repo under ThreadSanitizer and runs the tests that exercise the
 # concurrent paths: the thread-safe storage layer (BufferPool/DiskManager),
 # the exec subsystem (ThreadPool, and the ParallelScheduler behind the
-# parallel group-by), the external sorter's parallel run generation and
-# the I/O pipeline, the observability layer (lock-free metrics, trace
+# parallel group-by), the observability layer (lock-free metrics, trace
 # collection from worker threads), and the query-serving subsystem
 # (concurrent queries racing a maintenance stream against the
 # generation-versioned aggregate cache and the hierarchical aggregate index
 # tier, plus the sharded serve path: per-shard snapshot locks, the parallel
 # group-by engine, and the multi-shard torture/determinism cases in
-# serve_concurrent_test). Zero reported races is a release gate for the
-# parallel execution and serving subsystems.
+# serve_concurrent_test). Allocation, the external sorter included, starts
+# no thread, so its suites are not run here. Zero reported races is a
+# release gate for the parallel execution and serving subsystems.
 #
 #   scripts/run_tsan.sh [extra ctest args...]
 
@@ -21,11 +21,10 @@ BUILD=build-tsan
 cmake -B "$BUILD" -G Ninja -DIOLAP_SANITIZE=thread
 cmake --build "$BUILD" --target \
   buffer_pool_test disk_manager_test thread_pool_test \
-  external_sort_test io_pipeline_equivalence_test \
   obs_test serve_test serve_concurrent_test aggidx_test aggidx_concurrent_test
 
 export TSAN_OPTIONS="halt_on_error=0:exitcode=66:${TSAN_OPTIONS:-}"
 ctest --test-dir "$BUILD" --output-on-failure \
-  -R 'BufferPool|DiskManager|ThreadPool|ParallelScheduler|ExternalSort|IoPipeline|Metrics|Trace|Obs|ScopedObservability|JsonUtil|Serve|SelectiveInvalidation|AggIdx|AggIndex' \
+  -R 'BufferPool|DiskManager|ThreadPool|ParallelScheduler|Metrics|Trace|Obs|ScopedObservability|JsonUtil|Serve|SelectiveInvalidation|AggIdx|AggIndex' \
   "$@"
 echo "TSan run clean."

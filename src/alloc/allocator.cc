@@ -44,8 +44,6 @@ Result<AllocationResult> Allocator::Run(StorageEnv& env,
                                         const AllocationOptions& options) {
   TraceSpan run_span("alloc.run");
   AllocationResult result;
-  // Flushes during this run pick per-page vs. batched write-back.
-  env.pool().set_batched_writeback(options.io.batched_writeback);
   IoStats io_before = env.disk().stats();
   Stopwatch watch;
 

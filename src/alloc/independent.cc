@@ -50,9 +50,9 @@ Status RunIndependent(StorageEnv& env, const StarSchema& schema,
   result->num_groups = static_cast<int>(chains.size());
 
   ExternalSorter<CellRecord> cell_sorter(&env.disk(), &env.pool(),
-                                         env.buffer_pages(), options.io);
+                                         env.buffer_pages());
   ExternalSorter<ImpreciseRecord> entry_sorter(&env.disk(), &env.pool(),
-                                               env.buffer_pages(), options.io);
+                                               env.buffer_pages());
 
   const int max_iterations = options.EffectiveMaxIterations();
   // A checkpoint may capture the files in any chain's sort order — that is

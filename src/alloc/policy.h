@@ -5,7 +5,6 @@
 #include <string>
 
 #include "model/records.h"
-#include "storage/io_pipeline.h"
 
 namespace iolap {
 
@@ -100,12 +99,6 @@ struct AllocationOptions {
 
   /// Cap on |C| when domain == kImpreciseUnion (region unions can explode).
   int64_t max_domain_cells = 50'000'000;
-
-  /// Storage I/O pipeline tuning (parallel run generation, merge block
-  /// buffers, batched write-back). Every setting yields a byte-identical
-  /// EDB and identical demand I/O counts; only wall-clock changes.
-  /// `IoPipelineOptions::Serial()` is the pre-pipeline baseline.
-  IoPipelineOptions io;
 
   /// Checkpoint/restart (disabled by default). When disabled the demand-I/O
   /// schedule is bit-identical to a build without the feature; when enabled

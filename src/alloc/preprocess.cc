@@ -95,8 +95,7 @@ Result<PreparedDataset> PrepareDataset(StorageEnv& env,
 
   // Step 1: sort D into summary-table order (one "special sort").
   {
-    ExternalSorter<FactRecord> sorter(&disk, &pool, env.buffer_pages(),
-                                      options.io);
+    ExternalSorter<FactRecord> sorter(&disk, &pool, env.buffer_pages());
     IOLAP_RETURN_IF_ERROR(sorter.Sort(facts, SummaryOrderLess(&schema)));
   }
 
@@ -227,8 +226,7 @@ Result<PreparedDataset> PrepareDataset(StorageEnv& env,
   if (union_domain && stubs.size() > 0) {
     {
       SpecComparator canonical(&schema, SortSpec::Canonical(schema));
-      ExternalSorter<CellRecord> sorter(&disk, &pool, env.buffer_pages(),
-                                        options.io);
+      ExternalSorter<CellRecord> sorter(&disk, &pool, env.buffer_pages());
       IOLAP_RETURN_IF_ERROR(sorter.Sort(&stubs, CellSpecLess(&canonical)));
     }
     IOLAP_ASSIGN_OR_RETURN(auto merged,

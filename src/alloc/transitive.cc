@@ -335,13 +335,12 @@ Status RunTransitive(StorageEnv& env, const StarSchema& schema,
   {
     TraceSpan sort_span("transitive.component_sort");
     ExternalSorter<CellRecord> cell_sorter(&env.disk(), &pool,
-                                           env.buffer_pages(), options.io);
+                                           env.buffer_pages());
     IOLAP_RETURN_IF_ERROR(cell_sorter.Sort(
         &data->cells,
         ComponentCellLess{&canon, CellSpecLess(&canonical)}));
     ExternalSorter<ImpreciseRecord> entry_sorter(&env.disk(), &pool,
-                                                 env.buffer_pages(),
-                                                 options.io);
+                                                 env.buffer_pages());
     IOLAP_RETURN_IF_ERROR(entry_sorter.Sort(
         &data->imprecise,
         ComponentEntryLess{&canon, EntrySpecLess(&canonical)}));

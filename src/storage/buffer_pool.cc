@@ -121,7 +121,14 @@ Status BufferPool::FlushFrame(Frame& frame) {
   return Status::Ok();
 }
 
-Status BufferPool::FlushFramesBatched(std::vector<int32_t>& frame_indices) {
+Status BufferPool::FlushDirtyFrames(FileId file) {
+  std::vector<int32_t> frame_indices;
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    if (frames_[i].file != kInvalidFileId && frames_[i].dirty &&
+        (file == kInvalidFileId || frames_[i].file == file)) {
+      frame_indices.push_back(static_cast<int32_t>(i));
+    }
+  }
   std::sort(frame_indices.begin(), frame_indices.end(),
             [this](int32_t a, int32_t b) {
               const Frame& fa = frames_[a];
@@ -233,19 +240,7 @@ void BufferPool::Unpin(int32_t frame_index) {
 
 Status BufferPool::FlushFile(FileId file) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (batched_writeback()) {
-    std::vector<int32_t> dirty;
-    for (size_t i = 0; i < frames_.size(); ++i) {
-      if (frames_[i].file == file && frames_[i].dirty) {
-        dirty.push_back(static_cast<int32_t>(i));
-      }
-    }
-    return FlushFramesBatched(dirty);
-  }
-  for (Frame& frame : frames_) {
-    if (frame.file == file) IOLAP_RETURN_IF_ERROR(FlushFrame(frame));
-  }
-  return Status::Ok();
+  return FlushDirtyFrames(file);
 }
 
 Status BufferPool::EvictFile(FileId file) {
@@ -279,19 +274,7 @@ void BufferPool::ReleaseFrame(size_t frame_index) {
 
 Status BufferPool::FlushAll() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (batched_writeback()) {
-    std::vector<int32_t> dirty;
-    for (size_t i = 0; i < frames_.size(); ++i) {
-      if (frames_[i].file != kInvalidFileId && frames_[i].dirty) {
-        dirty.push_back(static_cast<int32_t>(i));
-      }
-    }
-    return FlushFramesBatched(dirty);
-  }
-  for (Frame& frame : frames_) {
-    if (frame.file != kInvalidFileId) IOLAP_RETURN_IF_ERROR(FlushFrame(frame));
-  }
-  return Status::Ok();
+  return FlushDirtyFrames(kInvalidFileId);
 }
 
 }  // namespace iolap

@@ -1,7 +1,6 @@
 #ifndef IOLAP_STORAGE_BUFFER_POOL_H_
 #define IOLAP_STORAGE_BUFFER_POOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -90,23 +89,16 @@ class BufferPool {
   /// size in pages.
   Result<PageGuard> PinNew(FileId file, PageId page);
 
-  /// Toggles coalescing of contiguous dirty pages into vectored writes on
-  /// FlushFile/FlushAll (eviction write-back is always per-page).
-  void set_batched_writeback(bool on) {
-    batched_writeback_.store(on, std::memory_order_relaxed);
-  }
-  bool batched_writeback() const {
-    return batched_writeback_.load(std::memory_order_relaxed);
-  }
-
-  /// Writes back all dirty pages of `file` (keeps them cached).
+  /// Writes back all dirty pages of `file` (keeps them cached). Runs of
+  /// contiguous dirty pages go out as one vectored write each (eviction
+  /// write-back stays per page).
   Status FlushFile(FileId file);
 
   /// Writes back and drops every cached page of `file`. Required before
   /// accessing the file through a different channel (e.g. external sort).
   Status EvictFile(FileId file);
 
-  /// Flushes every dirty page in the pool.
+  /// Flushes every dirty page in the pool, batched like FlushFile.
   Status FlushAll();
 
   size_t capacity_pages() const { return capacity_; }
@@ -152,7 +144,9 @@ class BufferPool {
   // All private helpers below require mu_ to be held by the caller.
   Result<int32_t> FindVictim();
   Status FlushFrame(Frame& frame);
-  Status FlushFramesBatched(std::vector<int32_t>& frame_indices);
+  /// Writes back every dirty frame of `file` (of every file when `file` is
+  /// kInvalidFileId), contiguous pages in one vectored write each.
+  Status FlushDirtyFrames(FileId file);
   void ReleaseFrame(size_t frame_index);
 
   void Unpin(int32_t frame_index);
@@ -190,7 +184,6 @@ class BufferPool {
   std::list<int32_t> lru_;  // front = least recently used, unpinned only
   std::unordered_map<Key, int32_t, KeyHash> page_table_;
   PoolStats stats_;
-  std::atomic<bool> batched_writeback_{true};
 };
 
 }  // namespace iolap

@@ -222,18 +222,6 @@ Status DiskManager::WritePagesGatherOnce(FileId file, PageId first,
   return Status::Ok();
 }
 
-Status DiskManager::Preallocate(FileId file, int64_t pages) {
-  IOLAP_ASSIGN_OR_RETURN(FileState * state, GetFile(file));
-  if (pages < 0) {
-    return Status::InvalidArgument("Preallocate to a negative size");
-  }
-  if (pages <= state->size_pages.load()) return Status::Ok();
-  if (::ftruncate(state->fd, static_cast<off_t>(pages) * kPageSize) != 0) {
-    return Status::IoError(ErrnoMessage("ftruncate", state->path));
-  }
-  return GrowTo(state, pages);
-}
-
 Result<int64_t> DiskManager::SizeInPages(FileId file) const {
   IOLAP_ASSIGN_OR_RETURN(FileState * state, GetFile(file));
   return state->size_pages.load();

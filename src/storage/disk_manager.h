@@ -50,9 +50,8 @@ struct RetryPolicy {
 /// concurrently (positional pread/pwrite on a shared fd; the file table is
 /// guarded by a reader/writer lock and the I/O counters are atomic).
 /// Concurrent writes to the *same* page, and racing appends to the same
-/// file, are the caller's responsibility to serialize — the parallel
-/// execution layer only ever writes from one thread per file (parallel sort
-/// workers write disjoint preallocated page ranges).
+/// file, are the caller's responsibility to serialize — every writer in
+/// the library writes a file from one thread at a time.
 /// `SetFaultInjector` must be called before any concurrent use; injector
 /// invocations themselves are serialized by an internal mutex so stateful
 /// test injectors (countdowns) stay well-defined under concurrency.
@@ -93,12 +92,6 @@ class DiskManager {
   /// pwritev. Same growth rule and counting as WritePages.
   Status WritePagesGather(FileId file, PageId first,
                           const std::byte* const* pages, int64_t n);
-
-  /// Extends `file` with zero pages up to `pages` total (no-op if already
-  /// that large). Not counted as page I/O: it reserves address space so
-  /// concurrent writers can fill disjoint ranges without the dense-growth
-  /// append rule serializing them.
-  Status Preallocate(FileId file, int64_t pages);
 
   /// Number of pages currently in `file`.
   Result<int64_t> SizeInPages(FileId file) const;

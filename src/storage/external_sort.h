@@ -4,17 +4,14 @@
 #include <algorithm>
 #include <concepts>
 #include <cstring>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
-#include "exec/thread_pool.h"
 #include "obs/trace.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
-#include "storage/io_pipeline.h"
 #include "storage/paged_file.h"
 
 namespace iolap {
@@ -32,9 +29,9 @@ concept SorterKeyPrefix = requires(const Less& less, const T& value) {
   { less.KeyPrefix(value) } -> std::convertible_to<uint64_t>;
 };
 
-/// Classic external merge sort over a TypedFile, restricted to
-/// `budget_pages` pages of private working memory per worker: run
-/// generation sorts budget-sized chunks, then (budget-1)-way merge passes
+/// External merge sort over a TypedFile within one budget of
+/// `budget_pages` pages (B, at least 3) of working memory: run generation
+/// sorts B-page chunks one after another, then (B-1)-way merge passes
 /// combine them. For the data-to-memory ratios in the paper's experiments
 /// this is the standard two-pass sort its cost model assumes (read+write
 /// every page twice).
@@ -43,23 +40,19 @@ concept SorterKeyPrefix = requires(const Less& less, const T& value) {
 /// caller's pool pages for the file are flushed and evicted first so both
 /// channels stay coherent. All traffic is counted by the DiskManager.
 ///
-/// I/O pipeline: `IoPipelineOptions` controls how many workers generate
-/// runs concurrently and how many pages move per transfer in run
-/// generation, the merge, and the in-memory fast path. Chunk boundaries are
-/// fixed by input offset and every run's scratch position is preallocated,
-/// so the sorted output — and the page I/O *count* — is identical for
-/// every setting; only wall-clock and syscall counts change. The merge is
-/// a loser tree with a deterministic lower-run-index tie-break, so equal
-/// keys land in the same order under every configuration.
+/// Pages move in multi-page transfers (half the budget in run generation
+/// and the in-memory fast path, budget/(k+1) per input in a k-way merge),
+/// which changes syscall counts but not the page I/O count. Chunks sort on
+/// normalized keys when the comparator has them (see SorterKeyPrefix), and
+/// the merge is a loser tree with a lower-run-index tie-break, so the
+/// output is exactly the stable sort of the input.
 template <typename T>
 class ExternalSorter {
  public:
-  ExternalSorter(DiskManager* disk, BufferPool* pool, int64_t budget_pages,
-                 IoPipelineOptions io = IoPipelineOptions())
+  ExternalSorter(DiskManager* disk, BufferPool* pool, int64_t budget_pages)
       : disk_(disk),
         pool_(pool),
-        budget_pages_(std::max<int64_t>(budget_pages, 3)),
-        io_(io) {}
+        budget_pages_(std::max<int64_t>(budget_pages, 3)) {}
 
   template <typename Less>
   Status Sort(TypedFile<T>* file, Less less) {
@@ -76,7 +69,7 @@ class ExternalSorter {
     if (begin % kRpp != 0) {
       return Status::InvalidArgument("sort range start not page-aligned");
     }
-    if (begin < 0 || end > file->size()) {
+    if (begin < 0 || end < begin || end > file->size()) {
       return Status::OutOfRange("sort range outside file");
     }
     IOLAP_RETURN_IF_ERROR(pool_->EvictFile(file->file_id()));
@@ -91,9 +84,8 @@ class ExternalSorter {
       return SortInMemory(file->file_id(), begin, count, less);
     }
 
-    // Pass 0: run generation. Every run's chunk of input and scratch
-    // position is a pure function of its index, so workers can sort runs
-    // in any order (or in parallel) and produce identical scratch bytes.
+    // Pass 0: run generation. Runs are written one after another, so the
+    // scratch file grows densely.
     struct Run {
       int64_t start_page;  // within the scratch file
       int64_t records;
@@ -107,44 +99,10 @@ class ExternalSorter {
       int64_t next_page = 0;
       for (int64_t offset = 0; offset < count; offset += budget_records) {
         int64_t n = std::min(budget_records, count - offset);
+        IOLAP_RETURN_IF_ERROR(GenerateRun(file->file_id(), begin + offset,
+                                          scratch_a, next_page, n, less));
         runs.push_back(Run{next_page, n});
         next_page += (n + kRpp - 1) / kRpp;
-      }
-      // Reserve the whole scratch extent up front so concurrent workers can
-      // write disjoint page ranges without the dense-growth append rule
-      // serializing them (Preallocate is not counted as page I/O).
-      IOLAP_RETURN_IF_ERROR(disk_->Preallocate(scratch_a, next_page));
-
-      int threads = io_.EffectiveSortThreads();
-      threads = static_cast<int>(
-          std::min<int64_t>(threads, static_cast<int64_t>(runs.size())));
-      if (threads <= 1) {
-        for (size_t i = 0; i < runs.size(); ++i) {
-          IOLAP_RETURN_IF_ERROR(GenerateRun(
-              file->file_id(), begin + static_cast<int64_t>(i) * budget_records,
-              scratch_a, runs[i].start_page, runs[i].records, less));
-        }
-      } else {
-        ThreadPool tp(threads);
-        std::vector<TaskFuture> futures;
-        futures.reserve(runs.size());
-        for (size_t i = 0; i < runs.size(); ++i) {
-          const int64_t in_begin =
-              begin + static_cast<int64_t>(i) * budget_records;
-          const Run run = runs[i];
-          FileId in = file->file_id();
-          futures.push_back(tp.Submit([this, in, in_begin, scratch_a, run,
-                                       less]() {
-            return GenerateRun(in, in_begin, scratch_a, run.start_page,
-                               run.records, less);
-          }));
-        }
-        Status first = Status::Ok();
-        for (TaskFuture& f : futures) {
-          Status s = f.Wait();
-          if (first.ok() && !s.ok()) first = s;
-        }
-        IOLAP_RETURN_IF_ERROR(first);
       }
     }
 
@@ -186,10 +144,8 @@ class ExternalSorter {
   static constexpr int64_t kRpp = TypedFile<T>::kRecordsPerPage;
 
   /// Pages moved per disk transfer outside the merge (run generation and
-  /// the fast path). `merge_block_pages == 1` reproduces the classic
-  /// page-at-a-time pattern; auto (0) uses half the budget per transfer.
+  /// the fast path).
   int64_t IoBlockPages() const {
-    if (io_.merge_block_pages > 0) return io_.merge_block_pages;
     return std::max<int64_t>(1, budget_pages_ / 2);
   }
 
@@ -216,20 +172,13 @@ class ExternalSorter {
   }
 
   /// Every chunk sort in the sorter is *stable* (equal records keep their
-  /// input order). Combined with the merges' lower-run-index tie rule this
-  /// makes the full sorted output one well-defined total order that every
-  /// pipeline setting — classic or overhauled, any thread count — must
-  /// reproduce bit for bit, even for comparators with ties.
+  /// input order). Combined with the merge's lower-run-index tie rule this
+  /// makes the sorted output exactly the stable sort of the input, with or
+  /// without normalized keys, even for comparators with ties.
   struct Keyed {
     uint64_t key;  // normalized key prefix (see SorterKeyPrefix)
     int64_t idx;   // input position, also the final tie-break
   };
-
-  /// Whether run generation takes the normalized-key fast path: requires a
-  /// KeyPrefix comparator and the overhauled pipeline. The classic pipeline
-  /// (`merge_block_pages == 1`, the measurable baseline) keeps sorting
-  /// whole records.
-  bool UseKeyedSort() const { return io_.merge_block_pages != 1; }
 
   /// Stably sorts (prefix, index) pairs into the order `less` defines over
   /// the records behind them: byte-skipping LSD radix on the 8-byte prefix,
@@ -334,13 +283,11 @@ class ExternalSorter {
     IOLAP_RETURN_IF_ERROR(ReadPageRange(file, first_page, npages,
                                         pages.data()));
     if constexpr (SorterKeyPrefix<Less, T>) {
-      if (UseKeyedSort()) {
-        // Gather into a copy of the page images so tail records and slack
-        // bytes stay exactly as the classic path leaves them.
-        std::vector<std::byte> sorted(pages);
-        KeyedSortPages(pages.data(), count, less, sorted.data());
-        return WritePageRange(file, first_page, npages, sorted.data());
-      }
+      // Gather into a copy of the page images so tail records and slack
+      // bytes stay exactly as the generic path leaves them.
+      std::vector<std::byte> sorted(pages);
+      KeyedSortPages(pages.data(), count, less, sorted.data());
+      return WritePageRange(file, first_page, npages, sorted.data());
     }
     std::vector<T> records(count);
     UnpackRecords(pages.data(), count, records.data());
@@ -349,10 +296,10 @@ class ExternalSorter {
     return WritePageRange(file, first_page, npages, pages.data());
   }
 
-  /// Sorts one budget-sized chunk of input into its preallocated scratch
-  /// range. Pure function of its arguments — safe to run on any worker.
-  /// A partial final page is written with a zeroed tail (the scratch file
-  /// is fresh, so there is nothing to preserve and no read-modify-write).
+  /// Sorts one budget-sized chunk of input and appends it to the scratch
+  /// file at `out_page`. A partial final page is written with a zeroed tail
+  /// (the scratch file is fresh, so there is nothing to preserve and no
+  /// read-modify-write).
   template <typename Less>
   Status GenerateRun(FileId in, int64_t in_begin, FileId out,
                      int64_t out_page, int64_t n, Less less) {
@@ -361,14 +308,12 @@ class ExternalSorter {
     std::vector<std::byte> pages(static_cast<size_t>(npages) * kPageSize);
     IOLAP_RETURN_IF_ERROR(ReadPageRange(in, first_page, npages, pages.data()));
     if constexpr (SorterKeyPrefix<Less, T>) {
-      if (UseKeyedSort()) {
-        // Fused keyed sort: keys are built straight from the page images
-        // and the records gathered straight into a fresh (zeroed) paginated
-        // buffer, skipping the unpack/pack copies of the generic path.
-        std::vector<std::byte> sorted(pages.size());  // value-init: slack = 0
-        KeyedSortPages(pages.data(), n, less, sorted.data());
-        return WritePageRange(out, out_page, npages, sorted.data());
-      }
+      // Fused keyed sort: keys are built straight from the page images and
+      // the records gathered straight into a fresh (zeroed) paginated
+      // buffer, skipping the unpack/pack copies of the generic path.
+      std::vector<std::byte> sorted(pages.size());  // value-init: slack = 0
+      KeyedSortPages(pages.data(), n, less, sorted.data());
+      return WritePageRange(out, out_page, npages, sorted.data());
     }
     std::vector<T> records(n);
     UnpackRecords(pages.data(), n, records.data());
@@ -378,28 +323,18 @@ class ExternalSorter {
     return WritePageRange(out, out_page, npages, pages.data());
   }
 
-  /// Merges one group of runs. The pipelined path is a loser tree: each
-  /// run streams through a block buffer of several pages and the merged
-  /// output is flushed a block at a time, so heap churn and per-page
-  /// syscalls are gone while the page I/O count matches the page-at-a-time
-  /// merge exactly. `merge_block_pages == 1` selects the classic
-  /// priority-queue merge (the pre-overhaul baseline). Both paths break
-  /// key ties by run index, so the merged order — and the sorted file's
-  /// bytes — are identical whichever runs.
+  /// Merges one group of runs with a loser tree: each run streams through
+  /// a block buffer of several pages and the merged output is flushed a
+  /// block at a time, so the page I/O count is that of a page-at-a-time
+  /// merge with far fewer syscalls. Key ties go to the lower run index,
+  /// which keeps the merged order stable.
   template <typename Run, typename Less>
   Status MergeRuns(FileId src, FileId out_file, int64_t out_start_page,
                    std::vector<Run> group, Less less, int64_t* merged_out) {
-    if (io_.merge_block_pages == 1) {
-      return MergeRunsClassic(src, out_file, out_start_page, std::move(group),
-                              less, merged_out);
-    }
     const size_t k = group.size();
     // Split the budget across the k inputs plus the output stream.
-    int64_t block = io_.merge_block_pages > 0
-                        ? io_.merge_block_pages
-                        : std::max<int64_t>(
-                              1, budget_pages_ /
-                                     static_cast<int64_t>(k + 1));
+    const int64_t block =
+        std::max<int64_t>(1, budget_pages_ / static_cast<int64_t>(k + 1));
 
     struct RunCursor {
       std::vector<std::byte> buf;
@@ -467,8 +402,8 @@ class ExternalSorter {
 
     // Loser tree over the k runs. Operands are taken lowest index first, so
     // one strict less() per match both picks the winner and sends equal
-    // keys to the lower run index — the deterministic order every pipeline
-    // setting shares. Exhausted runs lose every match.
+    // keys to the lower run index, which keeps the merge stable. Exhausted
+    // runs lose every match.
     auto winner_of = [&](size_t x, size_t y) -> size_t {
       size_t a = std::min(x, y);  // ties go to the lower run index
       size_t b = std::max(x, y);
@@ -565,99 +500,9 @@ class ExternalSorter {
     return Status::Ok();
   }
 
-  /// The pre-overhaul merge: a binary min-heap of (record, run index) with
-  /// one page buffered per run and per-page output writes. Kept as the
-  /// measurable baseline the pipelined merge is benchmarked against; ties
-  /// break by run index exactly like the loser tree.
-  template <typename Run, typename Less>
-  Status MergeRunsClassic(FileId src, FileId out_file, int64_t out_start_page,
-                          std::vector<Run> group, Less less,
-                          int64_t* merged_out) {
-    struct RunCursor {
-      std::unique_ptr<std::byte[]> page;
-      int64_t page_no = 0;    // absolute page in src
-      int64_t slot = 0;       // record slot within page
-      int64_t remaining = 0;  // records left in the run
-    };
-    std::vector<RunCursor> cursors(group.size());
-    for (size_t i = 0; i < group.size(); ++i) {
-      cursors[i].page = std::make_unique<std::byte[]>(kPageSize);
-      cursors[i].page_no = group[i].start_page;
-      cursors[i].remaining = group[i].records;
-      IOLAP_RETURN_IF_ERROR(
-          disk_->ReadPage(src, cursors[i].page_no, cursors[i].page.get()));
-    }
-    auto current = [&](size_t i) {
-      T value;
-      std::memcpy(&value, cursors[i].page.get() + cursors[i].slot * sizeof(T),
-                  sizeof(T));
-      return value;
-    };
-    // Min-heap of (record, run index); equal records pop lowest run first.
-    auto heap_less = [&](const std::pair<T, size_t>& a,
-                         const std::pair<T, size_t>& b) {
-      if (less(b.first, a.first)) return true;  // invert for min-heap
-      if (less(a.first, b.first)) return false;
-      return b.second < a.second;
-    };
-    std::vector<std::pair<T, size_t>> heap;
-    for (size_t i = 0; i < cursors.size(); ++i) {
-      if (cursors[i].remaining > 0) heap.emplace_back(current(i), i);
-    }
-    std::make_heap(heap.begin(), heap.end(), heap_less);
-
-    auto out_page = std::make_unique<std::byte[]>(kPageSize);
-    std::memset(out_page.get(), 0, kPageSize);
-    int64_t out_slot = 0;
-    int64_t out_pg = out_start_page;
-    int64_t total = 0;
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), heap_less);
-      auto [value, run] = heap.back();
-      heap.pop_back();
-      std::memcpy(out_page.get() + out_slot * sizeof(T), &value, sizeof(T));
-      ++total;
-      if (++out_slot == kRpp) {
-        IOLAP_RETURN_IF_ERROR(
-            disk_->WritePage(out_file, out_pg, out_page.get()));
-        std::memset(out_page.get(), 0, kPageSize);
-        out_slot = 0;
-        ++out_pg;
-      }
-      RunCursor& cur = cursors[run];
-      if (--cur.remaining > 0) {
-        if (++cur.slot == kRpp) {
-          cur.slot = 0;
-          ++cur.page_no;
-          IOLAP_RETURN_IF_ERROR(
-              disk_->ReadPage(src, cur.page_no, cur.page.get()));
-        }
-        heap.emplace_back(current(run), run);
-        std::push_heap(heap.begin(), heap.end(), heap_less);
-      }
-    }
-    if (out_slot > 0) {
-      // Partial final page: preserve any pre-existing records in the tail
-      // slots (they belong to data beyond the sorted range).
-      IOLAP_ASSIGN_OR_RETURN(int64_t size, disk_->SizeInPages(out_file));
-      if (out_pg < size) {
-        alignas(16) std::byte existing[kPageSize];
-        IOLAP_RETURN_IF_ERROR(disk_->ReadPage(out_file, out_pg, existing));
-        std::memcpy(out_page.get() + out_slot * sizeof(T),
-                    existing + out_slot * sizeof(T),
-                    (kRpp - out_slot) * sizeof(T));
-      }
-      IOLAP_RETURN_IF_ERROR(
-          disk_->WritePage(out_file, out_pg, out_page.get()));
-    }
-    *merged_out = total;
-    return Status::Ok();
-  }
-
   DiskManager* disk_;
   BufferPool* pool_;
   int64_t budget_pages_;
-  IoPipelineOptions io_;
 };
 
 }  // namespace iolap

@@ -18,7 +18,6 @@
 #include "alloc/allocator.h"
 #include "common/result.h"
 #include "datagen/generator.h"
-#include "storage/io_pipeline.h"
 #include "tests/test_util.h"
 
 namespace iolap {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <tuple>
+#include <ostream>
 #include <vector>
 
 #include "common/result.h"
@@ -78,52 +78,82 @@ TEST_F(ExternalSortTest, InMemoryFastPath) {
   for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i].key, data[i].key);
 }
 
+// KeyLess as a functor with the normalized-key protocol, so the sorter's
+// keyed radix sort and prefix-compared merge run. Duplicate keys make the
+// (stable) tie handling observable through the payload.
+struct KeyedLess {
+  bool operator()(const Rec& a, const Rec& b) const { return a.key < b.key; }
+  uint64_t KeyPrefix(const Rec& a) const {
+    return static_cast<uint64_t>(a.key);
+  }
+};
+
 // Property sweep: sizes that hit the single-chunk fast path, a single merge
-// pass, and multiple merge passes, with budgets down to the minimum.
-class ExternalSortSweep
-    : public ExternalSortTest,
-      public ::testing::WithParamInterface<std::tuple<int, int>> {};
+// pass, and two or more merge passes (at budget 3 the fan-in is 2, so three
+// or more runs need a second pass), with budgets down to the minimum, for
+// both the generic comparator (KeyLess) and the keyed one (KeyedLess). The
+// oracle is std::stable_sort of the input: the sorter promises exactly that
+// record sequence, which implies sortedness, no lost or duplicated records,
+// and the tie order.
+struct SweepParam {
+  int n;
+  int budget_pages;
+  bool keyed;  // KeyedLess instead of KeyLess
+};
+
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "(" << p.n << ", " << p.budget_pages << (p.keyed ? ", keyed)" : ")");
+}
+
+std::vector<SweepParam> SweepParams() {
+  std::vector<SweepParam> params;
+  for (bool keyed : {false, true}) {
+    for (int n : {0, 1, 255, 256, 257, 1000, 2304, 2305, 5000, 20000}) {
+      for (int budget_pages : {3, 4, 8}) {
+        params.push_back(SweepParam{n, budget_pages, keyed});
+      }
+    }
+  }
+  return params;
+}
+
+class ExternalSortSweep : public ExternalSortTest,
+                          public ::testing::WithParamInterface<SweepParam> {};
 
 TEST_P(ExternalSortSweep, SortsAndPreservesMultiset) {
-  auto [n, budget_pages] = GetParam();
+  auto [n, budget_pages, keyed] = GetParam();
   Rng rng(static_cast<uint64_t>(n) * 1000003 +
           static_cast<uint64_t>(budget_pages));
   std::vector<Rec> data;
   data.reserve(n);
   for (int i = 0; i < n; ++i) {
-    // Small key space forces duplicates; payload detects record loss.
+    // Small key space forces duplicates; payload records input order.
     data.push_back(Rec{static_cast<int64_t>(rng.Uniform(97)), i});
   }
   TypedFile<Rec> file = MakeFile(data);
   ExternalSorter<Rec> sorter(&disk_, &pool_, budget_pages);
-  IOLAP_ASSERT_OK(sorter.Sort(&file, KeyLess));
-  auto got = ReadAll(file);
-  ASSERT_EQ(got.size(), data.size());
-  for (size_t i = 1; i < got.size(); ++i) {
-    EXPECT_LE(got[i - 1].key, got[i].key) << "disorder at " << i;
+  if (keyed) {
+    IOLAP_ASSERT_OK(sorter.Sort(&file, KeyedLess{}));
+  } else {
+    IOLAP_ASSERT_OK(sorter.Sort(&file, KeyLess));
   }
-  // Multiset equality via payload sort.
-  auto full_less = [](const Rec& a, const Rec& b) {
-    return std::tie(a.key, a.payload) < std::tie(b.key, b.payload);
-  };
-  std::vector<Rec> expect = data;
-  std::sort(expect.begin(), expect.end(), full_less);
-  std::sort(got.begin(), got.end(), full_less);
+  auto got = ReadAll(file);
+  std::stable_sort(data.begin(), data.end(), KeyLess);
+  ASSERT_EQ(got.size(), data.size());
   for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].key, expect[i].key);
-    EXPECT_EQ(got[i].payload, expect[i].payload);
+    ASSERT_EQ(got[i].key, data[i].key) << "at " << i;
+    ASSERT_EQ(got[i].payload, data[i].payload) << "at " << i;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SizesAndBudgets, ExternalSortSweep,
-    ::testing::Combine(
-        ::testing::Values(0, 1, 255, 256, 257, 1000, 5000, 20000),
-        ::testing::Values(3, 4, 8)),
-    [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_b" +
-             std::to_string(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(SizesAndBudgets, ExternalSortSweep,
+                         ::testing::ValuesIn(SweepParams()),
+                         [](const auto& info) {
+                           const SweepParam& p = info.param;
+                           return "n" + std::to_string(p.n) + "_b" +
+                                  std::to_string(p.budget_pages) +
+                                  (p.keyed ? "_keyed" : "");
+                         });
 
 TEST_F(ExternalSortTest, TwoPassIoBudget) {
   // With n pages of data and a budget small enough to force exactly one
@@ -175,16 +205,6 @@ TEST_F(ExternalSortTest, AlreadySortedStaysStable) {
     EXPECT_EQ(got[i].key, static_cast<int64_t>(i));
   }
 }
-
-// KeyLess as a functor with the normalized-key protocol, so the sorter's
-// keyed radix path runs. Duplicate keys make the (stable) tie handling
-// observable through the payload.
-struct KeyedLess {
-  bool operator()(const Rec& a, const Rec& b) const { return a.key < b.key; }
-  uint64_t KeyPrefix(const Rec& a) const {
-    return static_cast<uint64_t>(a.key);
-  }
-};
 
 std::vector<Rec> MakeRandomRecords(uint64_t seed, int n, int64_t key_space) {
   Rng rng(seed);
@@ -262,45 +282,21 @@ TEST_F(ExternalSortTest, RangeEndingMidPagePreservesNeighbours) {
   }
 }
 
-// Serial vs. fully pipelined sorts of the same input must leave the file
-// byte-identical — including page slack and stable tie order — for every
-// seed. This is the storage-level half of the pipeline contract (the
-// allocation-level half lives in io_pipeline_equivalence_test).
-class ExternalSortPipelineSeeds : public ExternalSortTest,
-                                  public ::testing::WithParamInterface<int> {
- protected:
-  std::vector<std::byte> SortAndDump(const IoPipelineOptions& io) {
-    // Many duplicate keys (key space 13) so the stable total order is
-    // genuinely exercised.
-    std::vector<Rec> data = MakeRandomRecords(GetParam(), 7000, 13);
-    TypedFile<Rec> file = MakeFile(data);
-    ExternalSorter<Rec> sorter(&disk_, &pool_, 4, io);
-    EXPECT_TRUE(sorter.Sort(&file, KeyedLess{}).ok());
-    std::vector<std::byte> bytes(
-        static_cast<size_t>(file.size_in_pages()) * kPageSize);
-    for (int64_t p = 0; p < file.size_in_pages(); ++p) {
-      EXPECT_TRUE(
-          disk_.ReadPage(file.file_id(), p, bytes.data() + p * kPageSize)
-              .ok());
-    }
-    return bytes;
+TEST_F(ExternalSortTest, RangeEndingBeforeBeginIsOutOfRange) {
+  const int64_t rpp = TypedFile<Rec>::kRecordsPerPage;
+  std::vector<Rec> data = MakeRandomRecords(23, static_cast<int>(2 * rpp), 50);
+  TypedFile<Rec> file = MakeFile(data);
+  ExternalSorter<Rec> sorter(&disk_, &pool_, 3);
+  EXPECT_EQ(sorter.SortRange(&file, rpp, rpp - 1, KeyLess).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(sorter.SortRange(&file, 0, -5, KeyedLess{}).code(),
+            StatusCode::kOutOfRange);
+  auto got = ReadAll(file);
+  ASSERT_EQ(got.size(), data.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].payload, data[i].payload) << "file changed at " << i;
   }
-};
-
-TEST_P(ExternalSortPipelineSeeds, SerialAndParallelAreByteIdentical) {
-  std::vector<std::byte> serial = SortAndDump(IoPipelineOptions::Serial());
-  IoPipelineOptions pipelined;
-  pipelined.sort_threads = 4;
-  std::vector<std::byte> piped = SortAndDump(pipelined);
-  ASSERT_EQ(serial.size(), piped.size());
-  EXPECT_EQ(std::memcmp(serial.data(), piped.data(), serial.size()), 0);
 }
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ExternalSortPipelineSeeds,
-                         ::testing::Values(31, 32, 33),
-                         [](const auto& info) {
-                           return "s" + std::to_string(info.param);
-                         });
 
 }  // namespace
 }  // namespace iolap

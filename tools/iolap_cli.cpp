@@ -10,14 +10,9 @@
 //   iolap_cli allocate --schema=s.csv --facts=f.csv --out=edb.csv
 //       [--policy=count|measure|uniform] [--algorithm=transitive|block|
 //        independent|basic] [--epsilon=0.005] [--buffer-pages=4096]
-//       [--serial-io=1] [--sort-threads=N] [--merge-block-pages=N]
-//       [--batched-writeback=0|1]
 //       [--checkpoint-dir=ckpt/] [--checkpoint-every=N] [--resume=1]
 //       [--io-retries=N] [--io-retry-backoff-us=100]
-//       Builds the Extended Database and writes it as CSV. The I/O
-//       pipeline flags tune the storage layer (--serial-io=1 selects the
-//       fully serial baseline; individual flags override it); every
-//       setting produces a byte-identical EDB.
+//       Builds the Extended Database and writes it as CSV.
 //       --checkpoint-dir persists restartable state there at iteration /
 //       component boundaries (every N boundaries with --checkpoint-every);
 //       --resume=1 continues a killed run from its newest valid checkpoint.
@@ -117,18 +112,6 @@ void ApplyRetryPolicy(const Flags& flags, StorageEnv* env) {
   env->disk().SetRetryPolicy(policy);
 }
 
-IoPipelineOptions ParsePipeline(const Flags& flags) {
-  IoPipelineOptions io;
-  if (flags.GetInt("serial-io", 0) != 0) io = IoPipelineOptions::Serial();
-  io.sort_threads =
-      static_cast<int>(flags.GetInt("sort-threads", io.sort_threads));
-  io.merge_block_pages = static_cast<int>(
-      flags.GetInt("merge-block-pages", io.merge_block_pages));
-  io.batched_writeback =
-      flags.GetInt("batched-writeback", io.batched_writeback ? 1 : 0) != 0;
-  return io;
-}
-
 int CmdSample(const Flags& flags) {
   std::string dir = flags.GetString("dir", ".");
   {
@@ -197,7 +180,6 @@ int CmdAllocate(const Flags& flags) {
   options.algorithm =
       ParseAlgorithm(flags.GetString("algorithm", "transitive"));
   options.epsilon = flags.GetDouble("epsilon", 0.005);
-  options.io = ParsePipeline(flags);
   options.checkpoint.directory = flags.GetString("checkpoint-dir", "");
   options.checkpoint.every =
       static_cast<int>(flags.GetInt("checkpoint-every", 1));
@@ -234,7 +216,6 @@ int CmdQuery(const Flags& flags) {
       Unwrap(LoadFactsCsv(env, schema, flags.GetString("facts", "")));
   AllocationOptions options;
   options.policy = ParsePolicy(flags.GetString("policy", "count"));
-  options.io = ParsePipeline(flags);
   AllocationResult result =
       Unwrap(Allocator::Run(env, schema, &facts, options));
 
