@@ -1,18 +1,25 @@
 // Extension experiment: columnar compressed EDB extents (src/storage/extent,
 // src/edb/columnar).
 //
-// Measures what the column-major mirror buys an aggregate scan: cold-cache
-// data pages read (IoStats::page_reads) for the same probe set on (a) the
-// row-major EDB file and (b) the columnar mirror with projection — only
-// weight, measure, and the constrained/group leaf columns are decoded. The
-// buffer pool is evicted before every scan so each page read hits the disk
-// counter exactly once, and every columnar answer is compared against the
-// row-path answer (identical summation order, so they must agree bit for
-// bit; `answers_match` uses the 1e-9 contract and lands in the JSON).
+// Measures what the column-major mirror buys the serve layer's group-by
+// scan (GroupByEngine, the path QueryService runs) on the same probe set,
+// reading (a) the row-major EDB file and (b) the columnar mirror with
+// projection — only weight, measure, and the constrained/group leaf
+// columns are decoded. Two phases bracket QueryService's scan-format rule
+// (build the mirror only when the EDB outgrows the pool):
+//  * cold — the buffer pool is evicted before every probe, so each page
+//    read hits the disk counter exactly once (the EDB-outgrows-the-pool
+//    side);
+//  * hot — one warming pass, then every probe reads pool-resident pages
+//    (the pool-holds-the-EDB side), timed over kHotRounds passes.
+// Every columnar answer is compared against the row-path answer (identical
+// summation order, so they must agree bit for bit; `answers_match` uses
+// the 1e-9 contract and lands in the JSON).
 //
-// Headline number: columnar/row data-page ratio on aggregate scans
+// Headline number: cold columnar/row data-page ratio on aggregate scans
 // (target: <= 0.6x, asserted by CI from BENCH_columnar.json).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -21,6 +28,7 @@
 #include "edb/columnar.h"
 #include "edb/maintenance.h"
 #include "edb/query.h"
+#include "serve/groupby.h"
 
 using namespace iolap;
 
@@ -30,6 +38,9 @@ struct Probe {
   QueryRegion region;
   int rollup_dim = -1;  // -1 = point aggregate, else RollUp at level 1
 };
+
+/// Timed passes of the hot phase: enough to smooth one pass's jitter.
+constexpr int64_t kHotRounds = 5;
 
 }  // namespace
 
@@ -82,65 +93,80 @@ int main(int argc, char** argv) {
       static_cast<long long>(row_file_pages),
       static_cast<long long>(col_file_pages), convert_ms);
 
-  QueryEngine row_engine(&env, &schema, &edb);
-  QueryEngine col_engine(&env, &schema, &edb);
-  col_engine.set_columnar(&columnar);
-
-  // Every probe scans cold: evict both files so IoStats::page_reads counts
-  // exactly the data pages the scan demands.
+  // One inline engine (no pool) over the whole EDB; the mirror argument
+  // picks the format, exactly as QueryService passes it.
+  GroupByEngine engine(&env, &schema, &edb, /*pool=*/nullptr,
+                       GroupByOptions{});
+  const std::vector<RowRange> all_rows = {RowRange{0, edb.size()}};
   const auto evict = [&] {
     (void)env.pool().EvictFile(edb.file_id());
     (void)env.pool().EvictFile(columnar.file_id());
   };
-  const auto run = [&](QueryEngine& engine, const Probe& p,
+  const auto run = [&](const ColumnarEdb* mirror, const Probe& p,
                        std::vector<double>* values) -> Status {
     if (p.rollup_dim < 0) {
-      IOLAP_ASSIGN_OR_RETURN(AggregateResult r,
-                             engine.Aggregate(p.region, AggregateFunc::kSum));
+      IOLAP_ASSIGN_OR_RETURN(
+          AggregateResult r,
+          engine.Aggregate(all_rows, p.region, AggregateFunc::kSum, nullptr,
+                           mirror));
       values->push_back(r.value);
       return Status::Ok();
     }
     IOLAP_ASSIGN_OR_RETURN(
-        auto groups,
-        engine.RollUp(p.region, p.rollup_dim, 1, AggregateFunc::kSum));
+        auto groups, engine.RollUp(all_rows, p.region, p.rollup_dim, 1,
+                                   AggregateFunc::kSum, nullptr, mirror));
     for (const AggregateResult& g : groups) values->push_back(g.value);
     return Status::Ok();
   };
-
-  std::vector<double> row_values;
-  evict();
-  const int64_t row_reads0 = env.disk().stats().page_reads;
-  Stopwatch row_watch;
-  for (const Probe& p : probes) {
+  struct Phase {
+    int64_t reads = 0;
+    double cold_us = 0;
+    double hot_us = 0;
+    std::vector<double> cold_values;
+    std::vector<double> hot_values;
+  };
+  const auto measure = [&](const ColumnarEdb* mirror) {
+    Phase ph;
+    // Cold: evict both files before every probe so IoStats::page_reads
+    // counts exactly the data pages each scan demands.
     evict();
-    DieOnError(run(row_engine, p, &row_values));
-  }
-  const double row_us =
-      row_watch.ElapsedSeconds() * 1e6 / static_cast<double>(num_probes);
-  const int64_t row_reads = env.disk().stats().page_reads - row_reads0;
-
-  std::vector<double> col_values;
-  evict();
-  const int64_t col_reads0 = env.disk().stats().page_reads;
-  Stopwatch col_watch;
-  for (const Probe& p : probes) {
-    evict();
-    DieOnError(run(col_engine, p, &col_values));
-  }
-  const double col_us =
-      col_watch.ElapsedSeconds() * 1e6 / static_cast<double>(num_probes);
-  const int64_t col_reads = env.disk().stats().page_reads - col_reads0;
-
-  bool answers_match = row_values.size() == col_values.size();
-  if (answers_match) {
-    for (size_t i = 0; i < row_values.size(); ++i) {
-      const double tol = 1e-9 * std::max(1.0, std::abs(row_values[i]));
-      if (!(std::abs(row_values[i] - col_values[i]) <= tol)) {
-        answers_match = false;
-        break;
-      }
+    const int64_t reads0 = env.disk().stats().page_reads;
+    Stopwatch cold_watch;
+    for (const Probe& p : probes) {
+      evict();
+      DieOnError(run(mirror, p, &ph.cold_values));
     }
-  }
+    ph.cold_us =
+        cold_watch.ElapsedSeconds() * 1e6 / static_cast<double>(num_probes);
+    ph.reads = env.disk().stats().page_reads - reads0;
+    // Hot: one untimed warming pass, then no eviction at all.
+    for (const Probe& p : probes) DieOnError(run(mirror, p, &ph.hot_values));
+    Stopwatch hot_watch;
+    for (int64_t round = 0; round < kHotRounds; ++round) {
+      ph.hot_values.clear();
+      for (const Probe& p : probes) DieOnError(run(mirror, p, &ph.hot_values));
+    }
+    ph.hot_us = hot_watch.ElapsedSeconds() * 1e6 /
+                static_cast<double>(num_probes * kHotRounds);
+    return ph;
+  };
+  const Phase row = measure(nullptr);
+  const Phase col = measure(&columnar);
+  const int64_t row_reads = row.reads;
+  const int64_t col_reads = col.reads;
+
+  const auto same = [](const std::vector<double>& a,
+                       const std::vector<double>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      const double tol = 1e-9 * std::max(1.0, std::abs(a[i]));
+      if (!(std::abs(a[i] - b[i]) <= tol)) return false;
+    }
+    return true;
+  };
+  const bool answers_match = same(row.cold_values, col.cold_values) &&
+                             same(row.cold_values, row.hot_values) &&
+                             same(row.cold_values, col.hot_values);
 
   const double page_ratio =
       row_reads > 0 ? static_cast<double>(col_reads) /
@@ -150,15 +176,17 @@ int main(int argc, char** argv) {
       row_file_pages > 0 ? static_cast<double>(col_file_pages) /
                                static_cast<double>(row_file_pages)
                          : 0;
-  std::printf("%-14s %14s %12s\n", "phase", "data_pages", "avg_us");
-  std::printf("%-14s %14lld %12.2f\n", "row_scan",
-              static_cast<long long>(row_reads), row_us);
-  std::printf("%-14s %14lld %12.2f\n", "columnar_scan",
-              static_cast<long long>(col_reads), col_us);
+  std::printf("%-14s %14s %12s %12s\n", "phase", "data_pages", "avg_us",
+              "hot_avg_us");
+  std::printf("%-14s %14lld %12.2f %12.2f\n", "row_scan",
+              static_cast<long long>(row_reads), row.cold_us, row.hot_us);
+  std::printf("%-14s %14lld %12.2f %12.2f\n", "columnar_scan",
+              static_cast<long long>(col_reads), col.cold_us, col.hot_us);
   std::printf(
       "columnar/row data pages: %.3fx (target <= 0.6x); file size %.3fx; "
-      "answers_match=%s\n",
-      page_ratio, file_ratio, answers_match ? "true" : "false");
+      "time cold %.2fx, hot %.2fx; answers_match=%s\n",
+      page_ratio, file_ratio, col.cold_us / row.cold_us,
+      col.hot_us / row.hot_us, answers_match ? "true" : "false");
 
   json.BeginObject();
   json.Field("phase", "row_scan");
@@ -166,7 +194,8 @@ int main(int argc, char** argv) {
   json.Field("queries", num_probes);
   json.Field("data_pages", row_reads);
   json.Field("file_pages", row_file_pages);
-  json.Field("avg_us", row_us);
+  json.Field("avg_us", row.cold_us);
+  json.Field("hot_avg_us", row.hot_us);
   json.Field("answers_match", answers_match);
   json.EndObject();
   json.BeginObject();
@@ -175,6 +204,8 @@ int main(int argc, char** argv) {
   json.Field("queries", num_probes);
   json.Field("data_pages", col_reads);
   json.Field("file_pages", col_file_pages);
+  json.Field("avg_us", col.cold_us);
+  json.Field("hot_avg_us", col.hot_us);
   json.Field("convert_ms", convert_ms);
   json.Field("rows_per_extent", rows_per_extent);
   json.Field("page_ratio_vs_row", page_ratio);

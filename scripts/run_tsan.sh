@@ -8,9 +8,11 @@
 # generation-versioned aggregate cache and the hierarchical aggregate index
 # tier, plus the sharded serve path: per-shard snapshot locks, the parallel
 # group-by engine, and the multi-shard torture/determinism cases in
-# serve_concurrent_test). Allocation, the external sorter included, starts
-# no thread, so its suites are not run here. Zero reported races is a
-# release gate for the parallel execution and serving subsystems.
+# serve_concurrent_test, and client threads scanning one columnar mirror
+# through a worker pool in columnar_serve_test). Allocation, the external
+# sorter included, starts no thread, so its suites are not run here. Zero
+# reported races is a release gate for the parallel execution and serving
+# subsystems.
 #
 #   scripts/run_tsan.sh [extra ctest args...]
 
@@ -21,10 +23,11 @@ BUILD=build-tsan
 cmake -B "$BUILD" -G Ninja -DIOLAP_SANITIZE=thread
 cmake --build "$BUILD" --target \
   buffer_pool_test disk_manager_test thread_pool_test \
-  obs_test serve_test serve_concurrent_test aggidx_test aggidx_concurrent_test
+  obs_test serve_test serve_concurrent_test columnar_serve_test aggidx_test \
+  aggidx_concurrent_test
 
 export TSAN_OPTIONS="halt_on_error=0:exitcode=66:${TSAN_OPTIONS:-}"
 ctest --test-dir "$BUILD" --output-on-failure \
-  -R 'BufferPool|DiskManager|ThreadPool|ParallelScheduler|Metrics|Trace|Obs|ScopedObservability|JsonUtil|Serve|SelectiveInvalidation|AggIdx|AggIndex' \
+  -R 'BufferPool|DiskManager|ThreadPool|ParallelScheduler|Metrics|Trace|Obs|ScopedObservability|JsonUtil|Serve|ColumnarServe|SelectiveInvalidation|AggIdx|AggIndex' \
   "$@"
 echo "TSan run clean."

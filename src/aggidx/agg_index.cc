@@ -6,7 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "edb/columnar.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -78,12 +77,6 @@ Status AggIndex::EnsureBuiltLocked() const {
   return Status::Unavailable("aggregate index unbuilt or stale");
 }
 
-void AggIndex::set_columnar_provider(
-    std::function<std::shared_ptr<const ColumnarEdb>()> provider) {
-  std::lock_guard<std::mutex> lock(mu_);
-  columnar_provider_ = std::move(provider);
-}
-
 Status AggIndex::RebuildIfStale() {
   std::lock_guard<std::mutex> lock(mu_);
   if (built_ && !stale_) return Status::Ok();
@@ -118,41 +111,22 @@ Status AggIndex::BuildLocked(bool is_refresh) {
   // ordered. Memory is O(|occupied cells|) — the same bound the
   // maintenance directory already carries.
   std::map<LeafKey, Partials> cells;
-  const auto fold = [&](double weight, double measure, const int32_t* leaf) {
+  auto cursor = edb_->Scan(env_->pool());
+  EdbRecord rec;
+  while (!cursor.done()) {
+    IOLAP_RETURN_IF_ERROR(cursor.Next(&rec));
+    if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
     LeafKey key{};
-    std::memcpy(key.data(), leaf, sizeof(int32_t) * kMaxDims);
+    std::memcpy(key.data(), rec.leaf, sizeof(int32_t) * kMaxDims);
     auto [it, inserted] = cells.try_emplace(key);
     if (inserted) {
       it->second.min = kInf;
       it->second.max = -kInf;
     }
-    it->second.sum += weight * measure;
-    it->second.count += weight;
-    it->second.min = std::min(it->second.min, measure);
-    it->second.max = std::max(it->second.max, measure);
-  };
-  // Prefer the columnar mirror when it covers exactly the current rows:
-  // the build needs measure + weight + every leaf column but never
-  // fact_id, and the compressed extents cost fewer pages besides.
-  std::shared_ptr<const ColumnarEdb> mirror;
-  if (columnar_provider_) mirror = columnar_provider_();
-  if (mirror != nullptr && mirror->num_rows() == edb_->size()) {
-    EdbProjection proj;
-    proj.measure = proj.weight = true;
-    for (int d = 0; d < schema_->num_dims(); ++d) proj.leaf[d] = true;
-    IOLAP_RETURN_IF_ERROR(mirror->ScanRows(
-        env_->pool(), 0, -1, proj, [&](const ColumnarEdb::Row& row) {
-          if (ColumnarEdb::IsTombstone(row.weight)) return;
-          fold(row.weight, row.measure, row.leaf);
-        }));
-  } else {
-    auto cursor = edb_->Scan(env_->pool());
-    EdbRecord rec;
-    while (!cursor.done()) {
-      IOLAP_RETURN_IF_ERROR(cursor.Next(&rec));
-      if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
-      fold(rec.weight, rec.measure, rec.leaf);
-    }
+    it->second.sum += rec.weight * rec.measure;
+    it->second.count += rec.weight;
+    it->second.min = std::min(it->second.min, rec.measure);
+    it->second.max = std::max(it->second.max, rec.measure);
   }
 
   // Bottom-up bulk load, pages 100% packed: the tree is static between

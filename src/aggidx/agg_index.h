@@ -3,9 +3,7 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <type_traits>
 #include <vector>
@@ -20,8 +18,6 @@
 #include "storage/storage_env.h"
 
 namespace iolap {
-
-class ColumnarEdb;
 
 // ---------------------------------------------------------------------------
 // On-disk node layout (see docs/FORMAT.md). One node per 4 KiB page: a
@@ -147,16 +143,6 @@ class AggIndex : public EdbChangeListener {
   /// partially applied batch); queries refuse until RebuildIfStale.
   void Invalidate();
 
-  /// Optional columnar scan source for (re)builds. The provider is called
-  /// at the start of every build; when it returns a mirror covering
-  /// exactly the EDB's current rows, the build scans the mirror instead of
-  /// the row file, decoding only measure + weight + leaf columns (never
-  /// fact_id). A null / short / long mirror falls back to the row scan.
-  /// The provider must be cheap and thread-safe; it runs under the index
-  /// mutex and must not call back into this index or the serve layer.
-  void set_columnar_provider(
-      std::function<std::shared_ptr<const ColumnarEdb>()> provider);
-
   /// Rebuilds now if the index is unbuilt or stale; a no-op otherwise.
   /// Call only where no writer can be concurrent (init, or post-commit
   /// under the mutation lock) — the pass scans the whole EDB. Min/max
@@ -212,7 +198,6 @@ class AggIndex : public EdbChangeListener {
   int64_t num_pages_ = 0;  // node pages written by the last build
   bool built_ = false;
   bool stale_ = false;  // full rebuild required before any answer
-  std::function<std::shared_ptr<const ColumnarEdb>()> columnar_provider_;
   std::map<LeafKey, Partials> overlay_;  // cells added after the build
   std::map<LeafKey, CellDelta> pending_;  // in-flight batch deltas
   Stats stats_;

@@ -80,9 +80,14 @@ Result<ColumnarEdb> ColumnarEdb::Open(StorageEnv& env, FileId file) {
     return Status::InvalidArgument("columnar EDB: unsupported version " +
                                    std::to_string(foot.version));
   }
+  // On-disk integers are untrusted: bound each one by the real file size
+  // before any arithmetic, so no sum or product below can overflow. Every
+  // extent occupies at least two pages, so num_extents <= pages.
   if (foot.num_dims < 1 || foot.num_dims > kMaxDims || foot.num_extents < 0 ||
-      foot.total_rows < 0 || foot.directory_first_page < 0 ||
-      foot.directory_first_page + foot.directory_pages >= pages ||
+      foot.num_extents > pages || foot.total_rows < 0 ||
+      foot.directory_first_page < 0 || foot.directory_first_page >= pages ||
+      foot.directory_pages < 0 ||
+      foot.directory_pages >= pages - foot.directory_first_page ||
       foot.directory_pages != PagesForBytes(foot.num_extents *
                                             static_cast<int64_t>(
                                                 sizeof(ExtentDirEntry)))) {
@@ -105,11 +110,16 @@ Result<ColumnarEdb> ColumnarEdb::Open(StorageEnv& env, FileId file) {
                 static_cast<size_t>(batch) * sizeof(ExtentDirEntry));
     remaining -= batch;
   }
+  // expect_row <= total_rows throughout, so the running sum cannot
+  // overflow; an extent must hold its measure and weight columns (8 bytes
+  // a row each) in the pages before its footer.
   int64_t expect_row = 0;
   for (const ExtentDirEntry& ext : out.dir_) {
     if (ext.first_row != expect_row || ext.row_count <= 0 ||
-        ext.first_page < 0 || ext.num_pages < 2 ||
-        ext.first_page + ext.num_pages > foot.directory_first_page) {
+        ext.row_count > foot.total_rows - expect_row || ext.first_page < 0 ||
+        ext.first_page >= foot.directory_first_page || ext.num_pages < 2 ||
+        ext.num_pages > foot.directory_first_page - ext.first_page ||
+        ext.row_count > (ext.num_pages - 1) * (kPS / 16)) {
       return Status::InvalidArgument("columnar EDB: corrupt extent directory");
     }
     expect_row += ext.row_count;
@@ -151,6 +161,18 @@ Status ColumnarEdb::LoadExtent(BufferPool& pool, const ExtentDirEntry& ext,
   if (foot.magic != kExtentMagic || foot.row_count != ext.row_count ||
       foot.num_cols != kEdbColLeaf0 + num_dims_) {
     return Status::InvalidArgument("columnar EDB: corrupt extent footer");
+  }
+  // Every column's pages must lie inside the extent, before its footer
+  // page, and match its stream length — bounded before the arithmetic.
+  const int64_t col_pages = ext.num_pages - 1;
+  for (int c = 0; c < foot.num_cols; ++c) {
+    const ColumnDesc& col = foot.cols[c];
+    if (col.first_page < 0 || col.first_page > col_pages ||
+        col.num_pages < 0 || col.num_pages > col_pages - col.first_page ||
+        col.byte_length < 0 || col.byte_length > col.num_pages * kPS ||
+        col.num_pages != PagesForBytes(col.byte_length)) {
+      return Status::InvalidArgument("columnar EDB: corrupt column descriptor");
+    }
   }
   const int64_t lr0 = row_begin - ext.first_row;
   const int64_t lr1 = row_end - ext.first_row;

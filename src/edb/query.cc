@@ -1,60 +1,14 @@
 #include "edb/query.h"
 
-#include <cstring>
 #include <vector>
 
-#include "edb/columnar.h"
-
 namespace iolap {
-
-namespace {
-
-/// Containment filter restricted to the dimensions the region actually
-/// constrains — the exact complement of the leaf columns a columnar scan
-/// can skip. Equivalent to RegionContainsLeaf when every leaf is present.
-struct ConstrainedFilter {
-  ConstrainedFilter(const StarSchema& schema, const QueryRegion& region)
-      : schema_(&schema), region_(&region) {
-    for (int d = 0; d < schema.num_dims(); ++d) {
-      filter_[d] = RegionConstrainsDim(schema, region, d);
-    }
-  }
-
-  bool Contains(const int32_t* leaf) const {
-    for (int d = 0; d < schema_->num_dims(); ++d) {
-      if (filter_[d] &&
-          !schema_->dim(d).Covers(region_->node[d], leaf[d])) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  const StarSchema* schema_;
-  const QueryRegion* region_;
-  bool filter_[kMaxDims] = {};
-};
-
-}  // namespace
 
 Result<AggregateResult> QueryEngine::Aggregate(
     const QueryRegion& region, AggregateFunc func,
     ImpreciseSemantics semantics) const {
   AggregateResult out;
   if (semantics == ImpreciseSemantics::kAllocationWeighted) {
-    if (columnar_ != nullptr) {
-      const ConstrainedFilter filter(*schema_, region);
-      IOLAP_RETURN_IF_ERROR(columnar_->ScanRows(
-          env_->pool(), 0, -1,
-          AggregateScanProjection(*schema_, region, /*group_dim=*/-1),
-          [&](const ColumnarEdb::Row& row) {
-            if (ColumnarEdb::IsTombstone(row.weight)) return;
-            if (!filter.Contains(row.leaf)) return;
-            AccumulateAggregate(&out, row.weight, row.measure);
-          }));
-      FinalizeAggregate(&out, func);
-      return out;
-    }
     auto cursor = edb_->Scan(env_->pool());
     EdbRecord rec;
     while (!cursor.done()) {
@@ -112,27 +66,14 @@ Result<std::vector<AggregateResult>> QueryEngine::RollUp(
     return Status::InvalidArgument("rollup level out of range");
   }
   std::vector<AggregateResult> groups(h.num_nodes_at_level(level));
-  if (columnar_ != nullptr) {
-    const ConstrainedFilter filter(*schema_, region);
-    IOLAP_RETURN_IF_ERROR(columnar_->ScanRows(
-        env_->pool(), 0, -1, AggregateScanProjection(*schema_, region, dim),
-        [&](const ColumnarEdb::Row& row) {
-          if (ColumnarEdb::IsTombstone(row.weight)) return;
-          if (!filter.Contains(row.leaf)) return;
-          AccumulateAggregate(&groups[h.LeafAncestorOrdinal(row.leaf[dim],
-                                                            level)],
-                              row.weight, row.measure);
-        }));
-  } else {
-    auto cursor = edb_->Scan(env_->pool());
-    EdbRecord rec;
-    while (!cursor.done()) {
-      IOLAP_RETURN_IF_ERROR(cursor.Next(&rec));
-      if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
-      if (!RegionContainsLeaf(*schema_, region, rec.leaf)) continue;
-      AggregateResult& g = groups[h.LeafAncestorOrdinal(rec.leaf[dim], level)];
-      AccumulateAggregate(&g, rec.weight, rec.measure);
-    }
+  auto cursor = edb_->Scan(env_->pool());
+  EdbRecord rec;
+  while (!cursor.done()) {
+    IOLAP_RETURN_IF_ERROR(cursor.Next(&rec));
+    if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
+    if (!RegionContainsLeaf(*schema_, region, rec.leaf)) continue;
+    AggregateResult& g = groups[h.LeafAncestorOrdinal(rec.leaf[dim], level)];
+    AccumulateAggregate(&g, rec.weight, rec.measure);
   }
   for (AggregateResult& g : groups) FinalizeAggregate(&g, func);
   return groups;
@@ -141,23 +82,6 @@ Result<std::vector<AggregateResult>> QueryEngine::RollUp(
 Result<std::vector<EdbRecord>> QueryEngine::FactsIn(
     const QueryRegion& region) const {
   std::vector<EdbRecord> out;
-  if (columnar_ != nullptr) {
-    // Provenance returns whole records, so every column is projected; the
-    // savings here come from compression, not projection.
-    IOLAP_RETURN_IF_ERROR(columnar_->ScanRows(
-        env_->pool(), 0, -1, EdbProjection::All(schema_->num_dims()),
-        [&](const ColumnarEdb::Row& row) {
-          if (ColumnarEdb::IsTombstone(row.weight)) return;
-          if (!RegionContainsLeaf(*schema_, region, row.leaf)) return;
-          EdbRecord rec{};
-          rec.fact_id = row.fact_id;
-          rec.measure = row.measure;
-          rec.weight = row.weight;
-          std::memcpy(rec.leaf, row.leaf, sizeof(rec.leaf));
-          out.push_back(rec);
-        }));
-    return out;
-  }
   auto cursor = edb_->Scan(env_->pool());
   EdbRecord rec;
   while (!cursor.done()) {
@@ -176,21 +100,6 @@ Result<std::vector<EdbRecord>> QueryEngine::CompletionsOf(
     return Status::InvalidArgument("CompletionsOf: fact_id must be >= 0");
   }
   std::vector<EdbRecord> out;
-  if (columnar_ != nullptr) {
-    IOLAP_RETURN_IF_ERROR(columnar_->ScanRows(
-        env_->pool(), 0, -1, EdbProjection::All(schema_->num_dims()),
-        [&](const ColumnarEdb::Row& row) {
-          if (ColumnarEdb::IsTombstone(row.weight)) return;
-          if (row.fact_id != fact_id) return;
-          EdbRecord rec{};
-          rec.fact_id = row.fact_id;
-          rec.measure = row.measure;
-          rec.weight = row.weight;
-          std::memcpy(rec.leaf, row.leaf, sizeof(rec.leaf));
-          out.push_back(rec);
-        }));
-    return out;
-  }
   auto cursor = edb_->Scan(env_->pool());
   EdbRecord rec;
   while (!cursor.done()) {

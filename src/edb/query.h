@@ -14,8 +14,6 @@
 
 namespace iolap {
 
-class ColumnarEdb;
-
 enum class AggregateFunc { kSum, kCount, kAverage, kMin, kMax };
 
 /// Semantics for aggregating over imprecise facts, following the companion
@@ -201,13 +199,6 @@ class QueryEngine {
               const TypedFile<FactRecord>* facts = nullptr)
       : env_(env), schema_(schema), edb_(edb), facts_(facts) {}
 
-  /// Routes EDB scans through a columnar mirror of the same rows (in the
-  /// same order): aggregates and rollups then decode only the columns they
-  /// project, and answers stay byte-identical to the row path. Pass
-  /// nullptr to return to row-major scans. The mirror must stay valid for
-  /// the engine's lifetime; baseline-semantics fact scans are unaffected.
-  void set_columnar(const ColumnarEdb* columnar) { columnar_ = columnar; }
-
   /// SUM / COUNT / AVERAGE / MIN / MAX of the measure over the query region
   /// under the given semantics. The baseline semantics require a fact table.
   Result<AggregateResult> Aggregate(const QueryRegion& region,
@@ -238,7 +229,6 @@ class QueryEngine {
   const StarSchema* schema_;
   const TypedFile<EdbRecord>* edb_;
   const TypedFile<FactRecord>* facts_;
-  const ColumnarEdb* columnar_ = nullptr;
 };
 
 }  // namespace iolap

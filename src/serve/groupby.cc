@@ -1,12 +1,10 @@
 #include "serve/groupby.h"
 
 #include <algorithm>
-#include <array>
 #include <memory>
 #include <utility>
 
 #include "edb/columnar.h"
-#include "exec/parallel_for.h"
 #include "exec/parallel_scheduler.h"
 #include "obs/metrics.h"
 
@@ -14,14 +12,8 @@ namespace iolap {
 
 namespace {
 
-/// Radix fan-out of the high-cardinality variant. Fixed (never derived from
-/// the thread count) so the bucket assignment, and with it every
-/// accumulation order, is configuration-independent. Power of two for the
-/// mask below.
-constexpr int kRadixBuckets = 64;
-
-/// Group counts at most this use dense per-chunk arrays; above it (up to
-/// GroupByOptions::radix_min_groups) a per-chunk open-addressing hash.
+/// Group counts at most this use dense per-chunk arrays; above it a
+/// per-chunk open-addressing hash.
 constexpr int64_t kDenseGroupLimit = 512;
 
 /// Chunk-private group accumulator: dense array for small group counts, an
@@ -107,13 +99,11 @@ GroupByEngine::GroupByEngine(StorageEnv* env, const StarSchema* schema,
       schema_(schema),
       edb_(edb),
       pool_(pool),
-      options_(options),
-      local_queries_counter_(GlobalCounter("serve.groupby.local_queries")),
-      radix_queries_counter_(GlobalCounter("serve.groupby.radix_queries")) {
+      local_queries_counter_(GlobalCounter("serve.groupby.local_queries")) {
   // Snap the grid unit up to whole pages so no two chunks share a page and
   // every task's read pins are for pages only it touches.
   const int64_t rpp = TypedFile<EdbRecord>::kRecordsPerPage;
-  const int64_t want = std::max<int64_t>(1, options_.chunk_rows);
+  const int64_t want = std::max<int64_t>(1, options.chunk_rows);
   chunk_rows_ = ((want + rpp - 1) / rpp) * rpp;
 }
 
@@ -247,58 +237,6 @@ Result<std::vector<AggregateResult>> GroupByEngine::LocalGroupBy(
 
   for (int64_t r : rows) stats->rows_scanned += r;
   stats->chunks = static_cast<int64_t>(chunks.size());
-  stats->used_radix = false;
-  return groups;
-}
-
-Result<std::vector<AggregateResult>> GroupByEngine::RadixGroupBy(
-    const std::vector<Chunk>& chunks, const QueryRegion& region, int dim,
-    int level, int64_t num_groups, GroupByStats* stats,
-    const ColumnarEdb* columnar) {
-  if (radix_queries_counter_ != nullptr) radix_queries_counter_->Add(1);
-  struct Triple {
-    int32_t g;
-    double weight;
-    double measure;
-  };
-  using ChunkBuckets = std::array<std::vector<Triple>, kRadixBuckets>;
-
-  // Phase 1: each chunk partitions its matching rows by group ordinal into
-  // a fixed bucket fan-out, preserving row order within each bucket.
-  std::vector<ChunkBuckets> partitioned(chunks.size());
-  std::vector<int64_t> rows(chunks.size(), 0);
-  IOLAP_RETURN_IF_ERROR(ParallelFor(
-      pool_, static_cast<int64_t>(chunks.size()), [&](int64_t c) -> Status {
-        ChunkBuckets& buckets = partitioned[c];
-        auto add = [&buckets](int32_t g, double w, double m) {
-          buckets[g & (kRadixBuckets - 1)].push_back({g, w, m});
-        };
-        if (columnar != nullptr) {
-          return ScanChunkColumnar(env_, schema_, columnar, chunks[c].parts,
-                                   region, dim, level, &rows[c], add);
-        }
-        return ScanChunk(env_, schema_, edb_, chunks[c].parts, region, dim,
-                         level, &rows[c], add);
-      }));
-
-  // Phase 2: one task per bucket folds its rows in (chunk, row) order —
-  // i.e. ascending global row order — directly into the disjoint slice of
-  // the result it owns. No merge step, no cross-task writes, and the
-  // per-group accumulation order is independent of threads and ranges.
-  std::vector<AggregateResult> groups(num_groups);
-  IOLAP_RETURN_IF_ERROR(
-      ParallelFor(pool_, kRadixBuckets, [&](int64_t b) -> Status {
-        for (const ChunkBuckets& buckets : partitioned) {
-          for (const Triple& t : buckets[b]) {
-            AccumulateAggregate(&groups[t.g], t.weight, t.measure);
-          }
-        }
-        return Status::Ok();
-      }));
-
-  for (int64_t r : rows) stats->rows_scanned += r;
-  stats->chunks = static_cast<int64_t>(chunks.size());
-  stats->used_radix = true;
   return groups;
 }
 
@@ -308,8 +246,7 @@ Result<AggregateResult> GroupByEngine::Aggregate(
   GroupByStats local;
   GroupByStats* st = stats != nullptr ? stats : &local;
   const std::vector<Chunk> chunks = BuildChunks(ranges);
-  // A point aggregate is a one-group group-by; one group always selects
-  // the local variant.
+  // A point aggregate is a one-group group-by.
   IOLAP_ASSIGN_OR_RETURN(
       std::vector<AggregateResult> groups,
       LocalGroupBy(chunks, region, /*dim=*/-1, /*level=*/0, 1, st, columnar));
@@ -331,18 +268,10 @@ Result<std::vector<AggregateResult>> GroupByEngine::RollUp(
   GroupByStats local;
   GroupByStats* st = stats != nullptr ? stats : &local;
   const int64_t num_groups = h.num_nodes_at_level(level);
-  const std::vector<Chunk> chunks = BuildChunks(ranges);
-  // Adaptive selection, from the (query-intrinsic) group count alone: the
-  // local variant merges O(groups) per chunk, which loses to partitioning
-  // once the group count dwarfs the matching rows per chunk.
-  std::vector<AggregateResult> groups;
-  if (num_groups > options_.radix_min_groups) {
-    IOLAP_ASSIGN_OR_RETURN(groups, RadixGroupBy(chunks, region, dim, level,
-                                                num_groups, st, columnar));
-  } else {
-    IOLAP_ASSIGN_OR_RETURN(groups, LocalGroupBy(chunks, region, dim, level,
-                                                num_groups, st, columnar));
-  }
+  IOLAP_ASSIGN_OR_RETURN(
+      std::vector<AggregateResult> groups,
+      LocalGroupBy(BuildChunks(ranges), region, dim, level, num_groups, st,
+                   columnar));
   for (AggregateResult& g : groups) FinalizeAggregate(&g, func);
   return groups;
 }

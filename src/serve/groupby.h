@@ -28,33 +28,19 @@ struct GroupByOptions {
   /// the thread count, the shard count, and the row ranges scanned — the
   /// cornerstone of cross-configuration determinism (see class comment).
   int64_t chunk_rows = 4096;
-  /// Group counts strictly above this select the radix-partitioned variant
-  /// instead of the local-accumulator variant. Selection depends only on
-  /// the query (its group count), never on threads/shards/ranges.
-  int64_t radix_min_groups = 4096;
 };
 
 struct GroupByStats {
   int64_t rows_scanned = 0;  // rows examined (incl. filtered / tombstones)
   int64_t chunks = 0;        // grid chunks actually scanned
-  bool used_radix = false;
 };
 
-/// Parallel group-by aggregation over EDB row ranges.
-///
-/// Two variants, selected per query from the group count alone:
-///  * local (two-phase local accumulator + ordered merge): each grid chunk
-///    scans its rows into a chunk-private accumulator (dense array for
-///    small group counts, open-addressing hash above that);
-///    partials then merge into the result in ascending chunk order on the
-///    calling thread, with in-flight partials bounded — compute is
-///    unordered, output is ordered, the same discipline as the parallel
-///    Transitive path.
-///  * radix (for high-cardinality rollups): phase 1 partitions each
-///    chunk's matching rows into a fixed number of buckets by group
-///    ordinal; phase 2 gives each bucket to one task that folds its rows
-///    in (chunk, row) order directly into the disjoint slice of the result
-///    it owns — no merge step and no contention at any group count.
+/// Parallel group-by aggregation over EDB row ranges: a two-phase local
+/// accumulator + ordered merge. Each grid chunk scans its rows into a
+/// chunk-private accumulator (dense array for small group counts,
+/// open-addressing hash above that); partials then merge into the result
+/// in ascending chunk order on the calling thread, with in-flight partials
+/// bounded — compute is unordered, output is ordered.
 ///
 /// Determinism: a row matches the region filter independently of how the
 /// caller's ranges cover it, and rows outside the caller's ranges never
@@ -105,21 +91,15 @@ class GroupByEngine {
       const std::vector<Chunk>& chunks, const QueryRegion& region, int dim,
       int level, int64_t num_groups, GroupByStats* stats,
       const ColumnarEdb* columnar);
-  Result<std::vector<AggregateResult>> RadixGroupBy(
-      const std::vector<Chunk>& chunks, const QueryRegion& region, int dim,
-      int level, int64_t num_groups, GroupByStats* stats,
-      const ColumnarEdb* columnar);
 
   StorageEnv* env_;
   const StarSchema* schema_;
   const TypedFile<EdbRecord>* edb_;
   ThreadPool* pool_;  // null = run inline on the calling thread
-  GroupByOptions options_;
   int64_t chunk_rows_;  // options.chunk_rows snapped to pages
 
   // Cached global-metrics handles (null when observability is disabled).
   class Counter* local_queries_counter_;
-  class Counter* radix_queries_counter_;
 };
 
 }  // namespace iolap

@@ -1,11 +1,9 @@
 #include "serve/query_service.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -23,20 +21,6 @@ int ClampShards(int requested) {
 
 bool IsTombstone(const EdbRecord& rec) {
   return rec.weight == 0 && rec.fact_id == -1;
-}
-
-/// IOLAP_EDB_FORMAT=row|columnar force-overrides the configured scan
-/// format — the CI lever for re-running whole suites columnar-forced.
-ServeOptions WithEnvOverrides(ServeOptions options) {
-  const char* format = std::getenv("IOLAP_EDB_FORMAT");
-  if (format != nullptr) {
-    if (std::string_view(format) == "columnar") {
-      options.edb_format = EdbFormat::kColumnar;
-    } else if (std::string_view(format) == "row") {
-      options.edb_format = EdbFormat::kRow;
-    }
-  }
-  return options;
 }
 
 }  // namespace
@@ -59,7 +43,7 @@ QueryService::QueryService(StorageEnv* env, const StarSchema* schema,
       schema_(schema),
       edb_(edb),
       manager_(manager),
-      options_(WithEnvOverrides(options)),
+      options_(options),
       queries_counter_(GlobalCounter("serve.queries")),
       mutations_counter_(GlobalCounter("serve.mutations")),
       partitions_counter_(GlobalCounter("serve.scan_partitions")),
@@ -79,10 +63,6 @@ QueryService::QueryService(StorageEnv* env, const StarSchema* schema,
   }
   if (options_.agg_index) {
     agg_index_ = std::make_unique<AggIndex>(env_, schema_, edb_);
-    if (options_.edb_format == EdbFormat::kColumnar) {
-      agg_index_->set_columnar_provider(
-          [this] { return ColumnarSnapshot(); });
-    }
   }
   // The per-node store answers the index's node-aligned exact probes as
   // well as bounded queries. In read-only mode the EDB is static, so the
@@ -104,7 +84,6 @@ QueryService::QueryService(StorageEnv* env, const StarSchema* schema,
   }
   GroupByOptions gopts;
   gopts.chunk_rows = options_.min_partition_rows;
-  gopts.radix_min_groups = options_.radix_min_groups;
   groupby_ = std::make_unique<GroupByEngine>(env_, schema_, edb_, pool_.get(),
                                              gopts);
   // Front-load shard construction (one EDB scan) and the partial stores'
@@ -118,6 +97,12 @@ QueryService::~QueryService() {
   // fanout (and through it the index / synopsis) we own.
   if (manager_ != nullptr && !change_fanout_.empty()) {
     manager_->set_change_listener(nullptr);
+  }
+  if (columnar_ != nullptr) {
+    const Status evicted = env_->pool().EvictFile(columnar_->file_id());
+    (void)evicted;
+    const Status deleted = env_->disk().DeleteFile(columnar_->file_id());
+    (void)deleted;
   }
 }
 
@@ -147,18 +132,21 @@ Status QueryService::EnsureShardsReady() {
   // writers stay out (a re-init can follow a failed batch while other
   // writers wait on mutation_mu_).
   std::lock_guard<std::mutex> mutation_lock(mutation_mu_);
-  if (options_.edb_format == EdbFormat::kColumnar &&
-      ColumnarSnapshot() == nullptr) {
-    // Front-load the mirror conversion while everything is quiescent.
-    // Failure is not fatal: queries simply scan the row file.
-    const Status built = BuildColumnar();
-    (void)built;
+  // The scan format rule: a static EDB that outgrows the pool is converted
+  // once into the columnar mirror, whose projected scans read far fewer
+  // pages; a pool that holds the EDB serves row pages from memory, where
+  // decoding only costs. A maintained EDB changes under the mirror, so it
+  // always scans rows. Failure is not fatal: queries scan the row file.
+  if (manager_ == nullptr && edb_->size_in_pages() > env_->buffer_pages()) {
+    Result<ColumnarEdb> mirror = WriteColumnarEdb(*env_, *schema_, *edb_);
+    if (mirror.ok()) {
+      columnar_ = std::make_unique<const ColumnarEdb>(std::move(*mirror));
+    }
   }
   // The partial stores never build on the query path (a query holds only
   // its shards' locks, so it must not scan the whole EDB): they build
-  // here, while everything is quiescent and after the columnar mirror the
-  // index prefers to scan. A build failure just leaves queries falling
-  // back to the lower tiers until a commit rebuilds.
+  // here, while everything is quiescent. A build failure just leaves
+  // queries falling back to the lower tiers until a commit rebuilds.
   if (agg_index_ != nullptr) {
     const Status built = agg_index_->RebuildIfStale();
     (void)built;
@@ -390,32 +378,13 @@ std::vector<RowRange> QueryService::CollectRanges(
   return merged;
 }
 
-namespace {
-
-/// A scan may use the mirror only if it covers every row the scan's ranges
-/// reference. Ranges of the locked shards never reach past the mirror's
-/// rows while a concurrent mutation is appending (the mutation holds the
-/// touched shards exclusively and drops the mirror), but the check keeps
-/// correctness independent of that reasoning.
-bool MirrorCoversRanges(const ColumnarEdb* mirror,
-                        const std::vector<RowRange>& ranges) {
-  return mirror != nullptr &&
-         (ranges.empty() || ranges.back().end <= mirror->num_rows());
-}
-
-}  // namespace
-
 Result<AggregateResult> QueryService::ScanAggregate(const LockedShards& ls,
                                                     const QueryRegion& region,
                                                     AggregateFunc func) {
   GroupByStats gstats;
-  const std::vector<RowRange> ranges = CollectRanges(ls);
-  const std::shared_ptr<const ColumnarEdb> mirror = ColumnarSnapshot();
-  const ColumnarEdb* columnar =
-      MirrorCoversRanges(mirror.get(), ranges) ? mirror.get() : nullptr;
-  IOLAP_ASSIGN_OR_RETURN(
-      AggregateResult out,
-      groupby_->Aggregate(ranges, region, func, &gstats, columnar));
+  IOLAP_ASSIGN_OR_RETURN(AggregateResult out,
+                         groupby_->Aggregate(CollectRanges(ls), region, func,
+                                             &gstats, columnar_.get()));
   RecordScanStats(gstats);
   return out;
 }
@@ -424,13 +393,10 @@ Result<std::vector<AggregateResult>> QueryService::ScanRollUp(
     const LockedShards& ls, const QueryRegion& region, int dim, int level,
     AggregateFunc func) {
   GroupByStats gstats;
-  const std::vector<RowRange> ranges = CollectRanges(ls);
-  const std::shared_ptr<const ColumnarEdb> mirror = ColumnarSnapshot();
-  const ColumnarEdb* columnar =
-      MirrorCoversRanges(mirror.get(), ranges) ? mirror.get() : nullptr;
   IOLAP_ASSIGN_OR_RETURN(
       std::vector<AggregateResult> groups,
-      groupby_->RollUp(ranges, region, dim, level, func, &gstats, columnar));
+      groupby_->RollUp(CollectRanges(ls), region, dim, level, func, &gstats,
+                       columnar_.get()));
   RecordScanStats(gstats);
   return groups;
 }
@@ -632,12 +598,7 @@ Result<std::vector<EdbRecord>> QueryService::CompletionsOf(
   const Rect all = RegionToRect(*schema_, QueryRegion::All());
   LockedShards ls = AcquireShared(all, nullptr);
   if (generation != nullptr) *generation = ls.global_gen;
-  QueryEngine engine(env_, schema_, edb_);
-  const std::shared_ptr<const ColumnarEdb> mirror = ColumnarSnapshot();
-  if (mirror != nullptr && mirror->num_rows() == edb_->size()) {
-    engine.set_columnar(mirror.get());
-  }
-  return engine.CompletionsOf(fact_id);
+  return QueryEngine(env_, schema_, edb_).CompletionsOf(fact_id);
 }
 
 Result<AggregateResult> QueryService::UncachedAggregate(
@@ -689,12 +650,6 @@ Status QueryService::MutateLocked(
   // Stats may be reused across batches; only this batch's boxes matter.
   const size_t box_start = s->touched_boxes.size();
   Status status = apply(s);
-
-  // The mirror is a snapshot of the pre-batch EDB; drop it (success or
-  // failure — either may have changed rows). In-flight scans on untouched
-  // shards keep their reference until they finish; new queries fall back
-  // to the row path until RefreshColumnar / Compact rebuilds it.
-  if (options_.edb_format == EdbFormat::kColumnar) DropColumnar();
 
   if (shards_.size() > 1) {
     // Re-derive the touched shards' row ranges even on failure — a failed
@@ -801,7 +756,6 @@ Result<int64_t> QueryService::Compact() {
   std::vector<std::unique_lock<std::shared_mutex>> shard_locks;
   shard_locks.reserve(shards_.size());
   for (auto& shard : shards_) shard_locks.emplace_back(shard->mu);
-  if (options_.edb_format == EdbFormat::kColumnar) DropColumnar();
   Result<int64_t> removed = manager_->CompactEdb();
   if (!removed.ok()) {
     // The rewrite may have partially applied; drop everything and force a
@@ -831,59 +785,7 @@ Result<int64_t> QueryService::Compact() {
   // On success the logical EDB content is unchanged (only tombstones were
   // squeezed out), so cached results (and the index, which is keyed by
   // cell, not row position) stay valid and the generation holds.
-  if (removed.ok() && options_.edb_format == EdbFormat::kColumnar) {
-    // Everything is quiescent under the shard locks: rebuild the mirror
-    // from the compacted (tombstone-free) EDB. Failure just leaves
-    // queries on the row path.
-    const Status built = BuildColumnar();
-    (void)built;
-  }
   return removed;
-}
-
-// ---------------------------------------------------------------------------
-// Columnar mirror lifecycle.
-
-std::shared_ptr<const ColumnarEdb> QueryService::ColumnarSnapshot() const {
-  std::lock_guard<std::mutex> lock(columnar_mu_);
-  return columnar_;
-}
-
-bool QueryService::columnar_active() const {
-  return ColumnarSnapshot() != nullptr;
-}
-
-void QueryService::DropColumnar() {
-  std::lock_guard<std::mutex> lock(columnar_mu_);
-  columnar_.reset();  // file deleted once the last in-flight scan releases
-}
-
-Status QueryService::BuildColumnar() {
-  ColumnarWriteOptions copts;
-  copts.rows_per_extent = options_.columnar_rows_per_extent;
-  IOLAP_ASSIGN_OR_RETURN(ColumnarEdb mirror,
-                         WriteColumnarEdb(*env_, *schema_, *edb_, copts));
-  StorageEnv* env = env_;
-  std::shared_ptr<const ColumnarEdb> next(
-      new ColumnarEdb(std::move(mirror)), [env](const ColumnarEdb* c) {
-        const Status evicted = env->pool().EvictFile(c->file_id());
-        (void)evicted;
-        const Status deleted = env->disk().DeleteFile(c->file_id());
-        (void)deleted;
-        delete c;
-      });
-  std::lock_guard<std::mutex> lock(columnar_mu_);
-  columnar_ = std::move(next);
-  return Status::Ok();
-}
-
-Status QueryService::RefreshColumnar() {
-  if (options_.edb_format != EdbFormat::kColumnar) return Status::Ok();
-  IOLAP_RETURN_IF_ERROR(EnsureShardsReady());
-  // Exclude mutators (the EDB must hold still for the conversion pass);
-  // concurrent queries keep answering on whichever path is current.
-  std::lock_guard<std::mutex> mutation_lock(mutation_mu_);
-  return BuildColumnar();
 }
 
 }  // namespace iolap

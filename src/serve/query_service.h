@@ -27,15 +27,6 @@ class ColumnarEdb;
 class Stopwatch;
 class TraceSpan;
 
-/// Which on-disk EDB layout query scans read. The row-major file is always
-/// the writer / maintenance format; kColumnar adds a compressed
-/// column-major mirror of it (edb/columnar.h) that scans prefer whenever
-/// it is in sync.
-enum class EdbFormat {
-  kRow,
-  kColumnar,
-};
-
 struct ServeOptions {
   /// Worker threads for parallel group-by scans. 1 = scan inline on the
   /// calling thread (no pool).
@@ -60,18 +51,6 @@ struct ServeOptions {
   /// single snapshot lock. More shards let maintenance on one shard run
   /// concurrently with queries (and maintenance) on others.
   int num_shards = 1;
-  /// Rollup group counts strictly above this use the radix-partitioned
-  /// group-by variant (see GroupByOptions::radix_min_groups).
-  int64_t radix_min_groups = 4096;
-  /// kColumnar converts the EDB into a compressed columnar mirror at
-  /// startup (and after Compact / RefreshColumnar); aggregate scans then
-  /// decode only the columns they project, roughly halving data pages
-  /// read. Any mutation drops the mirror and queries transparently fall
-  /// back to the row-major file until it is refreshed. Answers are
-  /// byte-identical on either path (see GroupByEngine).
-  EdbFormat edb_format = EdbFormat::kRow;
-  /// Rows per extent of the columnar mirror (ColumnarWriteOptions).
-  int64_t columnar_rows_per_extent = 16384;
   /// Maintain the in-memory per-shard moment store (src/synopsis) and let
   /// bounded-mode queries (AnswerSpec::Bounded) be answered from it with a
   /// probabilistic error bound instead of scanning. Exact-mode queries are
@@ -100,9 +79,12 @@ struct ShardSnapshot {
 /// (serve/groupby.h). The scan stays the oracle: Uncached* never consults
 /// the cache, the index or the store.
 ///
-/// The environment variable IOLAP_EDB_FORMAT (values `row` / `columnar`)
-/// overrides ServeOptions::edb_format at construction — a deployment-level
-/// force switch.
+/// Scan format: a read-only service whose EDB outgrows the buffer pool
+/// (edb.size_in_pages() > pool capacity) converts it once, at startup,
+/// into a compressed columnar mirror (edb/columnar.h) and scans that
+/// instead, decoding only the columns each query projects. Where the pool
+/// holds the EDB, or the EDB mutates (maintained mode), scans read the
+/// row-major file. Answers are byte-identical on either path.
 ///
 /// Concurrency model (the sharded snapshot contract):
 ///  * The leaf space is statically partitioned into shards along
@@ -205,20 +187,15 @@ class QueryService {
   /// Compacts tombstones out of the EDB (maintained mode only). Logical
   /// content is unchanged, so cached results stay valid and the
   /// generation does not move; row positions do change, so every shard is
-  /// locked and the per-shard row ranges are rebuilt. In kColumnar mode
-  /// the mirror is rebuilt from the compacted EDB.
+  /// locked and the per-shard row ranges are rebuilt.
   Result<int64_t> Compact();
 
-  /// Rebuilds the columnar mirror from the current EDB (kColumnar mode
-  /// only; an immediate no-op in kRow mode). Queries keep running on the
-  /// row path while the rebuild scans; the swap to the new mirror is
-  /// atomic. Call after a run of mutations to restore columnar scans —
-  /// mutations drop the mirror rather than maintain it.
-  Status RefreshColumnar();
-
-  /// Whether queries are currently scanning the columnar mirror (kColumnar
-  /// mode, mirror built and not dropped by a mutation).
-  bool columnar_active() const;
+  /// Whether scans read the columnar mirror: a read-only service whose EDB
+  /// outgrew the pool, once the startup conversion succeeded.
+  bool columnar_active() const {
+    return shards_ready_.load(std::memory_order_acquire) &&
+           columnar_ != nullptr;
+  }
 
   int64_t generation() const {
     return generation_.load(std::memory_order_acquire);
@@ -296,16 +273,6 @@ class QueryService {
   Status MutateLocked(const std::vector<Rect>& rects, MaintenanceStats* stats,
                       const std::function<Status(MaintenanceStats*)>& apply);
 
-  /// Current mirror, or null (kRow mode, build failed, or dropped by a
-  /// mutation). The shared_ptr keeps the mirror's file alive for the
-  /// duration of a scan even if a concurrent mutation drops it.
-  std::shared_ptr<const ColumnarEdb> ColumnarSnapshot() const;
-  /// Swaps the mirror out; its file is evicted and deleted once the last
-  /// in-flight scan releases it.
-  void DropColumnar();
-  /// Converts the current EDB into a fresh mirror and installs it.
-  Status BuildColumnar();
-
   Result<AggregateResult> ScanAggregate(const LockedShards& ls,
                                         const QueryRegion& region,
                                         AggregateFunc func);
@@ -349,10 +316,11 @@ class QueryService {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<int64_t> generation_{0};
 
-  /// Leaf mutex guarding only the mirror pointer (no other lock is ever
-  /// taken while held). Readers copy the shared_ptr and scan lock-free.
-  mutable std::mutex columnar_mu_;
-  std::shared_ptr<const ColumnarEdb> columnar_;
+  /// The columnar mirror, or null (maintained mode, the pool holds the
+  /// EDB, or the conversion failed). Written once in EnsureShardsReady
+  /// before the shards_ready_ release; read only after the acquire, so
+  /// scans need no lock. The destructor evicts and deletes its file.
+  std::unique_ptr<const ColumnarEdb> columnar_;
 
   // Cached global-metrics handles (null when observability is disabled).
   class Counter* queries_counter_;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -358,6 +359,184 @@ TEST_F(ColumnarEdbTest, ProjectionReadsFewerPagesThanFullScan) {
   // The tentpole target: a (weight, measure) aggregate scan well under
   // 0.6x the row-major page count.
   EXPECT_LT(narrow_reads * 10, edb.size_in_pages() * 6);
+}
+
+// ---------------------------------------------------------------------------
+// Crafted corruption: every on-disk integer Open / LoadExtent trusts is
+// bounded before any arithmetic, so hostile footers, directory entries and
+// column descriptors fail with InvalidArgument — never an overflow (UBSan
+// aborts on one), a huge allocation or a page read outside the file.
+
+class ColumnarCorruptionTest : public ColumnarEdbTest {
+ protected:
+  void SetUp() override {
+    ColumnarEdbTest::SetUp();
+    edb_ = MakeEdb(600, 4, /*with_tombstones=*/true);
+    ColumnarWriteOptions opts;
+    opts.rows_per_extent = 256;  // 3 extents
+    IOLAP_ASSERT_OK_AND_ASSIGN(ColumnarEdb col,
+                               WriteColumnarEdb(env_, schema_, edb_, opts));
+    file_ = col.file_id();
+    IOLAP_ASSERT_OK_AND_ASSIGN(pages_, env_.disk().SizeInPages(file_));
+    IOLAP_ASSERT_OK(ReadPod(pages_ - 1, &foot_));
+    ASSERT_EQ(foot_.num_extents, 3);
+  }
+
+  template <typename T>
+  Status ReadPod(PageId page, T* pod, size_t offset = 0) {
+    IOLAP_ASSIGN_OR_RETURN(PageGuard guard, env_.pool().Pin(file_, page));
+    std::memcpy(pod, guard.data() + offset, sizeof(T));
+    return Status::Ok();
+  }
+
+  template <typename T>
+  Status WritePod(PageId page, const T& pod, size_t offset = 0) {
+    IOLAP_ASSIGN_OR_RETURN(PageGuard guard, env_.pool().Pin(file_, page));
+    std::memcpy(guard.data() + offset, &pod, sizeof(T));
+    guard.MarkDirty();
+    return Status::Ok();
+  }
+
+  /// Rewrites the file footer through `edit`, then expects Open to refuse.
+  template <typename Edit>
+  void ExpectFooterRejected(Edit edit) {
+    ColumnarFileFooter foot = foot_;
+    edit(&foot);
+    IOLAP_ASSERT_OK(WritePod(pages_ - 1, foot));
+    auto opened = ColumnarEdb::Open(env_, file_);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    IOLAP_ASSERT_OK(WritePod(pages_ - 1, foot_));
+  }
+
+  /// Rewrites the three-entry extent directory through `edit`, then
+  /// expects Open to refuse.
+  template <typename Edit>
+  void ExpectDirectoryRejected(Edit edit) {
+    using Dir = std::array<ExtentDirEntry, 3>;
+    Dir saved;
+    IOLAP_ASSERT_OK(ReadPod(foot_.directory_first_page, &saved));
+    Dir dir = saved;
+    edit(&dir);
+    IOLAP_ASSERT_OK(WritePod(foot_.directory_first_page, dir));
+    auto opened = ColumnarEdb::Open(env_, file_);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    IOLAP_ASSERT_OK(WritePod(foot_.directory_first_page, saved));
+  }
+
+  /// Rewrites column `c` of extent 0's footer through `edit`; Open still
+  /// succeeds (it reads no extent footer) but a scan projecting every
+  /// column must refuse.
+  template <typename Edit>
+  void ExpectColumnRejected(int c, Edit edit) {
+    ExtentDirEntry ext;
+    IOLAP_ASSERT_OK(ReadPod(foot_.directory_first_page, &ext));
+    const PageId footer_page = ext.first_page + ext.num_pages - 1;
+    ExtentFooter saved;
+    IOLAP_ASSERT_OK(ReadPod(footer_page, &saved));
+    ExtentFooter footer = saved;
+    edit(&footer.cols[c]);
+    IOLAP_ASSERT_OK(WritePod(footer_page, footer));
+    IOLAP_ASSERT_OK_AND_ASSIGN(ColumnarEdb col, ColumnarEdb::Open(env_, file_));
+    std::vector<EdbRecord> rows;
+    const Status st = col.ReadRecords(env_.pool(), 0, 10, &rows);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    IOLAP_ASSERT_OK(WritePod(footer_page, saved));
+  }
+
+  TypedFile<EdbRecord> edb_;
+  FileId file_ = kInvalidFileId;
+  int64_t pages_ = 0;
+  ColumnarFileFooter foot_;
+};
+
+constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
+
+TEST_F(ColumnarCorruptionTest, UntouchedFileStillOpens) {
+  IOLAP_ASSERT_OK_AND_ASSIGN(ColumnarEdb col, ColumnarEdb::Open(env_, file_));
+  ExpectRoundTrip(edb_, col);
+}
+
+TEST_F(ColumnarCorruptionTest, HugeExtentCountRejected) {
+  // num_extents * 32 wraps to 0 bytes = 0 directory pages at 2^59; 2^58
+  // overflows signed int64_t in the product.
+  for (const int64_t n : {int64_t{1} << 58, int64_t{1} << 59, kI64Max}) {
+    ExpectFooterRejected([n](ColumnarFileFooter* f) {
+      f->num_extents = n;
+      f->directory_pages = 0;
+    });
+  }
+  ExpectFooterRejected([this](ColumnarFileFooter* f) {
+    f->num_extents = pages_ + 1;  // more extents than pages
+    f->directory_pages = PagesForBytes(f->num_extents * 32);
+  });
+}
+
+TEST_F(ColumnarCorruptionTest, DirectoryPageSumOverflowRejected) {
+  ExpectFooterRejected([](ColumnarFileFooter* f) {
+    f->directory_first_page = kI64Max - 1;
+  });
+  ExpectFooterRejected([](ColumnarFileFooter* f) {
+    f->directory_pages = kI64Max;
+  });
+  ExpectFooterRejected([](ColumnarFileFooter* f) {
+    f->directory_pages = -1;
+  });
+}
+
+TEST_F(ColumnarCorruptionTest, ExtentPageSumOverflowRejected) {
+  using Dir = std::array<ExtentDirEntry, 3>;
+  ExpectDirectoryRejected([](Dir* d) { (*d)[1].first_page = kI64Max - 1; });
+  ExpectDirectoryRejected([](Dir* d) { (*d)[1].num_pages = kI64Max; });
+}
+
+TEST_F(ColumnarCorruptionTest, ExtentRowSumOverflowRejected) {
+  using Dir = std::array<ExtentDirEntry, 3>;
+  // Extent 0 claims every row the int64_t range holds and extent 1 starts
+  // there: the running row sum would overflow on extent 1.
+  ExpectDirectoryRejected([](Dir* d) {
+    (*d)[0].row_count = kI64Max;
+    (*d)[1].first_row = kI64Max;
+  });
+  // A row count no extent's pages could hold (8-byte measure and weight
+  // columns), even when the footer agrees with it.
+  ColumnarFileFooter foot = foot_;
+  foot.total_rows = kI64Max / 2;
+  IOLAP_ASSERT_OK(WritePod(pages_ - 1, foot));
+  ExpectDirectoryRejected([](Dir* d) {
+    (*d)[2].row_count = kI64Max / 2 - (*d)[2].first_row;
+  });
+  IOLAP_ASSERT_OK(WritePod(pages_ - 1, foot_));
+}
+
+TEST_F(ColumnarCorruptionTest, ColumnOutsideExtentRejected) {
+  // Past the extent's footer page, or overflowing the page sum.
+  ExpectColumnRejected(kEdbColMeasure, [](ColumnDesc* c) {
+    c->first_page = 1000;
+  });
+  ExpectColumnRejected(kEdbColWeight, [](ColumnDesc* c) {
+    c->first_page = kI64Max - 1;
+  });
+  ExpectColumnRejected(kEdbColLeaf0, [](ColumnDesc* c) {
+    c->num_pages = kI64Max;
+  });
+  ExpectColumnRejected(kEdbColFactId, [](ColumnDesc* c) {
+    c->first_page = -1;
+  });
+}
+
+TEST_F(ColumnarCorruptionTest, ColumnPagesDisagreeWithLengthRejected) {
+  ExpectColumnRejected(kEdbColMeasure, [](ColumnDesc* c) { ++c->num_pages; });
+  ExpectColumnRejected(kEdbColMeasure, [](ColumnDesc* c) {
+    c->byte_length += static_cast<int64_t>(kPageSize);
+  });
+  ExpectColumnRejected(kEdbColWeight, [](ColumnDesc* c) {
+    c->byte_length = kI64Max;  // PagesForBytes would overflow
+  });
+  ExpectColumnRejected(kEdbColLeaf0 + 1, [](ColumnDesc* c) {
+    c->byte_length = -1;
+  });
 }
 
 }  // namespace

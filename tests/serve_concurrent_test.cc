@@ -397,10 +397,45 @@ TEST(ServeConcurrentTest, ShardedTortureMatchesRescanAtPinnedShardGeneration) {
   }
 }
 
+/// Runs `run_probes` on a fresh scan-only service per shard count
+/// {1, 2, 8} x thread count {1, 4}: every answer must be 1e-9-equal to
+/// `oracle` and byte-identical to the first configuration's.
+template <typename RunProbes>
+void ExpectStableAcrossShardsAndThreads(
+    MaintenanceManager* manager, const RunProbes& run_probes,
+    const std::vector<AggregateResult>& oracle) {
+  std::vector<AggregateResult> baseline;
+  for (const int num_shards : {1, 2, 8}) {
+    for (const int num_threads : {1, 4}) {
+      ServeOptions opts;
+      opts.num_threads = num_threads;
+      opts.min_partition_rows = 1;  // one page per chunk: max parallelism
+      opts.cache_slots = 0;         // pure scan path
+      opts.num_shards = num_shards;
+      QueryService service(manager, opts);
+      IOLAP_ASSERT_OK_AND_ASSIGN(std::vector<AggregateResult> got,
+                                 run_probes(service));
+      ASSERT_EQ(got.size(), oracle.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_NEAR(got[i].value, oracle[i].value, 1e-9)
+            << "probe " << i << " shards " << num_shards << " threads "
+            << num_threads;
+      }
+      if (baseline.empty()) {
+        baseline = std::move(got);
+        continue;
+      }
+      ASSERT_EQ(0, std::memcmp(baseline.data(), got.data(),
+                               baseline.size() * sizeof(AggregateResult)))
+          << "answers not byte-identical at shards=" << num_shards
+          << " threads=" << num_threads;
+    }
+  }
+}
+
 // Determinism across configurations: for a fixed chunk grid the service's
 // answers must be byte-identical across shard counts {1, 2, 8} x thread
-// counts {1, 4}, for both group-by variants, and 1e-9-equal to the serial
-// QueryEngine oracle.
+// counts {1, 4}, and 1e-9-equal to the serial QueryEngine oracle.
 TEST(ServeConcurrentTest, AnswersBitwiseIdenticalAcrossShardsAndThreads) {
   StorageEnv env(MakeTempDir(), 512);
   StarSchema schema = MakeShardedSchema();
@@ -471,40 +506,61 @@ TEST(ServeConcurrentTest, AnswersBitwiseIdenticalAcrossShardsAndThreads) {
     oracle.insert(oracle.end(), groups.begin(), groups.end());
   }
 
-  // radix_min_groups = 4096 keeps every rollup on the local variant;
-  // radix_min_groups = 1 forces them all onto the radix variant. Selection
-  // is query-intrinsic, so each sweep is internally comparable.
-  for (const int64_t radix_min_groups : {int64_t{4096}, int64_t{1}}) {
-    std::vector<AggregateResult> baseline;
-    for (const int num_shards : {1, 2, 8}) {
-      for (const int num_threads : {1, 4}) {
-        ServeOptions opts;
-        opts.num_threads = num_threads;
-        opts.min_partition_rows = 1;  // one page per chunk: max parallelism
-        opts.cache_slots = 0;         // pure scan path
-        opts.num_shards = num_shards;
-        opts.radix_min_groups = radix_min_groups;
-        QueryService service(manager.get(), opts);
-        IOLAP_ASSERT_OK_AND_ASSIGN(std::vector<AggregateResult> got,
-                                   run_probes(service));
-        ASSERT_EQ(got.size(), oracle.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_NEAR(got[i].value, oracle[i].value, 1e-9)
-              << "probe " << i << " shards " << num_shards << " threads "
-              << num_threads;
-        }
-        if (baseline.empty()) {
-          baseline = std::move(got);
-          continue;
-        }
-        ASSERT_EQ(0, std::memcmp(baseline.data(), got.data(),
-                                 baseline.size() * sizeof(AggregateResult)))
-            << "answers not byte-identical at shards=" << num_shards
-            << " threads=" << num_threads
-            << " radix_min_groups=" << radix_min_groups;
+  ExpectStableAcrossShardsAndThreads(manager.get(), run_probes, oracle);
+}
+
+// The same contract for a rollup wider than the dense accumulator limit
+// (512 groups): Table 2's LOCATION leaves, 900 groups, which every chunk
+// folds through LocalAcc's open-addressing hash — growing it — before the
+// ordered merge.
+TEST(ServeConcurrentTest, HighCardinalityRollUpBitwiseIdentical) {
+  StorageEnv env(MakeTempDir(), 512);
+  IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeAutomotiveSchema());
+  constexpr int kLocation = 3;
+  constexpr int kLeafLevel = 1;
+  ASSERT_EQ(schema.dim(kLocation).num_nodes_at_level(kLeafLevel), 900);
+  DatasetSpec spec;
+  spec.num_facts = 3000;
+  spec.seed = 29;
+  IOLAP_ASSERT_OK_AND_ASSIGN(auto file, GenerateFacts(env, schema, spec));
+  AllocationOptions options;
+  IOLAP_ASSERT_OK_AND_ASSIGN(
+      auto manager, MaintenanceManager::Build(env, schema, &file, options));
+
+  const QueryRegion slice =
+      QueryRegion::All().With(1, schema.dim(1).nodes_at_level(1)[0]);
+  const std::vector<QueryRegion> regions = {QueryRegion::All(), slice};
+  const AggregateFunc funcs[] = {AggregateFunc::kSum, AggregateFunc::kAverage,
+                                 AggregateFunc::kMax};
+  auto run_probes =
+      [&](QueryService& service) -> Result<std::vector<AggregateResult>> {
+    std::vector<AggregateResult> out;
+    for (const QueryRegion& region : regions) {
+      for (AggregateFunc f : funcs) {
+        IOLAP_ASSIGN_OR_RETURN(
+            std::vector<AggregateResult> groups,
+            service.UncachedRollUp(region, kLocation, kLeafLevel, f));
+        out.insert(out.end(), groups.begin(), groups.end());
       }
     }
+    return out;
+  };
+  QueryEngine engine(&env, &schema, &manager->edb());
+  std::vector<AggregateResult> oracle;
+  int64_t touched = 0;
+  for (const QueryRegion& region : regions) {
+    for (AggregateFunc f : funcs) {
+      IOLAP_ASSERT_OK_AND_ASSIGN(
+          std::vector<AggregateResult> groups,
+          engine.RollUp(region, kLocation, kLeafLevel, f));
+      for (const AggregateResult& g : groups) touched += g.count > 0;
+      oracle.insert(oracle.end(), groups.begin(), groups.end());
+    }
   }
+  // Enough distinct groups per query that the per-chunk hash must grow.
+  ASSERT_GT(touched, 6 * 100);
+
+  ExpectStableAcrossShardsAndThreads(manager.get(), run_probes, oracle);
 }
 
 }  // namespace

@@ -28,10 +28,6 @@
 //       [--shards=1] [--agg-index=0]
 //       [--agg-index=1]   # answer exact cache misses from stored partials:
 //       # the per-node store when exact, else the aggregate index's tree
-//       [--edb-format=row|columnar] [--columnar-rows-per-extent=16384]
-//       # columnar: scans read a compressed column-major mirror of the EDB
-//       # (projected columns only; mutations fall back to row until the
-//       # next compact). Answers are identical either way.
 //       [--synopsis=1]    # maintain the moment synopsis for bounded answers
 //       [--answer-mode=exact|bounded] [--delta=0.05]
 //       # bounded: `agg` lines accept a probabilistic answer from the
@@ -413,16 +409,6 @@ int CmdServe(const Flags& flags) {
   sopts.agg_index = flags.GetInt("agg-index", 0) != 0;
   sopts.synopsis = flags.GetInt("synopsis", 1) != 0;
   sopts.num_shards = static_cast<int>(flags.GetInt("shards", 1));
-  const std::string edb_format = flags.GetString("edb-format", "row");
-  if (edb_format == "columnar") {
-    sopts.edb_format = EdbFormat::kColumnar;
-  } else if (edb_format != "row") {
-    std::fprintf(stderr,
-                 "unknown --edb-format=%s (row|columnar), keeping row\n",
-                 edb_format.c_str());
-  }
-  sopts.columnar_rows_per_extent =
-      flags.GetInt("columnar-rows-per-extent", 16384);
   QueryService service(manager.get(), sopts);
 
   std::string workload = flags.GetString("serve-workload", "");
@@ -451,9 +437,7 @@ int CmdServe(const Flags& flags) {
     ++op_counts[static_cast<int>(op.type)];
     DieOnError(ReplayOp(schema, service, catalog, spec, op));
   }
-  std::printf("served with %d shard(s), columnar mirror %s\n",
-              service.num_shards(),
-              service.columnar_active() ? "active" : "off");
+  std::printf("served with %d shard(s)\n", service.num_shards());
   std::printf("ops:");
   for (int t = 0; t < kNumTraceOpTypes; ++t) {
     if (op_counts[t] > 0) {
