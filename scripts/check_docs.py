@@ -14,11 +14,12 @@ docs/:
     "Section N" by convention and are not checked;
   * command-line flags ``--flag`` — every flag a doc mentions must be one
     some binary actually reads (``Get{String,Int,Double}("flag")`` in
-    tools/, bench/ or examples/) or a whitelisted external tool's flag
-    (cmake/ctest). Flag mentions inside code fences count too — usage
-    examples live there — except fences marked as a non-shell language
-    (``cpp``/``python``…), whose ``--x`` is usually a decrement, not a
-    flag.
+    tools/, bench/ or examples/, or ``add_argument("--flag")`` in
+    perfbench/run.py and perfbench/compare.py) or a whitelisted external
+    tool's flag (cmake/ctest). Flag mentions inside code fences count too
+    — usage examples live there — except fences marked as a non-shell
+    language (``cpp``/``python``…), whose ``--x`` is usually a decrement,
+    not a flag.
 
 Additionally verifies the two directions of tool documentation:
 
@@ -53,6 +54,8 @@ CODE_FENCE_RE = re.compile(r"^(```|~~~)\s*([A-Za-z+]*)")
 FLAG_USE_RE = re.compile(r"(?:^|[\s`'\"\[(|=<])--([a-z][a-z0-9_-]*)")
 # A flag definition in C++: flags.GetString("name", ...) etc.
 FLAG_DEF_RE = re.compile(r"Get(?:String|Int|Double)\(\s*\"([a-z][a-z0-9_-]*)\"")
+# A flag definition in the Python tools: parser.add_argument("--name", ...).
+PY_FLAG_DEF_RE = re.compile(r"add_argument\(\s*\"--([a-z][a-z0-9_-]*)\"")
 # Fence languages whose "--" is code, not a command line.
 NON_SHELL_FENCE = {"cpp", "c++", "c", "cc", "python", "py"}
 # Flags of external tools that build/test instructions legitimately show.
@@ -63,6 +66,8 @@ EXTERNAL_TOOL_FLAGS = {
 }
 # Directories whose C++ binaries define the repo's own flags.
 FLAG_SOURCE_DIRS = ("tools", "bench", "examples")
+# Python tools whose argparse flags the docs quote (the end-to-end benchmark).
+PY_FLAG_SOURCES = ("perfbench/run.py", "perfbench/compare.py")
 
 CLI_SOURCE = os.path.join(REPO, "tools", "iolap_cli.cpp")
 CLI_DOC = os.path.join(REPO, "docs", "CLI.md")
@@ -128,6 +133,9 @@ def all_program_flags():
         for name in sorted(os.listdir(root)):
             if name.endswith((".cpp", ".cc", ".h")):
                 flags |= defined_flags(os.path.join(root, name))
+    for source in PY_FLAG_SOURCES:
+        with open(os.path.join(REPO, source), encoding="utf-8") as f:
+            flags |= set(PY_FLAG_DEF_RE.findall(f.read()))
     return flags
 
 

@@ -17,20 +17,15 @@ case "$MODE" in
     FIG5AB="--facts=30000"; FIG5BUF="--facts=30000"
     FIG5IJ="--facts=100000"; FIG6="--facts=30000"
     ABL="--facts=30000"; MUT="--facts=20000"; TAB2="--facts=50000"
-    SERVE="--facts=20000 --hit_rounds=20"
-    AGGIDX="--facts=20000 --rounds=20"
-    SCALE="--facts=10000 --rounds=2 --batch_updates=80 --batches=6"
-    COLUMNAR="--facts=20000"; APPROX="--facts=20000 --facts_eps0=6000" ;;
+    SCALE="--facts=10000 --rounds=2"; COLUMNAR="--facts=20000" ;;
   default)
     FIG5AB=""; FIG5BUF=""; FIG5IJ=""; FIG6=""; ABL=""; MUT=""; TAB2=""
-    SERVE=""; AGGIDX=""; SCALE=""; COLUMNAR=""; APPROX="" ;;
+    SCALE=""; COLUMNAR="" ;;
   paper)
     FIG5AB="--facts=797570"; FIG5BUF="--facts=797570"
     FIG5IJ="--facts=5000000"; FIG6="--facts=797570"
     ABL="--facts=797570"; MUT="--facts=797570"; TAB2="--facts=797570"
-    SERVE="--facts=797570"
-    AGGIDX="--facts=797570"; SCALE="--facts=797570"
-    COLUMNAR="--facts=797570"; APPROX="--facts=797570" ;;
+    SCALE="--facts=797570"; COLUMNAR="--facts=797570" ;;
   *) echo "unknown mode '$MODE'" >&2; exit 2 ;;
 esac
 
@@ -54,10 +49,7 @@ run build/bench/bench_fig6_maintenance $FIG6
 run build/bench/bench_ablation_convergence $ABL
 run build/bench/bench_ext_mutations $MUT
 run build/bench/bench_micro_storage
-run build/bench/bench_query_serving $SERVE --json=BENCH_query_serving.json
-run build/bench/bench_agg_index $AGGIDX --json=BENCH_agg_index.json
 run build/bench/bench_serve_scaling $SCALE --json=BENCH_serve_scaling.json
 run build/bench/bench_columnar $COLUMNAR --json=BENCH_columnar.json
-run build/bench/bench_approx $APPROX --json=BENCH_approx.json
 
 echo "wrote $OUT"

@@ -270,13 +270,8 @@ Result<AggregateResult> AggIndex::Aggregate(const QueryRegion& region,
 
 Result<std::vector<AggregateResult>> AggIndex::RollUp(
     const QueryRegion& region, int dim, int level, AggregateFunc func) {
-  if (dim < 0 || dim >= schema_->num_dims()) {
-    return Status::InvalidArgument("rollup dimension out of range");
-  }
+  IOLAP_RETURN_IF_ERROR(CheckRollUpArgs(*schema_, dim, level));
   const Hierarchy& h = schema_->dim(dim);
-  if (level < 1 || level > h.num_levels()) {
-    return Status::InvalidArgument("rollup level out of range");
-  }
   std::lock_guard<std::mutex> lock(mu_);
   IOLAP_RETURN_IF_ERROR(EnsureBuiltLocked());
   const Rect base = RegionToRect(*schema_, region);

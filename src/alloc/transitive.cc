@@ -101,12 +101,11 @@ struct Bbox {
 };
 
 // ---------------------------------------------------------------------------
-// Per-component processing, split from the orchestration loop so the
-// parallel scheduler can run in-memory components on worker threads.
+// Per-component processing for the serial component loop (step 3b).
 
 /// Loads one component's cell/entry segments into memory through the
-/// (thread-safe) buffer pool. Safe to call from worker threads: it only
-/// reads the component-sorted files and touches state owned by the caller.
+/// buffer pool. It only reads the component-sorted files and touches state
+/// owned by the caller.
 Status LoadComponent(BufferPool& pool, const PreparedDataset& data,
                      const ComponentInfo& info, std::vector<CellRecord>* cells,
                      std::vector<ImpreciseRecord>* entries) {
@@ -140,9 +139,9 @@ int ConvergeComponent(MemoryAllocator* ma, const AllocationOptions& options) {
 }
 
 /// Processes one component that exceeds the memory budget with external
-/// Block passes over its segments. Needs the whole buffer pool; always runs
-/// on the orchestration thread, with no in-memory component in flight.
-/// Emits directly to `appender`.
+/// Block passes over its segments. Needs the whole buffer pool, so no
+/// in-memory component is loaded while it runs. Emits directly to
+/// `appender`.
 Status RunExternalComponent(StorageEnv& env, const StarSchema& schema,
                             PreparedDataset* data,
                             const AllocationOptions& options,

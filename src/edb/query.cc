@@ -58,13 +58,8 @@ Result<AggregateResult> QueryEngine::Aggregate(
 Result<std::vector<AggregateResult>> QueryEngine::RollUp(
     const QueryRegion& region, int dim, int level,
     AggregateFunc func) const {
-  if (dim < 0 || dim >= schema_->num_dims()) {
-    return Status::InvalidArgument("rollup dimension out of range");
-  }
+  IOLAP_RETURN_IF_ERROR(CheckRollUpArgs(*schema_, dim, level));
   const Hierarchy& h = schema_->dim(dim);
-  if (level < 1 || level > h.num_levels()) {
-    return Status::InvalidArgument("rollup level out of range");
-  }
   std::vector<AggregateResult> groups(h.num_nodes_at_level(level));
   auto cursor = edb_->Scan(env_->pool());
   EdbRecord rec;

@@ -116,6 +116,19 @@ inline Rect FactRegionToRect(const StarSchema& schema,
   return r;
 }
 
+/// The one argument check every rollup entry point runs before anything
+/// else: `dim` must name a schema dimension and `level` one of its levels
+/// below the root.
+inline Status CheckRollUpArgs(const StarSchema& schema, int dim, int level) {
+  if (dim < 0 || dim >= schema.num_dims()) {
+    return Status::InvalidArgument("rollup dimension out of range");
+  }
+  if (level < 1 || level > schema.dim(dim).num_levels()) {
+    return Status::InvalidArgument("rollup level out of range");
+  }
+  return Status::Ok();
+}
+
 /// Does `region` intersect the leaf box `rect`? Used by the serve cache to
 /// decide whether a maintenance batch's touched component boxes overlap a
 /// cached result's region.

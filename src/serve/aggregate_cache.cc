@@ -40,7 +40,7 @@ AggregateCacheKey AggregateCache::MakeRollUpKey(const StarSchema& schema,
 
 bool AggregateCache::Lookup(const AggregateCacheKey& key,
                             std::vector<AggregateResult>* values,
-                            int64_t* generation, double* bound) {
+                            double* bound) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
@@ -50,7 +50,6 @@ bool AggregateCache::Lookup(const AggregateCacheKey& key,
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
   *values = it->second->values;
-  if (generation != nullptr) *generation = it->second->generation;
   if (bound != nullptr) *bound = it->second->bound;
   ++stats_.hits;
   if (hits_counter_ != nullptr) hits_counter_->Add(1);
@@ -59,8 +58,7 @@ bool AggregateCache::Lookup(const AggregateCacheKey& key,
 
 void AggregateCache::Insert(const AggregateCacheKey& key, const Rect& bbox,
                             std::vector<AggregateResult> values,
-                            int64_t generation, uint64_t shard_mask,
-                            double bound) {
+                            uint64_t shard_mask, double bound) {
   const int64_t slots = static_cast<int64_t>(values.size());
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
@@ -69,7 +67,6 @@ void AggregateCache::Insert(const AggregateCacheKey& key, const Rect& bbox,
     used_slots_ -= static_cast<int64_t>(it->second->values.size());
     it->second->values = std::move(values);
     it->second->bbox = bbox;
-    it->second->generation = generation;
     it->second->shard_mask = shard_mask;
     it->second->bound = bound;
     used_slots_ += slots;
@@ -80,7 +77,7 @@ void AggregateCache::Insert(const AggregateCacheKey& key, const Rect& bbox,
   if (slots > capacity_slots_) return;  // bigger than the whole cache
   EvictForSpace(slots);
   lru_.push_front(
-      Entry{key, bbox, std::move(values), generation, shard_mask, bound});
+      Entry{key, bbox, std::move(values), shard_mask, bound});
   index_.emplace(key, lru_.begin());
   used_slots_ += slots;
   ++stats_.inserted_entries;

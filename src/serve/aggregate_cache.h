@@ -49,8 +49,7 @@ struct AggregateCacheKeyHash {
   }
 };
 
-/// Generation-versioned LRU cache of aggregate / rollup results over the
-/// Extended Database.
+/// LRU cache of aggregate / rollup results over the Extended Database.
 ///
 /// Capacity is counted in *slots*: a point aggregate costs 1, a rollup
 /// costs one slot per group, so one cached 900-group rollup competes
@@ -60,10 +59,9 @@ struct AggregateCacheKeyHash {
 /// Invalidation is selective: a maintenance commit hands over the bounding
 /// boxes of everything it touched (MaintenanceStats::touched_boxes) and
 /// only entries whose region intersects one of those boxes are dropped —
-/// results over untouched regions survive arbitrarily many commits. The
-/// stored generation records when an entry was computed; because
-/// invalidation runs eagerly inside every commit, any entry still present
-/// is valid for the current generation.
+/// results over untouched regions survive arbitrarily many commits.
+/// Because invalidation runs eagerly inside every commit, any entry still
+/// present is valid for the current generation, so entries carry none.
 ///
 /// Thread-safe; every public method takes the internal mutex. Lock order
 /// with the serve layer: QueryService's snapshot lock is always acquired
@@ -91,21 +89,18 @@ class AggregateCache {
                                          int level, AggregateFunc func);
 
   /// On hit, copies the cached values (size 1 for point aggregates) into
-  /// `values`, the computing generation into `generation` if non-null, the
-  /// entry's promised error bound (0 for exact entries) into `bound` if
-  /// non-null, and promotes the entry to most-recently-used.
+  /// `values`, the entry's promised error bound (0 for exact entries) into
+  /// `bound` if non-null, and promotes the entry to most-recently-used.
   bool Lookup(const AggregateCacheKey& key,
-              std::vector<AggregateResult>* values,
-              int64_t* generation = nullptr, double* bound = nullptr);
+              std::vector<AggregateResult>* values, double* bound = nullptr);
 
-  /// Admits (or refreshes) a result computed at `generation` for a query
-  /// whose region covers the leaf box `bbox` and read the shards in
-  /// `shard_mask` (every bit set, the default, is always safe). Bounded-mode
-  /// entries record their promised error bound. Evicts from the LRU tail
-  /// until the entry fits; an entry bigger than the whole cache is not
-  /// admitted.
+  /// Admits (or refreshes) a result for a query whose region covers the
+  /// leaf box `bbox` and read the shards in `shard_mask` (every bit set,
+  /// the default, is always safe). Bounded-mode entries record their
+  /// promised error bound. Evicts from the LRU tail until the entry fits;
+  /// an entry bigger than the whole cache is not admitted.
   void Insert(const AggregateCacheKey& key, const Rect& bbox,
-              std::vector<AggregateResult> values, int64_t generation,
+              std::vector<AggregateResult> values,
               uint64_t shard_mask = ~uint64_t{0}, double bound = 0);
 
   /// Drops every entry whose region intersects one of `boxes`; returns the
@@ -130,7 +125,6 @@ class AggregateCache {
     AggregateCacheKey key;
     Rect bbox;
     std::vector<AggregateResult> values;
-    int64_t generation = 0;
     uint64_t shard_mask = ~uint64_t{0};
     double bound = 0;  // promised error bound (bounded-mode entries)
   };

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "edb/columnar.h"
-#include "exec/parallel_scheduler.h"
 #include "obs/metrics.h"
 
 namespace iolap {
@@ -199,44 +198,53 @@ Result<std::vector<AggregateResult>> GroupByEngine::LocalGroupBy(
     int level, int64_t num_groups, GroupByStats* stats,
     const ColumnarEdb* columnar) {
   if (local_queries_counter_ != nullptr) local_queries_counter_->Add(1);
+  const size_t n = chunks.size();
   std::vector<AggregateResult> groups(num_groups);
-  std::vector<std::unique_ptr<LocalAcc>> accs(chunks.size());
-  std::vector<int64_t> rows(chunks.size(), 0);
+  std::vector<std::unique_ptr<LocalAcc>> accs(n);
+  std::vector<int64_t> rows(n, 0);
+  // Scans chunk c into its own partial: touches only accs[c], rows[c] and
+  // the thread-safe buffer pool, so chunks can scan on any thread.
+  const auto scan = [&](size_t c) -> Status {
+    accs[c] = std::make_unique<LocalAcc>(num_groups);
+    LocalAcc* acc = accs[c].get();
+    auto add = [acc](int32_t g, double w, double m) { acc->Add(g, w, m); };
+    if (columnar != nullptr) {
+      return ScanChunkColumnar(env_, schema_, columnar, chunks[c].parts,
+                               region, dim, level, &rows[c], add);
+    }
+    return ScanChunk(env_, schema_, edb_, chunks[c].parts, region, dim, level,
+                     &rows[c], add);
+  };
 
-  std::vector<ScheduledUnit> units(chunks.size());
-  const int64_t unit_cost = std::min<int64_t>(num_groups, chunk_rows_);
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    ScheduledUnit& unit = units[c];
-    unit.cost = unit_cost;
-    unit.run = [this, &chunks, &accs, &rows, &region, dim, level, num_groups,
-                columnar, c]() -> Status {
-      auto acc = std::make_unique<LocalAcc>(num_groups);
-      auto add = [&acc](int32_t g, double w, double m) { acc->Add(g, w, m); };
-      if (columnar != nullptr) {
-        IOLAP_RETURN_IF_ERROR(ScanChunkColumnar(env_, schema_, columnar,
-                                                chunks[c].parts, region, dim,
-                                                level, &rows[c], add));
-      } else {
-        IOLAP_RETURN_IF_ERROR(ScanChunk(env_, schema_, edb_, chunks[c].parts,
-                                        region, dim, level, &rows[c], add));
-      }
-      accs[c] = std::move(acc);
-      return Status::Ok();
-    };
-    // Ordered emit: partials fold into the result in ascending chunk order
-    // regardless of which worker finished first.
-    unit.emit = [&groups, &accs, c]() -> Status {
-      accs[c]->MergeInto(&groups);
-      accs[c].reset();
-      return Status::Ok();
-    };
+  // With a pool, chunk scans run on it with at most 4 x threads of them in
+  // flight (every chunk of one query costs the same, so this bounds the
+  // partials held). Partials fold into the result in ascending chunk order
+  // on this thread, whichever worker finished first. Without a pool each
+  // chunk is scanned and folded inline.
+  const size_t window =
+      pool_ != nullptr ? 4 * static_cast<size_t>(pool_->num_threads()) : 0;
+  std::vector<TaskFuture> futures(n);
+  size_t submitted = 0;
+  Status status;
+  for (size_t c = 0; c < n; ++c) {
+    while (pool_ != nullptr && submitted < std::min(n, c + window)) {
+      const size_t next = submitted++;
+      futures[next] = pool_->Submit([&scan, next] { return scan(next); });
+    }
+    status = futures[c].valid() ? futures[c].Wait() : scan(c);
+    if (!status.ok()) break;  // the first failing chunk in chunk order
+    accs[c]->MergeInto(&groups);
+    accs[c].reset();
   }
-  const int threads = pool_ != nullptr ? pool_->num_threads() : 1;
-  ParallelScheduler scheduler(pool_, unit_cost * threads * 4);
-  IOLAP_RETURN_IF_ERROR(scheduler.Execute(units));
+  // Never return while a submitted scan may still touch this frame.
+  for (size_t c = 0; c < submitted; ++c) {
+    const Status drained = futures[c].Wait();
+    (void)drained;
+  }
+  IOLAP_RETURN_IF_ERROR(status);
 
   for (int64_t r : rows) stats->rows_scanned += r;
-  stats->chunks = static_cast<int64_t>(chunks.size());
+  stats->chunks = static_cast<int64_t>(n);
   return groups;
 }
 
@@ -258,13 +266,8 @@ Result<std::vector<AggregateResult>> GroupByEngine::RollUp(
     const std::vector<RowRange>& ranges, const QueryRegion& region, int dim,
     int level, AggregateFunc func, GroupByStats* stats,
     const ColumnarEdb* columnar) {
-  if (dim < 0 || dim >= schema_->num_dims()) {
-    return Status::InvalidArgument("rollup dimension out of range");
-  }
+  IOLAP_RETURN_IF_ERROR(CheckRollUpArgs(*schema_, dim, level));
   const Hierarchy& h = schema_->dim(dim);
-  if (level < 1 || level > h.num_levels()) {
-    return Status::InvalidArgument("rollup level out of range");
-  }
   GroupByStats local;
   GroupByStats* st = stats != nullptr ? stats : &local;
   const int64_t num_groups = h.num_nodes_at_level(level);

@@ -467,7 +467,7 @@ Result<AggregateResult> QueryService::Aggregate(const QueryRegion& region,
       bounded_key = AggregateCache::MakeAggregateKey(*schema_, region, func,
                                                      AnswerMode::kBounded);
       double cached_bound = 0;
-      if (cache_->Lookup(bounded_key, &cached, nullptr, &cached_bound) &&
+      if (cache_->Lookup(bounded_key, &cached, &cached_bound) &&
           cached.size() == 1 && cached_bound <= spec.epsilon) {
         finish(AnswerTier::kCache, cached_bound, cached_bound == 0, true);
         return cached[0];
@@ -491,7 +491,7 @@ Result<AggregateResult> QueryService::Aggregate(const QueryRegion& region,
   if (agg_index_ != nullptr) {
     if (est && est->bound == 0) {
       if (cache_ != nullptr) {
-        cache_->Insert(exact_key, rect, {est->result}, ls.global_gen,
+        cache_->Insert(exact_key, rect, {est->result},
                        ShardMap::MaskOfRange(ls.first, ls.last));
       }
       finish(AnswerTier::kSynopsis, 0, true, false);
@@ -501,7 +501,7 @@ Result<AggregateResult> QueryService::Aggregate(const QueryRegion& region,
     if (indexed.ok()) {
       if (index_answers_counter_ != nullptr) index_answers_counter_->Add(1);
       if (cache_ != nullptr) {
-        cache_->Insert(exact_key, rect, {*indexed}, ls.global_gen,
+        cache_->Insert(exact_key, rect, {*indexed},
                        ShardMap::MaskOfRange(ls.first, ls.last));
       }
       finish(AnswerTier::kIndex, 0, true, false);
@@ -516,7 +516,7 @@ Result<AggregateResult> QueryService::Aggregate(const QueryRegion& region,
   // exact-key entries stay pure scan products.
   if (approximate && est && est->bound <= spec.epsilon) {
     if (cache_ != nullptr) {
-      cache_->Insert(bounded_key, rect, {est->result}, ls.global_gen,
+      cache_->Insert(bounded_key, rect, {est->result},
                      ShardMap::MaskOfRange(ls.first, ls.last), est->bound);
     }
     finish(AnswerTier::kSynopsis, est->bound, est->exact, false);
@@ -526,7 +526,7 @@ Result<AggregateResult> QueryService::Aggregate(const QueryRegion& region,
   // Scan tier: the oracle.
   IOLAP_ASSIGN_OR_RETURN(AggregateResult out, ScanAggregate(ls, region, func));
   if (cache_ != nullptr) {
-    cache_->Insert(exact_key, rect, {out}, ls.global_gen,
+    cache_->Insert(exact_key, rect, {out},
                    ShardMap::MaskOfRange(ls.first, ls.last));
   }
   finish(AnswerTier::kScan, 0, true, false);
@@ -536,6 +536,8 @@ Result<AggregateResult> QueryService::Aggregate(const QueryRegion& region,
 Result<std::vector<AggregateResult>> QueryService::RollUp(
     const QueryRegion& region, int dim, int level, AggregateFunc func,
     int64_t* generation, bool* cache_hit, ShardSnapshot* shards) {
+  // Before the cache: its key narrows dim and level to one byte each.
+  IOLAP_RETURN_IF_ERROR(CheckRollUpArgs(*schema_, dim, level));
   TraceSpan span("serve.query");
   Stopwatch timer;
   if (queries_counter_ != nullptr) queries_counter_->Add(1);
@@ -582,7 +584,7 @@ Result<std::vector<AggregateResult>> QueryService::RollUp(
     IOLAP_ASSIGN_OR_RETURN(groups, ScanRollUp(ls, region, dim, level, func));
   }
   if (cache_ != nullptr) {
-    cache_->Insert(key, rect, groups, ls.global_gen,
+    cache_->Insert(key, rect, groups,
                    ShardMap::MaskOfRange(ls.first, ls.last));
   }
   FinishQuery(tier, &span, timer);

@@ -16,14 +16,14 @@
 
 namespace iolap {
 
-/// Normalized-key protocol (optional): a comparator may expose
-/// `uint64_t KeyPrefix(const T&)` returning a prefix of its sort key packed
-/// so that unsigned comparison of prefixes refines the full order —
-/// `KeyPrefix(a) < KeyPrefix(b)` must imply `less(a, b)`, and equal
-/// prefixes defer to the full comparator. The sorter then sorts compact
+/// Normalized-key protocol, required of every sorter comparator: it
+/// exposes `uint64_t KeyPrefix(const T&)` returning a prefix of its sort
+/// key packed so that unsigned comparison of prefixes refines the full
+/// order — `KeyPrefix(a) < KeyPrefix(b)` must imply `less(a, b)`, and equal
+/// prefixes defer to the full comparator. The sorter sorts compact
 /// (prefix, index) pairs during run generation and resolves most merge
 /// matches with one integer compare, falling back to `less` only on prefix
-/// ties. Comparators without the member are sorted exactly as before.
+/// ties. A constant prefix is valid: every order then comes from `less`.
 template <typename Less, typename T>
 concept SorterKeyPrefix = requires(const Less& less, const T& value) {
   { less.KeyPrefix(value) } -> std::convertible_to<uint64_t>;
@@ -43,9 +43,9 @@ concept SorterKeyPrefix = requires(const Less& less, const T& value) {
 /// Pages move in multi-page transfers (half the budget in run generation
 /// and the in-memory fast path, budget/(k+1) per input in a k-way merge),
 /// which changes syscall counts but not the page I/O count. Chunks sort on
-/// normalized keys when the comparator has them (see SorterKeyPrefix), and
-/// the merge is a loser tree with a lower-run-index tie-break, so the
-/// output is exactly the stable sort of the input.
+/// normalized keys (see SorterKeyPrefix), and the merge is a loser tree
+/// with a lower-run-index tie-break, so the output is exactly the stable
+/// sort of the input.
 template <typename T>
 class ExternalSorter {
  public:
@@ -55,6 +55,7 @@ class ExternalSorter {
         budget_pages_(std::max<int64_t>(budget_pages, 3)) {}
 
   template <typename Less>
+    requires SorterKeyPrefix<Less, T>
   Status Sort(TypedFile<T>* file, Less less) {
     return SortRange(file, 0, file->size(), less);
   }
@@ -63,6 +64,7 @@ class ExternalSorter {
   /// page-aligned (summary-table segments are laid out page-aligned by the
   /// preprocessor for exactly this reason).
   template <typename Less>
+    requires SorterKeyPrefix<Less, T>
   Status SortRange(TypedFile<T>* file, int64_t begin, int64_t end,
                    Less less) {
     const int64_t count = end - begin;
@@ -173,8 +175,8 @@ class ExternalSorter {
 
   /// Every chunk sort in the sorter is *stable* (equal records keep their
   /// input order). Combined with the merge's lower-run-index tie rule this
-  /// makes the sorted output exactly the stable sort of the input, with or
-  /// without normalized keys, even for comparators with ties.
+  /// makes the sorted output exactly the stable sort of the input, even for
+  /// comparators with ties.
   struct Keyed {
     uint64_t key;  // normalized key prefix (see SorterKeyPrefix)
     int64_t idx;   // input position, also the final tie-break
@@ -223,22 +225,6 @@ class ExternalSorter {
     }
   }
 
-  static void UnpackRecords(const std::byte* pages, int64_t n, T* out) {
-    for (int64_t r = 0; r < n;) {
-      int64_t take = std::min<int64_t>(kRpp, n - r);
-      std::memcpy(out + r, pages + (r / kRpp) * kPageSize, take * sizeof(T));
-      r += take;
-    }
-  }
-
-  static void PackRecords(const T* in, int64_t n, std::byte* pages) {
-    for (int64_t r = 0; r < n;) {
-      int64_t take = std::min<int64_t>(kRpp, n - r);
-      std::memcpy(pages + (r / kRpp) * kPageSize, in + r, take * sizeof(T));
-      r += take;
-    }
-  }
-
   /// Builds (prefix, index) keys straight from `n` records laid out in
   /// `pages`, sorts them stably, and gathers the records in sorted order
   /// into `out_pages` (same page layout; non-record bytes of `out_pages`
@@ -282,18 +268,11 @@ class ExternalSorter {
     std::vector<std::byte> pages(static_cast<size_t>(npages) * kPageSize);
     IOLAP_RETURN_IF_ERROR(ReadPageRange(file, first_page, npages,
                                         pages.data()));
-    if constexpr (SorterKeyPrefix<Less, T>) {
-      // Gather into a copy of the page images so tail records and slack
-      // bytes stay exactly as the generic path leaves them.
-      std::vector<std::byte> sorted(pages);
-      KeyedSortPages(pages.data(), count, less, sorted.data());
-      return WritePageRange(file, first_page, npages, sorted.data());
-    }
-    std::vector<T> records(count);
-    UnpackRecords(pages.data(), count, records.data());
-    std::stable_sort(records.begin(), records.end(), less);
-    PackRecords(records.data(), count, pages.data());
-    return WritePageRange(file, first_page, npages, pages.data());
+    // Gather into a copy of the page images so tail records and slack
+    // bytes are written back unchanged.
+    std::vector<std::byte> sorted(pages);
+    KeyedSortPages(pages.data(), count, less, sorted.data());
+    return WritePageRange(file, first_page, npages, sorted.data());
   }
 
   /// Sorts one budget-sized chunk of input and appends it to the scratch
@@ -307,20 +286,11 @@ class ExternalSorter {
     const int64_t npages = (n + kRpp - 1) / kRpp;
     std::vector<std::byte> pages(static_cast<size_t>(npages) * kPageSize);
     IOLAP_RETURN_IF_ERROR(ReadPageRange(in, first_page, npages, pages.data()));
-    if constexpr (SorterKeyPrefix<Less, T>) {
-      // Fused keyed sort: keys are built straight from the page images and
-      // the records gathered straight into a fresh (zeroed) paginated
-      // buffer, skipping the unpack/pack copies of the generic path.
-      std::vector<std::byte> sorted(pages.size());  // value-init: slack = 0
-      KeyedSortPages(pages.data(), n, less, sorted.data());
-      return WritePageRange(out, out_page, npages, sorted.data());
-    }
-    std::vector<T> records(n);
-    UnpackRecords(pages.data(), n, records.data());
-    std::stable_sort(records.begin(), records.end(), less);
-    std::memset(pages.data(), 0, pages.size());
-    PackRecords(records.data(), n, pages.data());
-    return WritePageRange(out, out_page, npages, pages.data());
+    // Keys are built straight from the page images and the records gathered
+    // straight into a fresh (zeroed) paginated buffer.
+    std::vector<std::byte> sorted(pages.size());  // value-init: slack = 0
+    KeyedSortPages(pages.data(), n, less, sorted.data());
+    return WritePageRange(out, out_page, npages, sorted.data());
   }
 
   /// Merges one group of runs with a loser tree: each run streams through
@@ -349,15 +319,13 @@ class ExternalSorter {
     std::vector<RunCursor> cur(k);
     // Normalized key of each run's current record (see SorterKeyPrefix):
     // most matches resolve on one integer compare.
-    std::vector<uint64_t> key8(SorterKeyPrefix<Less, T> ? k : 0);
+    std::vector<uint64_t> key8(k);
 
     auto head_of = [&](size_t i) -> const T* {
       return reinterpret_cast<const T*>(cur[i].rec);
     };
     auto load_key = [&](size_t i) {
-      if constexpr (SorterKeyPrefix<Less, T>) {
-        key8[i] = static_cast<uint64_t>(less.KeyPrefix(*head_of(i)));
-      }
+      key8[i] = static_cast<uint64_t>(less.KeyPrefix(*head_of(i)));
     };
     auto refill = [&](size_t i) -> Status {
       RunCursor& c = cur[i];
@@ -409,9 +377,7 @@ class ExternalSorter {
       size_t b = std::max(x, y);
       if (cur[a].done) return b;
       if (cur[b].done) return a;
-      if constexpr (SorterKeyPrefix<Less, T>) {
-        if (key8[a] != key8[b]) return key8[a] < key8[b] ? a : b;
-      }
+      if (key8[a] != key8[b]) return key8[a] < key8[b] ? a : b;
       return less(*head_of(b), *head_of(a)) ? b : a;
     };
     std::vector<size_t> loser(k, 0);

@@ -224,13 +224,8 @@ Result<BoundedAggregate> SynopsisStore::EstimateAggregate(
 
 Result<std::vector<AggregateResult>> SynopsisStore::ExactRollUp(
     const QueryRegion& region, int dim, int level, AggregateFunc func) {
-  if (dim < 0 || dim >= schema_->num_dims()) {
-    return Status::InvalidArgument("rollup dimension out of range");
-  }
+  IOLAP_RETURN_IF_ERROR(CheckRollUpArgs(*schema_, dim, level));
   const Hierarchy& h = schema_->dim(dim);
-  if (level < 1 || level > h.num_levels()) {
-    return Status::InvalidArgument("rollup level out of range");
-  }
   std::lock_guard<std::mutex> lock(mu_);
   IOLAP_RETURN_IF_ERROR(BeginEstimateLocked());
   const NodeId within = region.node[dim];

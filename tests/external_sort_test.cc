@@ -18,7 +18,26 @@ struct Rec {
   int64_t payload;
 };
 
-bool KeyLess(const Rec& a, const Rec& b) { return a.key < b.key; }
+// The sorter requires the normalized-key protocol (SorterKeyPrefix), so
+// every comparator here is a functor with KeyPrefix. KeyedLess's prefix is
+// the key with its sign bit flipped (so unsigned order is signed order):
+// the radix sort and the merge's integer compares decide every order.
+// Duplicate keys make the (stable) tie handling observable through the
+// payload.
+struct KeyedLess {
+  bool operator()(const Rec& a, const Rec& b) const { return a.key < b.key; }
+  uint64_t KeyPrefix(const Rec& a) const {
+    return static_cast<uint64_t>(a.key) ^ (uint64_t{1} << 63);
+  }
+};
+
+// The same order behind a constant prefix: every chunk is one tie group,
+// so the tie-group comparison sort and the merge's `less` fallback decide
+// every order.
+struct TiedLess {
+  bool operator()(const Rec& a, const Rec& b) const { return a.key < b.key; }
+  uint64_t KeyPrefix(const Rec&) const { return 0; }
+};
 
 class ExternalSortTest : public ::testing::Test {
  protected:
@@ -38,7 +57,7 @@ class ExternalSortTest : public ::testing::Test {
   std::vector<Rec> ReadAll(const TypedFile<Rec>& file) {
     std::vector<Rec> out;
     auto cursor = file.Scan(pool_);
-    Rec r;
+    Rec r{};
     while (!cursor.done()) {
       EXPECT_TRUE(cursor.Next(&r).ok());
       out.push_back(r);
@@ -53,11 +72,11 @@ class ExternalSortTest : public ::testing::Test {
 TEST_F(ExternalSortTest, EmptyAndSingleton) {
   TypedFile<Rec> empty = MakeFile({});
   ExternalSorter<Rec> sorter(&disk_, &pool_, 4);
-  IOLAP_ASSERT_OK(sorter.Sort(&empty, KeyLess));
+  IOLAP_ASSERT_OK(sorter.Sort(&empty, KeyedLess{}));
   EXPECT_EQ(empty.size(), 0);
 
   TypedFile<Rec> one = MakeFile({Rec{5, 50}});
-  IOLAP_ASSERT_OK(sorter.Sort(&one, KeyLess));
+  IOLAP_ASSERT_OK(sorter.Sort(&one, KeyedLess{}));
   auto records = ReadAll(one);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].key, 5);
@@ -71,34 +90,24 @@ TEST_F(ExternalSortTest, InMemoryFastPath) {
   }
   TypedFile<Rec> file = MakeFile(data);
   ExternalSorter<Rec> sorter(&disk_, &pool_, 8);
-  IOLAP_ASSERT_OK(sorter.Sort(&file, KeyLess));
+  IOLAP_ASSERT_OK(sorter.Sort(&file, KeyedLess{}));
   auto got = ReadAll(file);
-  std::sort(data.begin(), data.end(), KeyLess);
+  std::sort(data.begin(), data.end(), KeyedLess{});
   ASSERT_EQ(got.size(), data.size());
   for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i].key, data[i].key);
 }
 
-// KeyLess as a functor with the normalized-key protocol, so the sorter's
-// keyed radix sort and prefix-compared merge run. Duplicate keys make the
-// (stable) tie handling observable through the payload.
-struct KeyedLess {
-  bool operator()(const Rec& a, const Rec& b) const { return a.key < b.key; }
-  uint64_t KeyPrefix(const Rec& a) const {
-    return static_cast<uint64_t>(a.key);
-  }
-};
-
 // Property sweep: sizes that hit the single-chunk fast path, a single merge
 // pass, and two or more merge passes (at budget 3 the fan-in is 2, so three
 // or more runs need a second pass), with budgets down to the minimum, for
-// both the generic comparator (KeyLess) and the keyed one (KeyedLess). The
-// oracle is std::stable_sort of the input: the sorter promises exactly that
-// record sequence, which implies sortedness, no lost or duplicated records,
-// and the tie order.
+// a prefix that decides the order (KeyedLess) and one that decides nothing
+// (TiedLess). The oracle is std::stable_sort of the input: the sorter
+// promises exactly that record sequence, which implies sortedness, no lost
+// or duplicated records, and the tie order.
 struct SweepParam {
   int n;
   int budget_pages;
-  bool keyed;  // KeyedLess instead of KeyLess
+  bool keyed;  // KeyedLess instead of TiedLess
 };
 
 void PrintTo(const SweepParam& p, std::ostream* os) {
@@ -135,10 +144,10 @@ TEST_P(ExternalSortSweep, SortsAndPreservesMultiset) {
   if (keyed) {
     IOLAP_ASSERT_OK(sorter.Sort(&file, KeyedLess{}));
   } else {
-    IOLAP_ASSERT_OK(sorter.Sort(&file, KeyLess));
+    IOLAP_ASSERT_OK(sorter.Sort(&file, TiedLess{}));
   }
   auto got = ReadAll(file);
-  std::stable_sort(data.begin(), data.end(), KeyLess);
+  std::stable_sort(data.begin(), data.end(), KeyedLess{});
   ASSERT_EQ(got.size(), data.size());
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].key, data[i].key) << "at " << i;
@@ -171,7 +180,7 @@ TEST_F(ExternalSortTest, TwoPassIoBudget) {
   IOLAP_ASSERT_OK(pool_.FlushAll());
   disk_.ResetStats();
   ExternalSorter<Rec> sorter(&disk_, &pool_, budget);
-  IOLAP_ASSERT_OK(sorter.Sort(&file, KeyLess));
+  IOLAP_ASSERT_OK(sorter.Sort(&file, KeyedLess{}));
   IoStats stats = disk_.stats();
   EXPECT_LE(stats.page_reads, 2 * n_pages + 4);
   EXPECT_LE(stats.page_writes, 2 * n_pages + 4);
@@ -188,7 +197,7 @@ TEST_F(ExternalSortTest, SortWithDirtyPoolPagesIsCoherent) {
   TypedFile<Rec> file = MakeFile(data);
   IOLAP_ASSERT_OK(file.Put(pool_, 0, Rec{-42, 999}));
   ExternalSorter<Rec> sorter(&disk_, &pool_, 3);
-  IOLAP_ASSERT_OK(sorter.Sort(&file, KeyLess));
+  IOLAP_ASSERT_OK(sorter.Sort(&file, KeyedLess{}));
   IOLAP_ASSERT_OK_AND_ASSIGN(Rec first, file.Get(pool_, 0));
   EXPECT_EQ(first.key, -42);
   EXPECT_EQ(first.payload, 999);
@@ -199,7 +208,7 @@ TEST_F(ExternalSortTest, AlreadySortedStaysStable) {
   for (int i = 0; i < 3000; ++i) data.push_back(Rec{i, i});
   TypedFile<Rec> file = MakeFile(data);
   ExternalSorter<Rec> sorter(&disk_, &pool_, 3);
-  IOLAP_ASSERT_OK(sorter.Sort(&file, KeyLess));
+  IOLAP_ASSERT_OK(sorter.Sort(&file, KeyedLess{}));
   auto got = ReadAll(file);
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].key, static_cast<int64_t>(i));
@@ -287,7 +296,7 @@ TEST_F(ExternalSortTest, RangeEndingBeforeBeginIsOutOfRange) {
   std::vector<Rec> data = MakeRandomRecords(23, static_cast<int>(2 * rpp), 50);
   TypedFile<Rec> file = MakeFile(data);
   ExternalSorter<Rec> sorter(&disk_, &pool_, 3);
-  EXPECT_EQ(sorter.SortRange(&file, rpp, rpp - 1, KeyLess).code(),
+  EXPECT_EQ(sorter.SortRange(&file, rpp, rpp - 1, KeyedLess{}).code(),
             StatusCode::kOutOfRange);
   EXPECT_EQ(sorter.SortRange(&file, 0, -5, KeyedLess{}).code(),
             StatusCode::kOutOfRange);

@@ -19,6 +19,15 @@ struct Rec {
   int64_t pad;
 };
 
+// The sorter's comparators carry a normalized key; the sign flip makes
+// unsigned prefix order match signed key order.
+struct RecLess {
+  bool operator()(const Rec& a, const Rec& b) const { return a.key < b.key; }
+  uint64_t KeyPrefix(const Rec& a) const {
+    return static_cast<uint64_t>(a.key) ^ (uint64_t{1} << 63);
+  }
+};
+
 TEST(FaultInjectionTest, ReadFaultSurfacesThroughBufferPool) {
   StorageEnv env(MakeTempDir(), 4);
   IOLAP_ASSERT_OK_AND_ASSIGN(auto file, TypedFile<Rec>::Create(env.disk(), "t"));
@@ -76,13 +85,11 @@ TEST(FaultInjectionTest, ExternalSortPropagatesFaults) {
                             : Status::Ok();
   });
   ExternalSorter<Rec> sorter(&env.disk(), &env.pool(), 4);
-  Status st = sorter.Sort(
-      &file, [](const Rec& a, const Rec& b) { return a.key < b.key; });
+  Status st = sorter.Sort(&file, RecLess{});
   EXPECT_EQ(st.code(), StatusCode::kIoError);
   // Clean retry succeeds.
   env.disk().SetFaultInjector(nullptr);
-  IOLAP_ASSERT_OK(sorter.Sort(
-      &file, [](const Rec& a, const Rec& b) { return a.key < b.key; }));
+  IOLAP_ASSERT_OK(sorter.Sort(&file, RecLess{}));
   IOLAP_ASSERT_OK_AND_ASSIGN(Rec first, file.Get(env.pool(), 0));
   EXPECT_EQ(first.key, 1);
 }

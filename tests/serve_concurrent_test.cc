@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <future>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -206,6 +212,30 @@ bool IsFullyPrecise(const StarSchema& schema, const FactRecord& f) {
   return true;
 }
 
+/// The sharded fixture: 500 seeded facts over MakeShardedSchema, 30%
+/// imprecise, behind a MaintenanceManager. `facts` receives the fact
+/// table.
+Result<std::unique_ptr<MaintenanceManager>> BuildShardedManager(
+    StorageEnv& env, const StarSchema& schema,
+    std::vector<FactRecord>* facts) {
+  DatasetSpec spec;
+  spec.num_facts = 500;
+  spec.imprecise_fraction = 0.30;
+  spec.seed = 21;
+  IOLAP_ASSIGN_OR_RETURN(auto file, GenerateFacts(env, schema, spec));
+  {
+    auto cursor = file.Scan(env.pool());  // unpinned before Build sorts
+    FactRecord f;
+    while (!cursor.done()) {
+      IOLAP_RETURN_IF_ERROR(cursor.Next(&f));
+      facts->push_back(f);
+    }
+  }
+  AllocationOptions options;
+  options.policy = PolicyKind::kUniform;
+  return MaintenanceManager::Build(env, schema, &file, options);
+}
+
 // Per-shard torture: one mutator thread per (distinct) shard streams
 // single-shard batches while query threads probe single-leaf regions of
 // every shard. Every answer must equal a serial rescan at the *shard*
@@ -214,24 +244,9 @@ bool IsFullyPrecise(const StarSchema& schema, const FactRecord& f) {
 TEST(ServeConcurrentTest, ShardedTortureMatchesRescanAtPinnedShardGeneration) {
   StorageEnv env(MakeTempDir(), 512);
   StarSchema schema = MakeShardedSchema();
-  DatasetSpec spec;
-  spec.num_facts = 500;
-  spec.imprecise_fraction = 0.30;
-  spec.seed = 21;
-  IOLAP_ASSERT_OK_AND_ASSIGN(auto file, GenerateFacts(env, schema, spec));
   std::vector<FactRecord> facts;
-  {
-    auto cursor = file.Scan(env.pool());
-    FactRecord f;
-    while (!cursor.done()) {
-      IOLAP_ASSERT_OK(cursor.Next(&f));
-      facts.push_back(f);
-    }
-  }
-  AllocationOptions options;
-  options.policy = PolicyKind::kUniform;
-  IOLAP_ASSERT_OK_AND_ASSIGN(
-      auto manager, MaintenanceManager::Build(env, schema, &file, options));
+  IOLAP_ASSERT_OK_AND_ASSIGN(auto manager,
+                             BuildShardedManager(env, schema, &facts));
 
   ServeOptions opts;
   opts.num_threads = 2;
@@ -395,6 +410,166 @@ TEST(ServeConcurrentTest, ShardedTortureMatchesRescanAtPinnedShardGeneration) {
           << obs.shard << " generation " << obs.shard_gen;
     }
   }
+}
+
+/// Parks a maintenance batch at its first EDB row change until Release().
+/// The manager reports row changes from inside the batch, while the
+/// service holds the batch's exclusive shard locks.
+class ParkingListener : public EdbChangeListener {
+ public:
+  void OnAdd(const EdbRecord&) override { Park(); }
+  void OnRemove(const EdbRecord&) override { Park(); }
+
+  bool WaitParked(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  void Park() {
+    std::unique_lock<std::mutex> lock(mu_);
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+// Shard isolation, deterministically: a commit parked inside its batch
+// holds only the shards it touches. With 4 shards, an update in the first
+// shard must not delay a query over a node the last shard owns; with one
+// shard, the same query must wait for the commit.
+TEST(ServeConcurrentTest, ParkedCommitBlocksOnlyItsOwnShards) {
+  using std::chrono::milliseconds;
+  StorageEnv env(MakeTempDir(), 512);
+  StarSchema schema = MakeShardedSchema();
+  std::vector<FactRecord> facts;
+  IOLAP_ASSERT_OK_AND_ASSIGN(auto manager,
+                             BuildShardedManager(env, schema, &facts));
+  ServeOptions opts;
+  opts.cache_slots = 0;
+  // agg_index and synopsis stay off, so the service installs no change
+  // listener of its own and the manager's slot is free for the test's.
+  ASSERT_FALSE(opts.agg_index || opts.synopsis);
+
+  // Chosen under the 4-shard geometry: a fully precise fact in the first
+  // shard (its batch locks only that shard, see the torture test above)
+  // and a dimension-0 node wholly owned by the last shard.
+  size_t fact = facts.size();
+  QueryRegion probe = QueryRegion::All();
+  {
+    opts.num_shards = 4;
+    QueryService sharded(manager.get(), opts);
+    const int last = sharded.num_shards() - 1;
+    ASSERT_GE(last, 1) << "component layout collapsed to one shard";
+    const ShardMap& map = sharded.shard_map();
+    const Hierarchy& h0 = schema.dim(0);
+    for (size_t i = 0; i < facts.size() && fact == facts.size(); ++i) {
+      if (IsFullyPrecise(schema, facts[i]) &&
+          map.ShardOfLeaf(h0.leaf_begin(facts[i].node[0])) == 0) {
+        fact = i;
+      }
+    }
+    for (NodeId node : h0.nodes_at_level(1)) {
+      if (map.ShardOfLeaf(h0.leaf_begin(node)) == last &&
+          map.ShardOfLeaf(h0.leaf_end(node) - 1) == last) {
+        probe = QueryRegion::All().With(0, node);
+        break;
+      }
+    }
+  }
+  ASSERT_LT(fact, facts.size()) << "no precise fact in the first shard";
+  ASSERT_NE(probe.node[0], schema.dim(0).root()) << "no last-shard node";
+
+  FactRecord before = facts[fact];
+  for (const int num_shards : {4, 1}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    opts.num_shards = num_shards;
+    QueryService service(manager.get(), opts);
+    ParkingListener listener;
+    manager->set_change_listener(&listener);
+    const double next = before.measure + 10;
+    Status update_status;
+    std::thread writer([&] {
+      update_status = service.ApplyUpdates({FactUpdate{before, next}});
+    });
+    const bool parked = listener.WaitParked(milliseconds(10'000));
+    EXPECT_TRUE(parked) << "the update never reached its row changes";
+    std::future<Status> query;
+    if (parked) {
+      query = std::async(std::launch::async, [&] {
+        return service.UncachedAggregate(probe, AggregateFunc::kSum)
+            .status();
+      });
+      if (num_shards > 1) {
+        EXPECT_EQ(query.wait_for(milliseconds(10'000)),
+                  std::future_status::ready)
+            << "a query on the last shard waited for a commit on the first";
+      } else {
+        EXPECT_EQ(query.wait_for(milliseconds(200)),
+                  std::future_status::timeout)
+            << "a query shared the lock of an uncommitted batch";
+      }
+    }
+    listener.Release();
+    writer.join();
+    manager->set_change_listener(nullptr);
+    IOLAP_ASSERT_OK(update_status);
+    before.measure = next;
+    if (parked) {
+      ASSERT_EQ(query.wait_for(milliseconds(10'000)),
+                std::future_status::ready);
+      IOLAP_EXPECT_OK(query.get());
+    }
+  }
+}
+
+// A chunk scan that fails on a pool worker fails the whole query: with 4
+// scan threads and one-page chunks, a read fault on one mid-file EDB page
+// must surface as that page's kIoError from both scan entry points.
+TEST(ServeConcurrentTest, ParallelScanSurfacesMidFileReadFault) {
+  StorageEnv env(MakeTempDir(), 512);
+  StarSchema schema = MakeShardedSchema();
+  std::vector<FactRecord> facts;
+  IOLAP_ASSERT_OK_AND_ASSIGN(auto manager,
+                             BuildShardedManager(env, schema, &facts));
+  const FileId edb = manager->edb().file_id();
+  const int64_t pages = manager->edb().size_in_pages();
+  ASSERT_GE(pages, 4) << "too few EDB pages for a mid-file fault";
+  const PageId bad_page = static_cast<PageId>(pages / 2);
+  IOLAP_ASSERT_OK(env.pool().EvictFile(edb));
+  env.disk().SetFaultInjector([&](char op, FileId file, PageId page) {
+    return op == 'r' && file == edb && page == bad_page
+               ? Status::IoError("injected EDB read fault")
+               : Status::Ok();
+  });
+
+  ServeOptions opts;
+  opts.num_threads = 4;
+  opts.min_partition_rows = 1;  // one page per chunk
+  opts.cache_slots = 0;
+  QueryService service(manager.get(), opts);
+  Result<AggregateResult> agg =
+      service.UncachedAggregate(QueryRegion::All(), AggregateFunc::kSum);
+  EXPECT_EQ(agg.status().code(), StatusCode::kIoError);
+  Result<std::vector<AggregateResult>> roll =
+      service.UncachedRollUp(QueryRegion::All(), 0, 1, AggregateFunc::kSum);
+  EXPECT_EQ(roll.status().code(), StatusCode::kIoError);
+
+  // Without the fault the same service answers.
+  env.disk().SetFaultInjector(nullptr);
+  IOLAP_EXPECT_OK(
+      service.UncachedAggregate(QueryRegion::All(), AggregateFunc::kSum)
+          .status());
 }
 
 /// Runs `run_probes` on a fresh scan-only service per shard count

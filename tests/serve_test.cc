@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -146,6 +147,23 @@ TEST_F(ServeTest, RollUpRejectsBadArguments) {
       service.RollUp(QueryRegion::All(), 7, 1, AggregateFunc::kSum).ok());
   EXPECT_FALSE(
       service.RollUp(QueryRegion::All(), 0, 9, AggregateFunc::kSum).ok());
+  // With a cached RollUp(All, 0, 1), arguments that differ from it only
+  // above a byte's range must still be rejected, not served from the cache.
+  bool cache_hit = false;
+  IOLAP_ASSERT_OK(
+      service.RollUp(QueryRegion::All(), 0, 1, AggregateFunc::kSum).status());
+  IOLAP_ASSERT_OK(service
+                      .RollUp(QueryRegion::All(), 0, 1, AggregateFunc::kSum,
+                              nullptr, &cache_hit)
+                      .status());
+  ASSERT_TRUE(cache_hit);
+  for (const auto& [dim, level] :
+       std::vector<std::pair<int, int>>{{256, 1}, {0, 257}, {-256, 1}}) {
+    Result<std::vector<AggregateResult>> r =
+        service.RollUp(QueryRegion::All(), dim, level, AggregateFunc::kSum);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << "dim " << dim << " level " << level;
+  }
 }
 
 TEST_F(ServeTest, PartitionedScanMatchesSerial) {
@@ -612,11 +630,11 @@ TEST_F(CacheMaskTest, InvalidateShardsEdgeCases) {
   AggregateCache cache(64);
   const std::vector<NodeId> leaves = schema_.dim(0).nodes_at_level(1);
   // Entry per shard mask: shard 0, shard 2, and one that read shards 0-2.
-  cache.Insert(KeyFor(0, leaves[0]), BoxAll(), {AggregateResult{}}, 1,
+  cache.Insert(KeyFor(0, leaves[0]), BoxAll(), {AggregateResult{}},
                uint64_t{1} << 0);
-  cache.Insert(KeyFor(0, leaves[1]), BoxAll(), {AggregateResult{}}, 1,
+  cache.Insert(KeyFor(0, leaves[1]), BoxAll(), {AggregateResult{}},
                uint64_t{1} << 2);
-  cache.Insert(KeyFor(0, leaves[2]), BoxAll(), {AggregateResult{}}, 1,
+  cache.Insert(KeyFor(0, leaves[2]), BoxAll(), {AggregateResult{}},
                (uint64_t{1} << 3) - 1);
   ASSERT_EQ(cache.entries(), 3);
 
@@ -631,7 +649,7 @@ TEST_F(CacheMaskTest, InvalidateShardsEdgeCases) {
 
   // The all-shards mask (the default Insert mask is also ~0) drops
   // everything that remains.
-  cache.Insert(KeyFor(0, leaves[3]), BoxAll(), {AggregateResult{}}, 1);
+  cache.Insert(KeyFor(0, leaves[3]), BoxAll(), {AggregateResult{}});
   EXPECT_EQ(cache.InvalidateShards(~uint64_t{0}), 2);
   EXPECT_EQ(cache.entries(), 0);
 }
@@ -647,14 +665,14 @@ TEST_F(CacheMaskTest, AnswerModeTagsKeysApart) {
   exact_v.value = 1.0;
   AggregateResult bounded_v;
   bounded_v.value = 2.0;
-  cache.Insert(exact, BoxAll(), {exact_v}, 1);
-  cache.Insert(bounded, BoxAll(), {bounded_v}, 1, ~uint64_t{0}, 0.5);
+  cache.Insert(exact, BoxAll(), {exact_v});
+  cache.Insert(bounded, BoxAll(), {bounded_v}, ~uint64_t{0}, 0.5);
   std::vector<AggregateResult> got;
   double bound = -1;
-  ASSERT_TRUE(cache.Lookup(exact, &got, nullptr, &bound));
+  ASSERT_TRUE(cache.Lookup(exact, &got, &bound));
   EXPECT_DOUBLE_EQ(got[0].value, 1.0);
   EXPECT_DOUBLE_EQ(bound, 0);
-  ASSERT_TRUE(cache.Lookup(bounded, &got, nullptr, &bound));
+  ASSERT_TRUE(cache.Lookup(bounded, &got, &bound));
   EXPECT_DOUBLE_EQ(got[0].value, 2.0);
   EXPECT_DOUBLE_EQ(bound, 0.5);
 }

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -139,6 +140,26 @@ Result<TypedFile<FactRecord>> CopyFacts(StorageEnv& env,
   return file;
 }
 
+/// Every region over nodes of dimensions 0 and 1 at every level, so the
+/// probe set has 0-, 1- and 2-dimension-constrained regions.
+std::vector<QueryRegion> RegionsOverDims01(const StarSchema& schema) {
+  std::vector<QueryRegion> regions = {QueryRegion::All()};
+  std::vector<NodeId> d0{schema.dim(0).root()};
+  std::vector<NodeId> d1{schema.dim(1).root()};
+  for (int l = 1; l <= schema.dim(0).num_levels(); ++l) {
+    for (NodeId n : schema.dim(0).nodes_at_level(l)) d0.push_back(n);
+  }
+  for (int l = 1; l <= schema.dim(1).num_levels(); ++l) {
+    for (NodeId n : schema.dim(1).nodes_at_level(l)) d1.push_back(n);
+  }
+  for (NodeId a : d0) {
+    for (NodeId b : d1) {
+      regions.push_back(QueryRegion::All().With(0, a).With(1, b));
+    }
+  }
+  return regions;
+}
+
 class SynopsisStoreTest : public ::testing::Test {
  protected:
   SynopsisStoreTest() : env_(MakeTempDir(), 256) {}
@@ -161,24 +182,8 @@ class SynopsisStoreTest : public ::testing::Test {
         manager_, MaintenanceManager::Build(env_, schema_, &file, options));
   }
 
-  /// Every region over nodes of both dimensions at every level, so the
-  /// probe set has 0-, 1- and 2-dimension-constrained regions.
   std::vector<QueryRegion> AllRegions() const {
-    std::vector<QueryRegion> regions = {QueryRegion::All()};
-    std::vector<NodeId> d0{schema_.dim(0).root()};
-    std::vector<NodeId> d1{schema_.dim(1).root()};
-    for (int l = 1; l <= schema_.dim(0).num_levels(); ++l) {
-      for (NodeId n : schema_.dim(0).nodes_at_level(l)) d0.push_back(n);
-    }
-    for (int l = 1; l <= schema_.dim(1).num_levels(); ++l) {
-      for (NodeId n : schema_.dim(1).nodes_at_level(l)) d1.push_back(n);
-    }
-    for (NodeId a : d0) {
-      for (NodeId b : d1) {
-        regions.push_back(QueryRegion::All().With(0, a).With(1, b));
-      }
-    }
-    return regions;
+    return RegionsOverDims01(schema_);
   }
 
   StorageEnv env_;
@@ -399,12 +404,25 @@ TEST(SynopsisMaintenanceTest, IncrementalMatchesRebuildAcrossMutations) {
 
 class BoundedServeTest : public SynopsisStoreTest {};
 
-TEST_F(BoundedServeTest, BoundedAnswersWithinBoundAndEpsilonZeroIsExact) {
+/// The bounded contract over `regions` x every function on a service with
+/// the synopsis on and the cache off: bounded(0) is memcmp-equal to the
+/// exact rescan, the synopsis tier answers at least once, every exact
+/// answer matches the rescan, and at most `max_violation_fraction` of the
+/// synopsis's approximate answers fall outside their promised bound of it
+/// (such a bound holds with probability >= 1 - delta, so only the fraction
+/// is a contract).
+void ExpectBoundedContract(MaintenanceManager* manager, int num_shards,
+                           const std::vector<QueryRegion>& regions,
+                           double max_violation_fraction) {
   ServeOptions opts;
   opts.synopsis = true;
   opts.cache_slots = 0;  // force every bounded query down to the synopsis
-  QueryService service(manager_.get(), opts);
-  for (const QueryRegion& region : AllRegions()) {
+  opts.num_shards = num_shards;
+  QueryService service(manager, opts);
+  int64_t synopsis_answers = 0;
+  int64_t approximate_answers = 0;
+  int64_t violations = 0;
+  for (const QueryRegion& region : regions) {
     for (AggregateFunc func : kAllFuncs) {
       IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult exact,
                                  service.UncachedAggregate(region, func));
@@ -415,16 +433,103 @@ TEST_F(BoundedServeTest, BoundedAnswersWithinBoundAndEpsilonZeroIsExact) {
           service.Aggregate(region, func, AnswerSpec::Bounded(0.0), &as));
       EXPECT_TRUE(as.exact);
       EXPECT_EQ(std::memcmp(&eps0, &exact, sizeof(AggregateResult)), 0);
-      // A generous budget: whatever tier answers, the promised bound holds.
+      // A generous budget: the synopsis answers whatever it can.
       IOLAP_ASSERT_OK_AND_ASSIGN(
           AggregateResult loose,
           service.Aggregate(region, func, AnswerSpec::Bounded(1e6), &as));
-      EXPECT_LE(std::abs(loose.value - exact.value),
-                as.bound + 1e-9 * std::max(1.0, std::abs(exact.value)));
+      const bool outside =
+          std::abs(loose.value - exact.value) >
+          as.bound + 1e-9 * std::max(1.0, std::abs(exact.value));
+      if (as.tier == AnswerTier::kSynopsis) ++synopsis_answers;
+      if (as.exact) {
+        EXPECT_FALSE(outside) << "an exact answer missed the rescan";
+        continue;
+      }
+      ++approximate_answers;
+      if (outside) ++violations;
     }
   }
-  // The synopsis answered at least the marginal probes.
-  EXPECT_GT(service.synopsis()->stats().estimates, 0);
+  // The synopsis tier answered at least the marginal probes.
+  EXPECT_GT(synopsis_answers, 0);
+  EXPECT_LE(static_cast<double>(violations),
+            max_violation_fraction * static_cast<double>(approximate_answers))
+      << violations << " of " << approximate_answers
+      << " approximate answers outside their bound";
+}
+
+TEST_F(BoundedServeTest, BoundedAnswersWithinBoundAndEpsilonZeroIsExact) {
+  // The paper example's components leave it one shard, so the contract
+  // also runs on a generated EDB that splits: a 4-shard service there
+  // composes its answers from per-shard store partials. On the paper
+  // example every bound holds; on the generated EDB at most delta (0.05,
+  // the AnswerSpec::Bounded default) of the approximate ones may fail
+  // (18 of 853 at 1 shard, 7 of 441 at 4).
+  StorageEnv env(MakeTempDir(), 512);
+  std::vector<Hierarchy> dims;
+  for (const std::vector<int>& shape :
+       std::vector<std::vector<int>>{{8, 4}, {4, 4}, {4, 2}}) {
+    IOLAP_ASSERT_OK_AND_ASSIGN(
+        Hierarchy h,
+        HierarchyBuilder::Uniform("D" + std::to_string(dims.size()), shape));
+    dims.push_back(std::move(h));
+  }
+  IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema,
+                             StarSchema::Create(std::move(dims)));
+  DatasetSpec spec;
+  spec.num_facts = 500;
+  spec.imprecise_fraction = 0.30;
+  spec.seed = 21;
+  IOLAP_ASSERT_OK_AND_ASSIGN(auto file, GenerateFacts(env, schema, spec));
+  AllocationOptions options;
+  options.policy = PolicyKind::kUniform;
+  IOLAP_ASSERT_OK_AND_ASSIGN(
+      auto sharded, MaintenanceManager::Build(env, schema, &file, options));
+  {
+    ServeOptions opts;
+    opts.num_shards = 4;
+    ASSERT_GT(QueryService(sharded.get(), opts).num_shards(), 1);
+  }
+
+  for (const int num_shards : {1, 4}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    ExpectBoundedContract(manager_.get(), num_shards, AllRegions(), 0);
+    ExpectBoundedContract(sharded.get(), num_shards,
+                          RegionsOverDims01(schema), 0.05);
+  }
+}
+
+TEST_F(BoundedServeTest, SynopsisAnswersReadNoEdbPages) {
+  ServeOptions opts;
+  opts.synopsis = true;
+  opts.cache_slots = 0;
+  QueryService service(manager_.get(), opts);
+  const FileId edb = manager_->edb().file_id();
+  // With the EDB out of the pool, any answer that touches it reads pages.
+  IOLAP_ASSERT_OK(env_.pool().EvictFile(edb));
+  int64_t synopsis_answers = 0;
+  for (const QueryRegion& region : AllRegions()) {
+    for (AggregateFunc func : kAllFuncs) {
+      const int64_t reads = env_.disk().stats().page_reads;
+      AnswerStats as;
+      IOLAP_ASSERT_OK(
+          service.Aggregate(region, func, AnswerSpec::Bounded(1e6), &as)
+              .status());
+      if (as.tier != AnswerTier::kSynopsis) {
+        IOLAP_ASSERT_OK(env_.pool().EvictFile(edb));  // a scan answered
+        continue;
+      }
+      ++synopsis_answers;
+      EXPECT_EQ(env_.disk().stats().page_reads, reads)
+          << "a synopsis answer read EDB pages";
+    }
+  }
+  EXPECT_GT(synopsis_answers, 0);
+  // The same setup does read pages when the scan answers.
+  const int64_t reads = env_.disk().stats().page_reads;
+  IOLAP_ASSERT_OK(
+      service.UncachedAggregate(QueryRegion::All(), AggregateFunc::kSum)
+          .status());
+  EXPECT_GT(env_.disk().stats().page_reads, reads);
 }
 
 TEST_F(BoundedServeTest, BoundedEntriesNeverServeExactQueries) {
