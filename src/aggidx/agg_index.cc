@@ -115,7 +115,7 @@ Status AggIndex::BuildLocked(bool is_refresh) {
   EdbRecord rec;
   while (!cursor.done()) {
     IOLAP_RETURN_IF_ERROR(cursor.Next(&rec));
-    if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
+    if (rec.IsTombstone()) continue;
     LeafKey key{};
     std::memcpy(key.data(), rec.leaf, sizeof(int32_t) * kMaxDims);
     auto [it, inserted] = cells.try_emplace(key);

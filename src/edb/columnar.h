@@ -79,11 +79,11 @@ class ColumnarEdb {
     return (flags_ & kExtentFlagTombstones) != 0;
   }
 
-  /// Tombstone test on a projected row. The conversion step enforces
-  /// Definition 4 (live rows have weight > 0, tombstones are exactly the
-  /// weight-0 / fact_id = -1 maintenance rows), so projecting `weight`
-  /// alone suffices to skip tombstones — columnar readers need not pay
-  /// for the fact_id column just to honour the CLAUDE.md invariant.
+  /// Tombstone test on a projected row: the columnar form of
+  /// EdbRecord::IsTombstone. The conversion step enforces Definition 4
+  /// (live rows have weight > 0, tombstones are exactly the weight-0 /
+  /// fact_id = -1 rows of that rule), so projecting `weight` alone
+  /// suffices — columnar readers need not pay for the fact_id column.
   static bool IsTombstone(double weight) { return weight == 0; }
 
   /// One decoded row handed to ScanRows callbacks. Only projected fields

@@ -6,20 +6,12 @@
 #include "alloc/in_memory.h"
 #include "alloc/preprocess.h"
 #include "common/stopwatch.h"
+#include "edb/query.h"
 #include "obs/trace.h"
 
 namespace iolap {
 
 namespace {
-
-Rect RegionRect(const StarSchema& schema, const FactRecord& fact) {
-  Rect r;
-  for (int d = 0; d < schema.num_dims(); ++d) {
-    r.lo[d] = schema.dim(d).leaf_begin(fact.node[d]);
-    r.hi[d] = schema.dim(d).leaf_end(fact.node[d]) - 1;
-  }
-  return r;
-}
 
 std::array<int32_t, kMaxDims> LeafKeyOfPrecise(const StarSchema& schema,
                                                const FactRecord& fact) {
@@ -27,6 +19,12 @@ std::array<int32_t, kMaxDims> LeafKeyOfPrecise(const StarSchema& schema,
   for (int d = 0; d < schema.num_dims(); ++d) {
     key[d] = schema.dim(d).leaf_begin(fact.node[d]);
   }
+  return key;
+}
+
+std::array<int32_t, kMaxDims> LeafKeyOf(const int32_t* leaf) {
+  std::array<int32_t, kMaxDims> key{};
+  std::memcpy(key.data(), leaf, sizeof(key));
   return key;
 }
 
@@ -39,13 +37,35 @@ bool LeafLess(const int32_t* a, const int32_t* b, int k) {
 
 constexpr int32_t kAbsorbedCcid = -2;
 
-EdbRecord Tombstone() {
-  EdbRecord rec;
-  rec.fact_id = -1;
-  rec.weight = 0;
-  rec.measure = 0;
-  return rec;
+template <typename T>
+void Append(std::vector<T>* to, const std::vector<T>& from) {
+  to->insert(to->end(), from.begin(), from.end());
 }
+
+/// The bookkeeping every mutation batch shares: a trace span carrying the
+/// batch size and, once the batch succeeds, a pool flush plus the batch's
+/// wall time and counted I/O charged to the stats.
+class BatchScope {
+ public:
+  BatchScope(StorageEnv& env, const char* name, const char* arg,
+             size_t size)
+      : env_(env), span_(name), io_before_(env.disk().stats()) {
+    span_.AddArg(arg, static_cast<int64_t>(size));
+  }
+
+  Status Finish(MaintenanceStats* stats) {
+    IOLAP_RETURN_IF_ERROR(env_.pool().FlushAll());
+    stats->seconds += watch_.ElapsedSeconds();
+    stats->io += env_.disk().stats() - io_before_;
+    return Status::Ok();
+  }
+
+ private:
+  StorageEnv& env_;
+  TraceSpan span_;
+  Stopwatch watch_;
+  IoStats io_before_;
+};
 
 }  // namespace
 
@@ -99,7 +119,7 @@ Result<std::unique_ptr<MaintenanceManager>> MaintenanceManager::Build(
   return manager;
 }
 
-Result<int64_t> MaintenanceManager::FindSingletonCell(const LeafKey& key) {
+Result<int64_t> MaintenanceManager::SingletonLowerBound(const LeafKey& key) {
   const int k = schema_->num_dims();
   int64_t lo = singleton_begin_;
   int64_t hi = data_.cells.size();
@@ -112,10 +132,14 @@ Result<int64_t> MaintenanceManager::FindSingletonCell(const LeafKey& key) {
       hi = mid;
     }
   }
+  return lo;
+}
+
+Result<int64_t> MaintenanceManager::FindSingletonCell(const LeafKey& key) {
+  IOLAP_ASSIGN_OR_RETURN(int64_t lo, SingletonLowerBound(key));
   if (lo >= data_.cells.size()) return int64_t{-1};
   IOLAP_ASSIGN_OR_RETURN(CellRecord cell, data_.cells.Get(env_->pool(), lo));
-  if (std::memcmp(cell.leaf, key.data(), sizeof(cell.leaf)) != 0 ||
-      cell.ccid == kAbsorbedCcid) {
+  if (LeafKeyOf(cell.leaf) != key || cell.ccid == kAbsorbedCcid) {
     return int64_t{-1};
   }
   return lo;
@@ -130,30 +154,14 @@ Status MaintenanceManager::AbsorbCoveredCells(const FactRecord& fact,
     start[d] = schema_->dim(d).leaf_begin(fact.node[d]);
     end[d] = schema_->dim(d).leaf_end(fact.node[d]) - 1;
   }
-  int64_t lo = singleton_begin_, hi = data_.cells.size();
-  {
-    int64_t a = lo, b = hi;
-    while (a < b) {
-      int64_t mid = (a + b) / 2;
-      IOLAP_ASSIGN_OR_RETURN(CellRecord cell,
-                             data_.cells.Get(env_->pool(), mid));
-      if (LeafLess(cell.leaf, start.data(), k)) {
-        a = mid + 1;
-      } else {
-        b = mid;
-      }
-    }
-    lo = a;
-  }
-  auto cursor = data_.cells.MutableScan(env_->pool(), lo, hi);
+  IOLAP_ASSIGN_OR_RETURN(int64_t lo, SingletonLowerBound(start));
+  auto cursor = data_.cells.MutableScan(env_->pool(), lo, data_.cells.size());
   CellRecord cell;
   while (!cursor.done()) {
     IOLAP_RETURN_IF_ERROR(cursor.Read(&cell));
     if (LeafLess(end.data(), cell.leaf, k)) break;  // past the region's range
     if (cell.ccid == -1 && RegionCovers(*schema_, fact.node, cell.leaf)) {
-      CellRecord copy = cell;
-      copy.ccid = -1;
-      out->push_back(copy);
+      out->push_back(cell);
       cell.ccid = kAbsorbedCcid;  // the overlay copy is now authoritative
       IOLAP_RETURN_IF_ERROR(cursor.Write(cell));
     }
@@ -187,8 +195,7 @@ Status MaintenanceManager::ReallocateComponent(
   std::set<LeafKey> present;
   auto apply_adjust = [&](CellRecord* cell) -> bool {
     if (delta_adjust == nullptr || delta_adjust->empty()) return false;
-    LeafKey key{};
-    std::memcpy(key.data(), cell->leaf, sizeof(cell->leaf));
+    const LeafKey key = LeafKeyOf(cell->leaf);
     auto it = delta_adjust->find(key);
     if (it == delta_adjust->end()) return false;
     cell->delta0 += it->second;
@@ -197,12 +204,16 @@ Status MaintenanceManager::ReallocateComponent(
       candidate_cells->erase(
           std::remove_if(candidate_cells->begin(), candidate_cells->end(),
                          [&](const CellRecord& cand) {
-                           return std::memcmp(cand.leaf, key.data(),
-                                              sizeof(cand.leaf)) == 0;
+                           return LeafKeyOf(cand.leaf) == key;
                          }),
           candidate_cells->end());
     }
     return true;
+  };
+  auto fetch = [&](CellRecord cell) {
+    cell.delta_prev = cell.delta0;  // fresh EM start, as a rebuild would
+    present.insert(LeafKeyOf(cell.leaf));
+    cells.push_back(cell);
   };
   for (auto [begin, end] : c.cell_segments) {
     auto cursor = data_.cells.MutableScan(pool, begin, end);
@@ -212,34 +223,22 @@ Status MaintenanceManager::ReallocateComponent(
       if (apply_adjust(&cell)) {
         IOLAP_RETURN_IF_ERROR(cursor.Write(cell));
       }
-      cell.delta_prev = cell.delta0;  // fresh EM start, as a rebuild would
-      LeafKey key{};
-      std::memcpy(key.data(), cell.leaf, sizeof(cell.leaf));
-      present.insert(key);
-      cells.push_back(cell);
+      fetch(cell);
       cursor.Advance();
     }
   }
   for (CellRecord& overlay : c.overlay_cells) {
     apply_adjust(&overlay);  // persists in the directory's overlay copy
-    CellRecord cell = overlay;
-    cell.delta_prev = cell.delta0;
-    LeafKey key{};
-    std::memcpy(key.data(), cell.leaf, sizeof(cell.leaf));
-    present.insert(key);
-    cells.push_back(cell);
+    fetch(overlay);
   }
   // Candidate cells join the fetch unless already present. They are
   // identified by leaf key afterwards (MemoryAllocator sorts its cells).
   const size_t candidate_start = cells.size();
   std::vector<LeafKey> candidate_keys;
   if (candidate_cells != nullptr) {
-    for (size_t i = 0; i < candidate_cells->size(); ++i) {
-      LeafKey key{};
-      std::memcpy(key.data(), (*candidate_cells)[i].leaf,
-                  sizeof((*candidate_cells)[i].leaf));
+    for (CellRecord cell : *candidate_cells) {
+      const LeafKey key = LeafKeyOf(cell.leaf);
       if (present.count(key) != 0) continue;
-      CellRecord cell = (*candidate_cells)[i];
       cell.delta_prev = cell.delta0;
       cells.push_back(cell);
       candidate_keys.push_back(key);
@@ -248,17 +247,10 @@ Status MaintenanceManager::ReallocateComponent(
 
   // ---- Fetch entries (skip tombstoned facts).
   std::vector<ImpreciseRecord> entries;
-  for (auto [begin, end] : c.entry_segments) {
-    auto cursor = data_.imprecise.Scan(pool, begin, end);
-    ImpreciseRecord e;
-    while (!cursor.done()) {
-      IOLAP_RETURN_IF_ERROR(cursor.Next(&e));
-      if (c.deleted.count(e.fact_id) == 0) entries.push_back(e);
-    }
-  }
-  for (const ImpreciseRecord& e : c.overlay_entries) {
-    if (c.deleted.count(e.fact_id) == 0) entries.push_back(e);
-  }
+  IOLAP_RETURN_IF_ERROR(ForEachLiveEntry(c, [&](const ImpreciseRecord& e) {
+    entries.push_back(e);
+    return true;
+  }));
   stats->tuples_fetched += static_cast<int64_t>(cells.size() + entries.size());
 
   std::vector<EdbRecord> rows;
@@ -292,9 +284,7 @@ Status MaintenanceManager::ReallocateComponent(
       std::vector<int32_t> claimed_cell(candidate_keys.size(), -1);
       for (size_t ci = 0; ci < ma.cells().size(); ++ci) {
         if (!covered[ci]) continue;
-        LeafKey key{};
-        std::memcpy(key.data(), ma.cells()[ci].leaf, sizeof(key));
-        auto it = candidate_pos.find(key);
+        auto it = candidate_pos.find(LeafKeyOf(ma.cells()[ci].leaf));
         if (it != candidate_pos.end() && claimed_cell[it->second] < 0) {
           claimed_cell[it->second] = static_cast<int32_t>(ci);
         }
@@ -305,10 +295,7 @@ Status MaintenanceManager::ReallocateComponent(
       candidate_cells->erase(
           std::remove_if(candidate_cells->begin(), candidate_cells->end(),
                          [&](const CellRecord& cand) {
-                           LeafKey key{};
-                           std::memcpy(key.data(), cand.leaf,
-                                       sizeof(cand.leaf));
-                           auto it = candidate_pos.find(key);
+                           auto it = candidate_pos.find(LeafKeyOf(cand.leaf));
                            return it != candidate_pos.end() &&
                                   claimed_cell[it->second] >= 0;
                          }),
@@ -324,7 +311,7 @@ Status MaintenanceManager::ReallocateComponent(
       EdbRecord old;
       while (!cursor.done()) {
         IOLAP_RETURN_IF_ERROR(cursor.Next(&old));
-        if (old.weight == 0 && old.fact_id == -1) continue;  // tombstone
+        if (old.IsTombstone()) continue;
         listener_->OnRemove(old);
       }
     }
@@ -345,7 +332,8 @@ Status MaintenanceManager::ReallocateComponent(
     }
     if (at > begin) new_ranges.push_back({begin, at});
     while (at < end) {
-      IOLAP_RETURN_IF_ERROR(build_result_.edb.Put(pool, at, Tombstone()));
+      IOLAP_RETURN_IF_ERROR(
+          build_result_.edb.Put(pool, at, EdbRecord::Tombstone()));
       ++at;
       ++stats->edb_rows_tombstoned;
     }
@@ -365,212 +353,222 @@ Status MaintenanceManager::ReallocateComponent(
   return Status::Ok();
 }
 
+Status MaintenanceManager::ForEachLiveEntry(
+    const MaintComponent& c,
+    const std::function<bool(const ImpreciseRecord&)>& fn) {
+  for (auto [begin, end] : c.entry_segments) {
+    auto cursor = data_.imprecise.Scan(env_->pool(), begin, end);
+    ImpreciseRecord e;
+    while (!cursor.done()) {
+      IOLAP_RETURN_IF_ERROR(cursor.Next(&e));
+      if (c.deleted.count(e.fact_id) == 0 && !fn(e)) return Status::Ok();
+    }
+  }
+  for (const ImpreciseRecord& e : c.overlay_entries) {
+    if (c.deleted.count(e.fact_id) == 0 && !fn(e)) break;
+  }
+  return Status::Ok();
+}
+
+Status MaintenanceManager::AliveOverlaps(const FactRecord& fact,
+                                         MaintenanceStats* stats,
+                                         std::vector<int64_t>* ids) {
+  const Rect rect = FactRegionToRect(*schema_, fact);
+  stats->touched_boxes.push_back(rect);
+  ids->clear();
+  const int64_t nodes_before = rtree_->nodes_accessed();
+  IOLAP_RETURN_IF_ERROR(rtree_->Search(rect, ids));
+  stats->rtree_nodes_accessed += rtree_->nodes_accessed() - nodes_before;
+  ids->erase(std::remove_if(ids->begin(), ids->end(),
+                            [&](int64_t id) { return !directory_[id].alive; }),
+             ids->end());
+  for (int64_t id : *ids) stats->touched_boxes.push_back(directory_[id].bbox);
+  return Status::Ok();
+}
+
+Status MaintenanceManager::MergeComponents(int64_t into,
+                                           const std::vector<int64_t>& from) {
+  const int k = schema_->num_dims();
+  MaintComponent& target = directory_[into];
+  for (int64_t id : from) {
+    MaintComponent& old = directory_[id];
+    Append(&target.cell_segments, old.cell_segments);
+    Append(&target.entry_segments, old.entry_segments);
+    Append(&target.overlay_cells, old.overlay_cells);
+    Append(&target.overlay_entries, old.overlay_entries);
+    target.deleted.insert(old.deleted.begin(), old.deleted.end());
+    Append(&target.edb_ranges, old.edb_ranges);
+    for (int d = 0; d < k; ++d) {
+      target.bbox.lo[d] = std::min(target.bbox.lo[d], old.bbox.lo[d]);
+      target.bbox.hi[d] = std::max(target.bbox.hi[d], old.bbox.hi[d]);
+    }
+    old.alive = false;
+    bool removed = false;
+    IOLAP_RETURN_IF_ERROR(rtree_->Remove(old.bbox, id, &removed));
+  }
+  return rtree_->Insert(target.bbox, into);
+}
+
+Result<bool> MaintenanceManager::ShiftCellDelta(const LeafKey& key,
+                                                double shift) {
+  for (CellRecord& cell : loose_cells_) {
+    if (LeafKeyOf(cell.leaf) == key) {
+      cell.delta0 += shift;
+      cell.delta_prev = cell.delta0;
+      return true;
+    }
+  }
+  IOLAP_ASSIGN_OR_RETURN(int64_t index, FindSingletonCell(key));
+  if (index < 0) return false;
+  BufferPool& pool = env_->pool();
+  IOLAP_ASSIGN_OR_RETURN(CellRecord cell, data_.cells.Get(pool, index));
+  cell.delta0 += shift;
+  cell.delta_prev = cell.delta0;
+  IOLAP_RETURN_IF_ERROR(data_.cells.Put(pool, index, cell));
+  return true;
+}
+
+Status MaintenanceManager::RewritePreciseRows(std::map<FactId, double> measures,
+                                              bool tombstone,
+                                              MaintenanceStats* stats) {
+  BufferPool& pool = env_->pool();
+  auto rewrite = [&](EdbRecord* rec, double measure) {
+    if (listener_ != nullptr) listener_->OnRemove(*rec);
+    if (tombstone) {
+      *rec = EdbRecord::Tombstone();
+      ++stats->edb_rows_tombstoned;
+    } else {
+      rec->measure = measure;
+      if (listener_ != nullptr) listener_->OnAdd(*rec);
+      ++stats->edb_rows_rewritten;
+    }
+  };
+  for (auto it = measures.begin(); it != measures.end();) {
+    auto row = extra_precise_rows_.find(it->first);
+    if (row == extra_precise_rows_.end()) {
+      ++it;
+      continue;
+    }
+    IOLAP_ASSIGN_OR_RETURN(EdbRecord rec,
+                           build_result_.edb.Get(pool, row->second));
+    rewrite(&rec, it->second);
+    IOLAP_RETURN_IF_ERROR(build_result_.edb.Put(pool, row->second, rec));
+    if (tombstone) extra_precise_rows_.erase(row);
+    it = measures.erase(it);
+  }
+  if (measures.empty()) return Status::Ok();
+  // Compaction may have shrunk the precise prefix; reading a few rows
+  // beyond it is harmless (ids are unique, and a tombstone's -1 is none),
+  // reading past EOF is not.
+  auto cursor = build_result_.edb.MutableScan(
+      pool, 0, std::min(build_result_.num_precise, build_result_.edb.size()));
+  EdbRecord rec;
+  while (!cursor.done()) {
+    IOLAP_RETURN_IF_ERROR(cursor.Read(&rec));
+    auto it = measures.find(rec.fact_id);
+    if (it != measures.end()) {
+      rewrite(&rec, it->second);
+      IOLAP_RETURN_IF_ERROR(cursor.Write(rec));
+    }
+    cursor.Advance();
+  }
+  return Status::Ok();
+}
+
 Status MaintenanceManager::ApplyUpdates(const std::vector<FactUpdate>& updates,
                                         MaintenanceStats* stats) {
-  TraceSpan span("maint.apply_updates");
-  span.AddArg("updates", static_cast<int64_t>(updates.size()));
+  BatchScope batch(*env_, "maint.apply_updates", "updates", updates.size());
   const int k = schema_->num_dims();
   BufferPool& pool = env_->pool();
-  Stopwatch watch;
-  IoStats io_before = env_->disk().stats();
+  stats->updates_applied += static_cast<int64_t>(updates.size());
 
-  std::unordered_map<FactId, const FactUpdate*> by_id;
+  // Regions are immutable under update (Theorem 12): only the components
+  // the updated facts overlap re-allocate, each over its new measures.
+  std::unordered_map<FactId, double> imprecise_measures;
+  std::map<FactId, double> precise_measures;
   std::map<LeafKey, double> delta_adjust;
-  bool any_precise = false;
+  std::set<int64_t> affected;
+  std::vector<int64_t> hits;
   for (const FactUpdate& u : updates) {
-    by_id[u.before.fact_id] = &u;
     if (u.before.IsPrecise(k)) {
-      any_precise = true;
+      precise_measures[u.before.fact_id] = u.new_measure;
       if (options_.policy == PolicyKind::kMeasure) {
         delta_adjust[LeafKeyOfPrecise(*schema_, u.before)] +=
             u.new_measure - u.before.measure;
       }
+    } else {
+      imprecise_measures[u.before.fact_id] = u.new_measure;
     }
+    IOLAP_RETURN_IF_ERROR(AliveOverlaps(u.before, stats, &hits));
+    affected.insert(hits.begin(), hits.end());
   }
-  stats->updates_applied += static_cast<int64_t>(updates.size());
-
-  // New measures must reach the stored imprecise records (and overlays)
-  // before re-allocation; segments are patched during the fetch below, so
-  // patch overlays and the imprecise file directly here for *affected*
-  // components only — measure changes of imprecise facts do not alter
-  // weights, only the emitted rows, so patching affected components before
-  // their re-emission suffices.
-  std::set<int64_t> affected;
-  rtree_->ResetStats();
-  for (const FactUpdate& u : updates) {
-    const Rect rect = RegionRect(*schema_, u.before);
-    stats->touched_boxes.push_back(rect);
-    std::vector<int64_t> hits;
-    IOLAP_RETURN_IF_ERROR(rtree_->Search(rect, &hits));
-    for (int64_t h : hits) {
-      if (directory_[h].alive) {
-        affected.insert(h);
-        stats->touched_boxes.push_back(directory_[h].bbox);
-      }
-    }
-  }
-  stats->rtree_nodes_accessed += rtree_->nodes_accessed();
 
   for (int64_t comp : affected) {
+    // New imprecise measures reach the stored entries before the
+    // component's re-emission; they change no weights, only its rows.
     MaintComponent& c = directory_[comp];
-    // Patch imprecise measures in the stored segments and overlays.
     for (auto [begin, end] : c.entry_segments) {
       auto cursor = data_.imprecise.MutableScan(pool, begin, end);
       ImpreciseRecord e;
       while (!cursor.done()) {
         IOLAP_RETURN_IF_ERROR(cursor.Read(&e));
-        auto it = by_id.find(e.fact_id);
-        if (it != by_id.end() && !it->second->before.IsPrecise(k)) {
-          e.measure = it->second->new_measure;
+        auto it = imprecise_measures.find(e.fact_id);
+        if (it != imprecise_measures.end()) {
+          e.measure = it->second;
           IOLAP_RETURN_IF_ERROR(cursor.Write(e));
         }
         cursor.Advance();
       }
     }
     for (ImpreciseRecord& e : c.overlay_entries) {
-      auto it = by_id.find(e.fact_id);
-      if (it != by_id.end() && !it->second->before.IsPrecise(k)) {
-        e.measure = it->second->new_measure;
-      }
+      auto it = imprecise_measures.find(e.fact_id);
+      if (it != imprecise_measures.end()) e.measure = it->second;
     }
     IOLAP_RETURN_IF_ERROR(
         ReallocateComponent(comp, &delta_adjust, nullptr, stats));
   }
-
-  // δ shifts of precise facts outside any component (singleton cells).
-  for (auto& [key, shift] : delta_adjust) {
-    IOLAP_ASSIGN_OR_RETURN(int64_t index, FindSingletonCell(key));
-    if (index >= 0) {
-      IOLAP_ASSIGN_OR_RETURN(CellRecord cell, data_.cells.Get(pool, index));
-      cell.delta0 += shift;
-      cell.delta_prev = cell.delta0;
-      IOLAP_RETURN_IF_ERROR(data_.cells.Put(pool, index, cell));
-    } else {
-      for (CellRecord& cell : loose_cells_) {
-        if (std::memcmp(cell.leaf, key.data(), sizeof(cell.leaf)) == 0) {
-          cell.delta0 += shift;
-          cell.delta_prev = cell.delta0;
-        }
-      }
-    }
+  // δ shifts the re-allocations did not consume land outside every
+  // component.
+  for (const auto& [key, shift] : delta_adjust) {
+    IOLAP_RETURN_IF_ERROR(ShiftCellDelta(key, shift).status());
   }
-
-  // Refresh measures of updated precise facts' EDB rows.
-  if (any_precise) {
-    // Compaction may have shrunk the precise prefix; reading a few rows
-    // beyond it is harmless (ids are unique), reading past EOF is not.
-    auto cursor = build_result_.edb.MutableScan(
-        pool, 0, std::min(build_result_.num_precise, build_result_.edb.size()));
-    EdbRecord rec;
-    while (!cursor.done()) {
-      IOLAP_RETURN_IF_ERROR(cursor.Read(&rec));
-      auto it = by_id.find(rec.fact_id);
-      if (it != by_id.end() && it->second->before.IsPrecise(k)) {
-        if (listener_ != nullptr) listener_->OnRemove(rec);
-        rec.measure = it->second->new_measure;
-        IOLAP_RETURN_IF_ERROR(cursor.Write(rec));
-        if (listener_ != nullptr) listener_->OnAdd(rec);
-        ++stats->edb_rows_rewritten;
-      }
-      cursor.Advance();
-    }
-    for (const FactUpdate& u : updates) {
-      auto it = extra_precise_rows_.find(u.before.fact_id);
-      if (it != extra_precise_rows_.end() && u.before.IsPrecise(k)) {
-        IOLAP_ASSIGN_OR_RETURN(EdbRecord rec,
-                               build_result_.edb.Get(pool, it->second));
-        if (listener_ != nullptr) listener_->OnRemove(rec);
-        rec.measure = u.new_measure;
-        IOLAP_RETURN_IF_ERROR(
-            build_result_.edb.Put(pool, it->second, rec));
-        if (listener_ != nullptr) listener_->OnAdd(rec);
-      }
-    }
-  }
-  IOLAP_RETURN_IF_ERROR(pool.FlushAll());
-
-  stats->seconds += watch.ElapsedSeconds();
-  stats->io += env_->disk().stats() - io_before;
-  return Status::Ok();
+  IOLAP_RETURN_IF_ERROR(RewritePreciseRows(std::move(precise_measures),
+                                           /*tombstone=*/false, stats));
+  return batch.Finish(stats);
 }
 
 Status MaintenanceManager::InsertFacts(const std::vector<FactRecord>& inserts,
                                        MaintenanceStats* stats) {
-  TraceSpan span("maint.insert_facts");
-  span.AddArg("inserts", static_cast<int64_t>(inserts.size()));
+  BatchScope batch(*env_, "maint.insert_facts", "inserts", inserts.size());
   const int k = schema_->num_dims();
   BufferPool& pool = env_->pool();
-  Stopwatch watch;
-  IoStats io_before = env_->disk().stats();
   stats->inserts_applied += static_cast<int64_t>(inserts.size());
 
   std::set<int64_t> affected;
   std::map<LeafKey, double> delta_adjust;
   std::vector<CellRecord> candidates;
+  std::vector<int64_t> hits;
 
-  // ---- Imprecise inserts first: they may merge components.
+  // ---- Imprecise inserts first: each becomes a new component that folds
+  // in every component its region overlaps.
   for (const FactRecord& f : inserts) {
     if (f.IsPrecise(k)) continue;
-    stats->touched_boxes.push_back(RegionRect(*schema_, f));
-    std::vector<int64_t> hits;
-    IOLAP_RETURN_IF_ERROR(rtree_->Search(RegionRect(*schema_, f), &hits));
-    std::vector<int64_t> alive_hits;
-    for (int64_t h : hits) {
-      if (directory_[h].alive) {
-        alive_hits.push_back(h);
-        stats->touched_boxes.push_back(directory_[h].bbox);
-      }
+    IOLAP_RETURN_IF_ERROR(AliveOverlaps(f, stats, &hits));
+    const int64_t id = static_cast<int64_t>(directory_.size());
+    directory_.emplace_back().bbox = FactRegionToRect(*schema_, f);
+    IOLAP_RETURN_IF_ERROR(MergeComponents(id, hits));
+    if (hits.size() > 1) {
+      stats->components_merged += static_cast<int64_t>(hits.size()) - 1;
     }
-
-    MaintComponent merged;
-    for (int64_t h : alive_hits) {
-      MaintComponent& old = directory_[h];
-      merged.cell_segments.insert(merged.cell_segments.end(),
-                                  old.cell_segments.begin(),
-                                  old.cell_segments.end());
-      merged.entry_segments.insert(merged.entry_segments.end(),
-                                   old.entry_segments.begin(),
-                                   old.entry_segments.end());
-      merged.overlay_cells.insert(merged.overlay_cells.end(),
-                                  old.overlay_cells.begin(),
-                                  old.overlay_cells.end());
-      merged.overlay_entries.insert(merged.overlay_entries.end(),
-                                    old.overlay_entries.begin(),
-                                    old.overlay_entries.end());
-      merged.deleted.insert(old.deleted.begin(), old.deleted.end());
-      merged.edb_ranges.insert(merged.edb_ranges.end(),
-                               old.edb_ranges.begin(), old.edb_ranges.end());
-      old.alive = false;
-      bool removed_ok = false;
-      IOLAP_RETURN_IF_ERROR(rtree_->Remove(old.bbox, h, &removed_ok));
-      affected.erase(h);
-    }
-    if (alive_hits.size() > 1) {
-      stats->components_merged +=
-          static_cast<int64_t>(alive_hits.size()) - 1;
-    }
+    MaintComponent& merged = directory_[id];
     // Absorb covered cells that lived outside every component.
     IOLAP_RETURN_IF_ERROR(AbsorbCoveredCells(f, &merged.overlay_cells));
-    // The new fact itself.
     ImpreciseRecord rec;
     rec.fact_id = f.fact_id;
     rec.measure = f.measure;
     std::memcpy(rec.node, f.node, sizeof(rec.node));
     std::memcpy(rec.level, f.level, sizeof(rec.level));
     merged.overlay_entries.push_back(rec);
-    // Bounding box: union of everything merged plus the new region.
-    Rect bbox = RegionRect(*schema_, f);
-    for (int64_t h : alive_hits) {
-      const Rect& old = directory_[h].bbox;
-      for (int d = 0; d < k; ++d) {
-        bbox.lo[d] = std::min(bbox.lo[d], old.lo[d]);
-        bbox.hi[d] = std::max(bbox.hi[d], old.hi[d]);
-      }
-    }
-    merged.bbox = bbox;
-    int64_t id = static_cast<int64_t>(directory_.size());
-    directory_.push_back(std::move(merged));
-    IOLAP_RETURN_IF_ERROR(rtree_->Insert(directory_.back().bbox, id));
     affected.insert(id);
   }
 
@@ -578,47 +576,24 @@ Status MaintenanceManager::InsertFacts(const std::vector<FactRecord>& inserts,
   auto edb_appender = build_result_.edb.MakeAppender(pool);
   for (const FactRecord& f : inserts) {
     if (!f.IsPrecise(k)) continue;
-    AllocationOptions policy = options_;
-    const double contribution = policy.DeltaContribution(f);
-    LeafKey key = LeafKeyOfPrecise(*schema_, f);
-
-    bool found = false;
-    for (CellRecord& cell : loose_cells_) {
-      if (std::memcmp(cell.leaf, key.data(), sizeof(cell.leaf)) == 0) {
-        cell.delta0 += contribution;
-        cell.delta_prev = cell.delta0;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      IOLAP_ASSIGN_OR_RETURN(int64_t index, FindSingletonCell(key));
-      if (index >= 0) {
-        IOLAP_ASSIGN_OR_RETURN(CellRecord cell, data_.cells.Get(pool, index));
-        cell.delta0 += contribution;
-        cell.delta_prev = cell.delta0;
-        IOLAP_RETURN_IF_ERROR(data_.cells.Put(pool, index, cell));
-        found = true;
-      }
-    }
-    if (!found) {
+    const double contribution = options_.DeltaContribution(f);
+    const LeafKey key = LeafKeyOfPrecise(*schema_, f);
+    IOLAP_ASSIGN_OR_RETURN(bool shifted, ShiftCellDelta(key, contribution));
+    if (!shifted) {
       // Unknown cell: either inside a component (resolved by the pending
       // δ adjustment during fetch) or genuinely new (the candidate is
       // claimed by a covering component or becomes a loose cell).
       delta_adjust[key] += contribution;
-      bool have_candidate = false;
-      for (CellRecord& cell : candidates) {
-        if (std::memcmp(cell.leaf, key.data(), sizeof(cell.leaf)) == 0) {
-          cell.delta0 += contribution;
-          cell.delta_prev = cell.delta0;
-          have_candidate = true;
-          break;
-        }
-      }
-      if (!have_candidate) {
+      auto cand = std::find_if(
+          candidates.begin(), candidates.end(),
+          [&](const CellRecord& cell) { return LeafKeyOf(cell.leaf) == key; });
+      if (cand != candidates.end()) {
+        cand->delta0 += contribution;
+        cand->delta_prev = cand->delta0;
+      } else {
         CellRecord cell;
         std::memcpy(cell.leaf, key.data(), sizeof(cell.leaf));
-        cell.delta0 = policy.DeltaBase() + contribution;
+        cell.delta0 = options_.DeltaBase() + contribution;
         cell.delta_prev = cell.delta0;
         candidates.push_back(cell);
       }
@@ -634,88 +609,37 @@ Status MaintenanceManager::InsertFacts(const std::vector<FactRecord>& inserts,
     if (listener_ != nullptr) listener_->OnAdd(row);
     ++stats->edb_rows_appended;
 
-    stats->touched_boxes.push_back(RegionRect(*schema_, f));
-    std::vector<int64_t> hits;
-    IOLAP_RETURN_IF_ERROR(rtree_->Search(RegionRect(*schema_, f), &hits));
-    for (int64_t h : hits) {
-      if (directory_[h].alive) {
-        affected.insert(h);
-        stats->touched_boxes.push_back(directory_[h].bbox);
-      }
-    }
+    IOLAP_RETURN_IF_ERROR(AliveOverlaps(f, stats, &hits));
+    affected.insert(hits.begin(), hits.end());
   }
   edb_appender.Close();
 
-  // If a candidate cell turns out adjacent (covered) to *several* affected
+  // If a candidate cell turns out covered by *several* affected
   // components, those components belong together — merge them first so the
   // claim below is unique (a rebuild would have found them connected).
-  if (!candidates.empty()) {
-    for (const CellRecord& cand : candidates) {
-      std::vector<int64_t> covering;
-      for (int64_t comp : affected) {
-        if (!directory_[comp].alive) continue;
-        bool covers = false;
-        for (auto [begin, end] : directory_[comp].entry_segments) {
-          auto cursor = data_.imprecise.Scan(pool, begin, end);
-          ImpreciseRecord e;
-          while (!cursor.done() && !covers) {
-            IOLAP_RETURN_IF_ERROR(cursor.Next(&e));
-            if (directory_[comp].deleted.count(e.fact_id) == 0 &&
-                RegionCovers(*schema_, e.node, cand.leaf)) {
-              covers = true;
-            }
-          }
-          if (covers) break;
-        }
-        for (const ImpreciseRecord& e : directory_[comp].overlay_entries) {
-          if (covers) break;
-          if (directory_[comp].deleted.count(e.fact_id) == 0 &&
-              RegionCovers(*schema_, e.node, cand.leaf)) {
-            covers = true;
-          }
-        }
-        if (covers) covering.push_back(comp);
-      }
-      if (covering.size() > 1) {
-        // Merge all covering components into the first.
-        MaintComponent& target = directory_[covering[0]];
-        bool removed_ok = false;
-        IOLAP_RETURN_IF_ERROR(
-            rtree_->Remove(target.bbox, covering[0], &removed_ok));
-        for (size_t i = 1; i < covering.size(); ++i) {
-          MaintComponent& old = directory_[covering[i]];
-          target.cell_segments.insert(target.cell_segments.end(),
-                                      old.cell_segments.begin(),
-                                      old.cell_segments.end());
-          target.entry_segments.insert(target.entry_segments.end(),
-                                       old.entry_segments.begin(),
-                                       old.entry_segments.end());
-          target.overlay_cells.insert(target.overlay_cells.end(),
-                                      old.overlay_cells.begin(),
-                                      old.overlay_cells.end());
-          target.overlay_entries.insert(target.overlay_entries.end(),
-                                        old.overlay_entries.begin(),
-                                        old.overlay_entries.end());
-          target.deleted.insert(old.deleted.begin(), old.deleted.end());
-          target.edb_ranges.insert(target.edb_ranges.end(),
-                                   old.edb_ranges.begin(),
-                                   old.edb_ranges.end());
-          for (int d = 0; d < k; ++d) {
-            target.bbox.lo[d] = std::min(target.bbox.lo[d], old.bbox.lo[d]);
-            target.bbox.hi[d] = std::max(target.bbox.hi[d], old.bbox.hi[d]);
-          }
-          old.alive = false;
-          IOLAP_RETURN_IF_ERROR(
-              rtree_->Remove(old.bbox, covering[i], &removed_ok));
-          affected.erase(covering[i]);
-          ++stats->components_merged;
-        }
-        IOLAP_RETURN_IF_ERROR(rtree_->Insert(target.bbox, covering[0]));
-      }
+  for (const CellRecord& cand : candidates) {
+    std::vector<int64_t> covering;
+    for (int64_t comp : affected) {
+      if (!directory_[comp].alive) continue;
+      bool covers = false;
+      IOLAP_RETURN_IF_ERROR(
+          ForEachLiveEntry(directory_[comp], [&](const ImpreciseRecord& e) {
+            covers = RegionCovers(*schema_, e.node, cand.leaf);
+            return !covers;
+          }));
+      if (covers) covering.push_back(comp);
+    }
+    if (covering.size() > 1) {
+      bool removed = false;
+      IOLAP_RETURN_IF_ERROR(rtree_->Remove(directory_[covering[0]].bbox,
+                                           covering[0], &removed));
+      IOLAP_RETURN_IF_ERROR(MergeComponents(
+          covering[0], {covering.begin() + 1, covering.end()}));
+      stats->components_merged += static_cast<int64_t>(covering.size()) - 1;
     }
   }
 
-  // ---- Re-allocate every affected component.
+  // ---- Re-allocate every affected component that is still alive.
   for (int64_t comp : affected) {
     if (!directory_[comp].alive) continue;
     IOLAP_RETURN_IF_ERROR(
@@ -723,121 +647,45 @@ Status MaintenanceManager::InsertFacts(const std::vector<FactRecord>& inserts,
   }
   // Unclaimed candidates are genuinely isolated new cells.
   for (const CellRecord& cell : candidates) {
-    LeafKey key{};
-    std::memcpy(key.data(), cell.leaf, sizeof(cell.leaf));
-    delta_adjust.erase(key);
+    delta_adjust.erase(LeafKeyOf(cell.leaf));
     loose_cells_.push_back(cell);
   }
-  IOLAP_RETURN_IF_ERROR(pool.FlushAll());
-
-  stats->seconds += watch.ElapsedSeconds();
-  stats->io += env_->disk().stats() - io_before;
-  return Status::Ok();
+  return batch.Finish(stats);
 }
 
 Status MaintenanceManager::DeleteFacts(const std::vector<FactRecord>& deletes,
                                        MaintenanceStats* stats) {
-  TraceSpan span("maint.delete_facts");
-  span.AddArg("deletes", static_cast<int64_t>(deletes.size()));
+  BatchScope batch(*env_, "maint.delete_facts", "deletes", deletes.size());
   const int k = schema_->num_dims();
-  BufferPool& pool = env_->pool();
-  Stopwatch watch;
-  IoStats io_before = env_->disk().stats();
   stats->deletes_applied += static_cast<int64_t>(deletes.size());
 
   std::set<int64_t> affected;
   std::map<LeafKey, double> delta_adjust;
-  std::set<FactId> deleted_precise;
-
+  std::map<FactId, double> deleted_precise;
+  std::vector<int64_t> hits;
   for (const FactRecord& f : deletes) {
-    stats->touched_boxes.push_back(RegionRect(*schema_, f));
-    std::vector<int64_t> hits;
-    IOLAP_RETURN_IF_ERROR(rtree_->Search(RegionRect(*schema_, f), &hits));
-    std::vector<int64_t> alive_hits;
-    for (int64_t h : hits) {
-      if (directory_[h].alive) {
-        alive_hits.push_back(h);
-        stats->touched_boxes.push_back(directory_[h].bbox);
-      }
-    }
+    IOLAP_RETURN_IF_ERROR(AliveOverlaps(f, stats, &hits));
     if (f.IsPrecise(k)) {
-      deleted_precise.insert(f.fact_id);
-      AllocationOptions policy = options_;
-      const double contribution = policy.DeltaContribution(f);
-      LeafKey key = LeafKeyOfPrecise(*schema_, f);
-      bool found = false;
-      for (CellRecord& cell : loose_cells_) {
-        if (std::memcmp(cell.leaf, key.data(), sizeof(cell.leaf)) == 0) {
-          cell.delta0 -= contribution;
-          cell.delta_prev = cell.delta0;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        IOLAP_ASSIGN_OR_RETURN(int64_t index, FindSingletonCell(key));
-        if (index >= 0) {
-          IOLAP_ASSIGN_OR_RETURN(CellRecord cell,
-                                 data_.cells.Get(pool, index));
-          cell.delta0 -= contribution;
-          cell.delta_prev = cell.delta0;
-          IOLAP_RETURN_IF_ERROR(data_.cells.Put(pool, index, cell));
-          found = true;
-        }
-      }
-      if (!found) {
-        delta_adjust[key] -= contribution;  // lives inside a component
-      }
-      // Remove the fact's own EDB row.
-      auto it = extra_precise_rows_.find(f.fact_id);
-      if (it != extra_precise_rows_.end()) {
-        if (listener_ != nullptr) {
-          IOLAP_ASSIGN_OR_RETURN(EdbRecord old,
-                                 build_result_.edb.Get(pool, it->second));
-          listener_->OnRemove(old);
-        }
-        IOLAP_RETURN_IF_ERROR(
-            build_result_.edb.Put(pool, it->second, Tombstone()));
-        extra_precise_rows_.erase(it);
-        ++stats->edb_rows_tombstoned;
-        deleted_precise.erase(f.fact_id);  // already handled
-      }
+      deleted_precise[f.fact_id] = 0;
+      const double shift = -options_.DeltaContribution(f);
+      const LeafKey key = LeafKeyOfPrecise(*schema_, f);
+      IOLAP_ASSIGN_OR_RETURN(bool shifted, ShiftCellDelta(key, shift));
+      if (!shifted) delta_adjust[key] += shift;  // lives inside a component
     } else {
       // Tombstone the imprecise fact in whichever component holds it.
-      for (int64_t h : alive_hits) {
-        directory_[h].deleted.insert(f.fact_id);
-      }
+      for (int64_t h : hits) directory_[h].deleted.insert(f.fact_id);
     }
-    for (int64_t h : alive_hits) affected.insert(h);
+    affected.insert(hits.begin(), hits.end());
   }
-
-  // Batch-tombstone deleted precise rows in the build prefix.
-  if (!deleted_precise.empty()) {
-    auto cursor = build_result_.edb.MutableScan(
-        pool, 0, std::min(build_result_.num_precise, build_result_.edb.size()));
-    EdbRecord rec;
-    while (!cursor.done()) {
-      IOLAP_RETURN_IF_ERROR(cursor.Read(&rec));
-      if (deleted_precise.count(rec.fact_id) != 0 &&
-          !(rec.weight == 0 && rec.fact_id == -1)) {
-        if (listener_ != nullptr) listener_->OnRemove(rec);
-        IOLAP_RETURN_IF_ERROR(cursor.Write(Tombstone()));
-        ++stats->edb_rows_tombstoned;
-      }
-      cursor.Advance();
-    }
-  }
+  IOLAP_RETURN_IF_ERROR(RewritePreciseRows(std::move(deleted_precise),
+                                           /*tombstone=*/true, stats));
 
   for (int64_t comp : affected) {
     if (!directory_[comp].alive) continue;
     IOLAP_RETURN_IF_ERROR(
         ReallocateComponent(comp, &delta_adjust, nullptr, stats));
   }
-  IOLAP_RETURN_IF_ERROR(pool.FlushAll());
-
-  stats->seconds += watch.ElapsedSeconds();
-  stats->io += env_->disk().stats() - io_before;
-  return Status::Ok();
+  return batch.Finish(stats);
 }
 
 Result<int64_t> MaintenanceManager::CompactEdb() {
@@ -878,8 +726,7 @@ Result<int64_t> MaintenanceManager::CompactEdb() {
       while (ref < refs.size() && refs[ref].end <= old_index) ++ref;
       bool in_range =
           ref < refs.size() && old_index >= refs[ref].begin;
-      bool live = !(rec.weight == 0 && rec.fact_id == -1);
-      if (live) {
+      if (!rec.IsTombstone()) {
         if (in_range && old_index == refs[ref].begin) {
           directory_[refs[ref].comp].edb_ranges[refs[ref].range_index].first =
               compact.size();
@@ -900,10 +747,6 @@ Result<int64_t> MaintenanceManager::CompactEdb() {
     }
     appender.Close();
   }
-  // Ranges that begin with a tombstone never updated `first`; normalize any
-  // empty ranges (all rows dead).
-  // (Rows inside a live range are never tombstoned except at its tail, so
-  // the begin/end updates above are sufficient for non-empty ranges.)
   IOLAP_RETURN_IF_ERROR(pool.EvictFile(build_result_.edb.file_id()));
   IOLAP_RETURN_IF_ERROR(env_->disk().DeleteFile(build_result_.edb.file_id()));
   build_result_.edb = compact;

@@ -1,6 +1,7 @@
 #ifndef IOLAP_EDB_MAINTENANCE_H_
 #define IOLAP_EDB_MAINTENANCE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -92,7 +93,8 @@ struct MaintenanceStats {
 /// write-backs, while new tuples, tombstones, and component merges live in
 /// an in-memory directory of segment lists + overlays. Superseded EDB rows
 /// are tombstoned with weight 0 (a no-op for every aggregate); call
-/// `CompactEdb()` to squeeze them out.
+/// `CompactEdb()` to squeeze them out. The three batch kinds share one set
+/// of helpers (DESIGN.md §16).
 class MaintenanceManager {
  public:
   /// A maintained component: the segments it owns in the component-sorted
@@ -106,18 +108,11 @@ class MaintenanceManager {
     Rect bbox;
     std::vector<std::pair<int64_t, int64_t>> edb_ranges;  // live rows
     bool alive = true;
-
-    int64_t tuples() const {
-      int64_t n = static_cast<int64_t>(overlay_cells.size() +
-                                       overlay_entries.size());
-      for (auto [b, e] : cell_segments) n += e - b;
-      for (auto [b, e] : entry_segments) n += e - b;
-      return n;
-    }
   };
 
-  /// Runs preprocessing + Transitive on `facts` (consumed), bulk-loads the
-  /// R-tree from the component directory.
+  /// Runs preprocessing + Transitive on `facts` (consumed), then inserts
+  /// each component's bounding box into the R-tree, one Insert per
+  /// component.
   static Result<std::unique_ptr<MaintenanceManager>> Build(
       StorageEnv& env, const StarSchema& schema,
       TypedFile<FactRecord>* facts, const AllocationOptions& options);
@@ -165,6 +160,37 @@ class MaintenanceManager {
 
   using LeafKey = std::array<int32_t, kMaxDims>;
 
+  /// Fills `ids` with the alive components whose bbox overlaps `fact`'s
+  /// region, in R-tree search order. Records the fact's rect and each
+  /// hit's bbox in stats->touched_boxes and the node pages the search
+  /// visited in stats->rtree_nodes_accessed.
+  Status AliveOverlaps(const FactRecord& fact, MaintenanceStats* stats,
+                       std::vector<int64_t>* ids);
+
+  /// Folds the components `from`, in order, into `into`: their segments,
+  /// overlays, tombstones and EDB ranges are appended and their bboxes
+  /// unioned in. Each folded component is retired and removed from the
+  /// R-tree; `into`, which must not be in the R-tree, is then inserted
+  /// under its grown bbox.
+  Status MergeComponents(int64_t into, const std::vector<int64_t>& from);
+
+  /// Adds `shift` to the δ of the loose or singleton cell `key`. False when
+  /// there is none: the cell lies inside a component or is new.
+  Result<bool> ShiftCellDelta(const LeafKey& key, double shift);
+
+  /// Rewrites the EDB row of each precise fact in `measures` (fact id ->
+  /// new measure), or tombstones it when `tombstone`, reporting the change
+  /// to the listener. Rows appended since the build are found by position,
+  /// the build's rows by one scan of the precise prefix.
+  Status RewritePreciseRows(std::map<FactId, double> measures, bool tombstone,
+                            MaintenanceStats* stats);
+
+  /// Calls `fn` on each imprecise entry of `c` that is not deleted, stored
+  /// segments first, then overlays, until `fn` returns false.
+  Status ForEachLiveEntry(
+      const MaintComponent& c,
+      const std::function<bool(const ImpreciseRecord&)>& fn);
+
   /// Re-allocates one component from scratch (fresh EM over the current δ)
   /// and splices its EDB rows; applies and persists pending δ adjustments.
   /// `candidate_cells` offers new cells that join the component iff one of
@@ -174,8 +200,11 @@ class MaintenanceManager {
                              std::vector<CellRecord>* candidate_cells,
                              MaintenanceStats* stats);
 
-  /// Finds a cell in the singleton region of the cells file (binary search
-  /// in canonical order); -1 if absent or absorbed.
+  /// First cell of the singleton region of the cells file not below `key`
+  /// in canonical order (binary search).
+  Result<int64_t> SingletonLowerBound(const LeafKey& key);
+
+  /// Finds a cell in the singleton region; -1 if absent or absorbed.
   Result<int64_t> FindSingletonCell(const LeafKey& key);
 
   /// Collects singleton + loose cells covered by `region`, marks the file

@@ -13,7 +13,7 @@ Result<AggregateResult> QueryEngine::Aggregate(
     EdbRecord rec;
     while (!cursor.done()) {
       IOLAP_RETURN_IF_ERROR(cursor.Next(&rec));
-      if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
+      if (rec.IsTombstone()) continue;
       if (!RegionContainsLeaf(*schema_, region, rec.leaf)) continue;
       AccumulateAggregate(&out, rec.weight, rec.measure);
     }
@@ -65,7 +65,7 @@ Result<std::vector<AggregateResult>> QueryEngine::RollUp(
   EdbRecord rec;
   while (!cursor.done()) {
     IOLAP_RETURN_IF_ERROR(cursor.Next(&rec));
-    if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
+    if (rec.IsTombstone()) continue;
     if (!RegionContainsLeaf(*schema_, region, rec.leaf)) continue;
     AggregateResult& g = groups[h.LeafAncestorOrdinal(rec.leaf[dim], level)];
     AccumulateAggregate(&g, rec.weight, rec.measure);
@@ -81,7 +81,7 @@ Result<std::vector<EdbRecord>> QueryEngine::FactsIn(
   EdbRecord rec;
   while (!cursor.done()) {
     IOLAP_RETURN_IF_ERROR(cursor.Next(&rec));
-    if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
+    if (rec.IsTombstone()) continue;
     if (RegionContainsLeaf(*schema_, region, rec.leaf)) out.push_back(rec);
   }
   return out;
@@ -99,7 +99,7 @@ Result<std::vector<EdbRecord>> QueryEngine::CompletionsOf(
   EdbRecord rec;
   while (!cursor.done()) {
     IOLAP_RETURN_IF_ERROR(cursor.Next(&rec));
-    if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
+    if (rec.IsTombstone()) continue;
     if (rec.fact_id == fact_id) out.push_back(rec);
   }
   return out;

@@ -173,7 +173,7 @@ Status WriteEdbCsv(StorageEnv& env, const StarSchema& schema,
   char buffer[64];
   while (!cursor.done()) {
     IOLAP_RETURN_IF_ERROR(cursor.Next(&rec));
-    if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
+    if (rec.IsTombstone()) continue;
     out << rec.fact_id;
     for (int d = 0; d < schema.num_dims(); ++d) {
       const Hierarchy& h = schema.dim(d);

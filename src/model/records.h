@@ -84,6 +84,16 @@ struct EdbRecord {
   double measure = 0;
   double weight = 0;  // p_{c,r}
   int32_t leaf[kMaxDims] = {};
+
+  /// A maintenance tombstone: a superseded row overwritten in place with
+  /// weight 0 and fact_id -1. Live rows have weight > 0, so every reader
+  /// skips it and every aggregate is unaffected; CompactEdb removes it.
+  static EdbRecord Tombstone() {
+    EdbRecord rec;
+    rec.fact_id = -1;
+    return rec;
+  }
+  bool IsTombstone() const { return weight == 0 && fact_id == -1; }
 };
 static_assert(std::is_trivially_copyable_v<EdbRecord>);
 static_assert(sizeof(EdbRecord) == 48);

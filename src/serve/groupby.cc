@@ -142,7 +142,7 @@ Status ScanChunk(StorageEnv* env, const StarSchema* schema,
     while (!cursor.done()) {
       IOLAP_RETURN_IF_ERROR(cursor.Next(&rec));
       ++*rows_seen;
-      if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
+      if (rec.IsTombstone()) continue;
       if (!RegionContainsLeaf(*schema, region, rec.leaf)) continue;
       const int32_t g =
           h != nullptr ? h->LeafAncestorOrdinal(rec.leaf[dim], level) : 0;

@@ -19,8 +19,20 @@ int ClampShards(int requested) {
   return std::max(1, std::min(requested, kMaxShards));
 }
 
-bool IsTombstone(const EdbRecord& rec) {
-  return rec.weight == 0 && rec.fact_id == -1;
+const FactRecord& FactOf(const FactRecord& fact) { return fact; }
+const FactRecord& FactOf(const FactUpdate& update) { return update.before; }
+
+/// The region rects of a mutation batch's facts, which MutateLocked maps
+/// to the shards it locks.
+template <typename Mutation>
+std::vector<Rect> BatchRects(const StarSchema& schema,
+                             const std::vector<Mutation>& batch) {
+  std::vector<Rect> rects;
+  rects.reserve(batch.size());
+  for (const Mutation& m : batch) {
+    rects.push_back(FactRegionToRect(schema, FactOf(m)));
+  }
+  return rects;
 }
 
 }  // namespace
@@ -201,7 +213,7 @@ Status QueryService::InitShardsLocked() {
     EdbRecord rec;
     while (!cursor.done()) {
       IOLAP_RETURN_IF_ERROR(cursor.Next(&rec));
-      if (IsTombstone(rec)) continue;
+      if (rec.IsTombstone()) continue;
       ++leaf_rows[rec.leaf[0]];
     }
     std::vector<Rect> boxes;
@@ -239,7 +251,7 @@ Status QueryService::AppendRangesFromScan(int64_t begin, int64_t end,
     // Tombstones carry no leaf; they stay with the run they interrupt so
     // ranges remain maximal (any owner is correct — they match nothing).
     const int shard =
-        IsTombstone(rec) ? run_shard : shard_map_.ShardOfLeaf(rec.leaf[0]);
+        rec.IsTombstone() ? run_shard : shard_map_.ShardOfLeaf(rec.leaf[0]);
     if (shard != run_shard) {
       if (row > run_begin) push(run_shard, run_begin, row);
       run_shard = shard;
@@ -712,38 +724,26 @@ Status QueryService::MutateLocked(
 
 Status QueryService::ApplyUpdates(const std::vector<FactUpdate>& updates,
                                   MaintenanceStats* stats) {
-  std::vector<Rect> rects;
-  rects.reserve(updates.size());
-  for (const FactUpdate& u : updates) {
-    rects.push_back(FactRegionToRect(*schema_, u.before));
-  }
-  return MutateLocked(rects, stats, [this, &updates](MaintenanceStats* s) {
-    return manager_->ApplyUpdates(updates, s);
-  });
+  return MutateLocked(BatchRects(*schema_, updates), stats,
+                      [this, &updates](MaintenanceStats* s) {
+                        return manager_->ApplyUpdates(updates, s);
+                      });
 }
 
 Status QueryService::InsertFacts(const std::vector<FactRecord>& inserts,
                                  MaintenanceStats* stats) {
-  std::vector<Rect> rects;
-  rects.reserve(inserts.size());
-  for (const FactRecord& f : inserts) {
-    rects.push_back(FactRegionToRect(*schema_, f));
-  }
-  return MutateLocked(rects, stats, [this, &inserts](MaintenanceStats* s) {
-    return manager_->InsertFacts(inserts, s);
-  });
+  return MutateLocked(BatchRects(*schema_, inserts), stats,
+                      [this, &inserts](MaintenanceStats* s) {
+                        return manager_->InsertFacts(inserts, s);
+                      });
 }
 
 Status QueryService::DeleteFacts(const std::vector<FactRecord>& deletes,
                                  MaintenanceStats* stats) {
-  std::vector<Rect> rects;
-  rects.reserve(deletes.size());
-  for (const FactRecord& f : deletes) {
-    rects.push_back(FactRegionToRect(*schema_, f));
-  }
-  return MutateLocked(rects, stats, [this, &deletes](MaintenanceStats* s) {
-    return manager_->DeleteFacts(deletes, s);
-  });
+  return MutateLocked(BatchRects(*schema_, deletes), stats,
+                      [this, &deletes](MaintenanceStats* s) {
+                        return manager_->DeleteFacts(deletes, s);
+                      });
 }
 
 Result<int64_t> QueryService::Compact() {

@@ -16,10 +16,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Any delta: exact answers (bound 0) do not depend on it.
 constexpr double kExactDelta = 0.05;
 
-bool IsTombstone(const EdbRecord& rec) {
-  return rec.weight == 0 && rec.fact_id == -1;
-}
-
 }  // namespace
 
 SynopsisStore::SynopsisStore(StorageEnv* env, const StarSchema* schema,
@@ -104,7 +100,7 @@ Status SynopsisStore::BuildLocked() {
   int64_t rows = 0;
   while (!cursor.done()) {
     IOLAP_RETURN_IF_ERROR(cursor.Next(&rec));
-    if (IsTombstone(rec)) continue;
+    if (rec.IsTombstone()) continue;
     FoldRowLocked(rec, 1.0);
     ++rows;
   }

@@ -19,8 +19,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <map>
 #include <ostream>
 #include <set>
 #include <string>
@@ -33,6 +31,7 @@
 #include "edb/maintenance.h"
 #include "edb/query.h"
 #include "serve/query_service.h"
+#include "tests/rebuild_oracle.h"
 #include "tests/test_util.h"
 
 namespace iolap {
@@ -77,16 +76,6 @@ Result<std::vector<FactRecord>> GenerateTable(const StarSchema& schema) {
     facts.push_back(f);
   }
   return facts;
-}
-
-Result<TypedFile<FactRecord>> WriteFacts(StorageEnv& env,
-                                         const std::vector<FactRecord>& facts) {
-  IOLAP_ASSIGN_OR_RETURN(auto file,
-                         TypedFile<FactRecord>::Create(env.disk(), "facts"));
-  auto appender = file.MakeAppender(env.pool());
-  for (const FactRecord& f : facts) IOLAP_RETURN_IF_ERROR(appender.Append(f));
-  appender.Close();
-  return file;
 }
 
 // ---------------------------------------------------------------------------
@@ -232,50 +221,6 @@ Status ApplyBatch(Target& target, const Batch& batch,
       break;
   }
   return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// Rebuild equivalence (as in maintenance_mutations_test.cc).
-
-using CellKey = std::array<int32_t, kMaxDims>;
-using EdbMap = std::map<std::pair<FactId, CellKey>, std::pair<double, double>>;
-
-EdbMap LoadLiveEdb(StorageEnv& env, const TypedFile<EdbRecord>& edb) {
-  EdbMap out;
-  auto cursor = edb.Scan(env.pool());
-  EdbRecord rec;
-  while (!cursor.done()) {
-    EXPECT_TRUE(cursor.Next(&rec).ok());
-    if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
-    CellKey key{};
-    std::memcpy(key.data(), rec.leaf, sizeof(rec.leaf));
-    auto [it, inserted] =
-        out.emplace(std::make_pair(rec.fact_id, key),
-                    std::make_pair(rec.weight, rec.measure));
-    EXPECT_TRUE(inserted) << "duplicate live row for fact " << rec.fact_id;
-  }
-  return out;
-}
-
-void ExpectEquivalentToRebuild(const StarSchema& schema,
-                               MaintenanceManager& manager,
-                               const std::vector<FactRecord>& final_facts,
-                               const AllocationOptions& options) {
-  EdbMap incremental = LoadLiveEdb(manager.env(), manager.edb());
-  StorageEnv env_rb(MakeTempDir(), 256);
-  IOLAP_ASSERT_OK_AND_ASSIGN(auto facts_rb, WriteFacts(env_rb, final_facts));
-  AllocationOptions opts = options;
-  opts.algorithm = AlgorithmKind::kTransitive;
-  IOLAP_ASSERT_OK_AND_ASSIGN(AllocationResult rebuilt,
-                             Allocator::Run(env_rb, schema, &facts_rb, opts));
-  EdbMap rebuild = LoadLiveEdb(env_rb, rebuilt.edb);
-  ASSERT_EQ(incremental.size(), rebuild.size());
-  for (const auto& [key, wm] : rebuild) {
-    auto it = incremental.find(key);
-    ASSERT_NE(it, incremental.end()) << "missing row for fact " << key.first;
-    EXPECT_NEAR(it->second.first, wm.first, 1e-6) << "fact " << key.first;
-    EXPECT_NEAR(it->second.second, wm.second, 1e-9) << "fact " << key.first;
-  }
 }
 
 // ---------------------------------------------------------------------------

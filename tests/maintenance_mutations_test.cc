@@ -1,7 +1,6 @@
 // Insert/delete maintenance (the full Section 9 story): incremental
 // application of structural changes must leave the EDB equivalent to a
-// from-scratch rebuild over the mutated fact table. Tombstoned rows
-// (weight 0) are ignored when comparing.
+// from-scratch rebuild over the mutated fact table (tests/rebuild_oracle.h).
 
 #include <gtest/gtest.h>
 
@@ -15,63 +14,11 @@
 #include "edb/maintenance.h"
 #include "edb/query.h"
 #include "rtree/rect.h"
+#include "tests/rebuild_oracle.h"
 #include "tests/test_util.h"
 
 namespace iolap {
 namespace {
-
-using CellKey = std::array<int32_t, kMaxDims>;
-using EdbMap = std::map<std::pair<FactId, CellKey>, std::pair<double, double>>;
-
-EdbMap LoadLiveEdb(StorageEnv& env, const TypedFile<EdbRecord>& edb) {
-  EdbMap out;
-  auto cursor = edb.Scan(env.pool());
-  EdbRecord rec;
-  while (!cursor.done()) {
-    EXPECT_TRUE(cursor.Next(&rec).ok());
-    if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
-    CellKey key{};
-    std::memcpy(key.data(), rec.leaf, sizeof(rec.leaf));
-    auto [it, inserted] =
-        out.emplace(std::make_pair(rec.fact_id, key),
-                    std::make_pair(rec.weight, rec.measure));
-    EXPECT_TRUE(inserted) << "duplicate live row for fact " << rec.fact_id;
-  }
-  return out;
-}
-
-Result<TypedFile<FactRecord>> WriteFacts(StorageEnv& env,
-                                         const std::vector<FactRecord>& facts) {
-  IOLAP_ASSIGN_OR_RETURN(auto file,
-                         TypedFile<FactRecord>::Create(env.disk(), "fcopy"));
-  auto appender = file.MakeAppender(env.pool());
-  for (const FactRecord& f : facts) IOLAP_RETURN_IF_ERROR(appender.Append(f));
-  appender.Close();
-  return file;
-}
-
-void ExpectEquivalentToRebuild(const StarSchema& schema,
-                               MaintenanceManager& manager,
-                               const std::vector<FactRecord>& final_facts,
-                               const AllocationOptions& options) {
-  EdbMap incremental = LoadLiveEdb(manager.env(), manager.edb());
-  StorageEnv env_rb(MakeTempDir(), 256);
-  auto facts_rb = WriteFacts(env_rb, final_facts);
-  ASSERT_TRUE(facts_rb.ok());
-  AllocationOptions opts = options;
-  opts.algorithm = AlgorithmKind::kTransitive;
-  IOLAP_ASSERT_OK_AND_ASSIGN(
-      AllocationResult rebuilt,
-      Allocator::Run(env_rb, schema, &facts_rb.value(), opts));
-  EdbMap rebuild = LoadLiveEdb(env_rb, rebuilt.edb);
-  ASSERT_EQ(incremental.size(), rebuild.size());
-  for (const auto& [key, wm] : rebuild) {
-    auto it = incremental.find(key);
-    ASSERT_NE(it, incremental.end()) << "missing row for fact " << key.first;
-    EXPECT_NEAR(it->second.first, wm.first, 1e-6) << "fact " << key.first;
-    EXPECT_NEAR(it->second.second, wm.second, 1e-9) << "fact " << key.first;
-  }
-}
 
 FactRecord MakeFact(const StarSchema& schema, FactId id, double measure,
                     const char* n0, const char* n1) {
@@ -287,6 +234,31 @@ TEST_F(MutationsTest, MixedBatchesThenCompact) {
   IOLAP_ASSERT_OK(manager->InsertFacts({c}, &stats));
   facts.push_back(c);
   ExpectEquivalentToRebuild(schema_, *manager, facts, options_);
+}
+
+// Every batch kind finds its components through the R-tree, so every kind
+// reports the node pages its searches visited.
+TEST_F(MutationsTest, EveryBatchKindCountsRtreeNodes) {
+  StorageEnv scratch(MakeTempDir(), 32);
+  std::vector<FactRecord> facts = PaperFacts(scratch);
+  StorageEnv env(MakeTempDir(), 256);
+  auto manager = BuildManager(env, facts);
+
+  MaintenanceStats inserted;
+  IOLAP_ASSERT_OK(manager->InsertFacts(
+      {MakeFact(schema_, 500, 10, "MA", "Civic"),
+       MakeFact(schema_, 501, 20, "East", "Sedan")},
+      &inserted));
+  EXPECT_GT(inserted.rtree_nodes_accessed, 0);
+
+  MaintenanceStats deleted;
+  IOLAP_ASSERT_OK(manager->DeleteFacts({facts[1], facts[8]}, &deleted));
+  EXPECT_GT(deleted.rtree_nodes_accessed, 0);
+
+  MaintenanceStats updated;
+  IOLAP_ASSERT_OK(
+      manager->ApplyUpdates({FactUpdate{facts[0], 42.0}}, &updated));
+  EXPECT_GT(updated.rtree_nodes_accessed, 0);
 }
 
 TEST_F(MutationsTest, PrefixScansSurviveCompaction) {

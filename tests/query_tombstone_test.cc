@@ -109,7 +109,7 @@ TEST_F(QueryTombstoneTest, FactsInMatchesCompacted) {
     EXPECT_DOUBLE_EQ(a[i].weight, b[i].weight);
   }
   for (const EdbRecord& rec : b) {
-    EXPECT_FALSE(rec.weight == 0 && rec.fact_id == -1);
+    EXPECT_FALSE(rec.IsTombstone());
   }
 }
 

@@ -15,6 +15,7 @@
 #include "datagen/table2.h"
 #include "edb/maintenance.h"
 #include "edb/query.h"
+#include "obs/metrics.h"
 #include "serve/workload.h"
 #include "tests/test_util.h"
 
@@ -167,17 +168,54 @@ TEST_F(ServeTest, RollUpRejectsBadArguments) {
 }
 
 TEST_F(ServeTest, PartitionedScanMatchesSerial) {
+  // A generated EDB over several pages: the chunk grid snaps to whole
+  // pages, so only a multi-page EDB splits a scan into several chunks.
+  std::vector<Hierarchy> dims;
+  IOLAP_ASSERT_OK_AND_ASSIGN(Hierarchy d0,
+                             HierarchyBuilder::Uniform("D0", {8, 4}));
+  IOLAP_ASSERT_OK_AND_ASSIGN(Hierarchy d1,
+                             HierarchyBuilder::Uniform("D1", {4, 4}));
+  dims.push_back(d0);
+  dims.push_back(d1);
+  IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema,
+                             StarSchema::Create(std::move(dims)));
+  StorageEnv env(MakeTempDir(), 256);
+  DatasetSpec spec;
+  spec.num_facts = 1500;
+  spec.seed = 3;
+  IOLAP_ASSERT_OK_AND_ASSIGN(auto file, GenerateFacts(env, schema, spec));
+  IOLAP_ASSERT_OK_AND_ASSIGN(
+      auto manager,
+      MaintenanceManager::Build(env, schema, &file, AllocationOptions{}));
+  ASSERT_GE(manager->edb().size_in_pages(), 8);
+
+  MetricsRegistry registry;
+  SetGlobalMetrics(&registry);
+  struct Uninstall {
+    ~Uninstall() { SetGlobalMetrics(nullptr); }
+  } uninstall;
   ServeOptions opts;
   opts.num_threads = 4;
-  opts.min_partition_rows = 1;  // force real partitioning on a tiny EDB
-  QueryService service(manager_.get(), opts);
-  QueryEngine engine(&env_, &schema_, &manager_->edb());
-  for (const QueryRegion& region : ProbeRegions()) {
+  opts.min_partition_rows = 1;  // one page per chunk
+  QueryService service(manager.get(), opts);
+  QueryEngine engine(&env, &schema, &manager->edb());
+
+  std::vector<QueryRegion> regions = {QueryRegion::All()};
+  for (NodeId node : schema.dim(0).nodes_at_level(2)) {
+    regions.push_back(QueryRegion::All().With(0, node));
+  }
+  for (NodeId node : schema.dim(1).nodes_at_level(2)) {
+    regions.push_back(QueryRegion::All().With(1, node));
+  }
+  Counter* partitions = registry.counter("serve.scan_partitions");
+  for (const QueryRegion& region : regions) {
     for (AggregateFunc func : kAllFuncs) {
       IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult expected,
                                  engine.Aggregate(region, func));
+      const int64_t chunks_before = partitions->value();
       IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult parallel,
                                  service.UncachedAggregate(region, func));
+      EXPECT_GT(partitions->value() - chunks_before, 1);
       EXPECT_NEAR(parallel.value, expected.value, 1e-9);
       EXPECT_NEAR(parallel.sum, expected.sum, 1e-9);
       EXPECT_NEAR(parallel.count, expected.count, 1e-9);
@@ -186,9 +224,11 @@ TEST_F(ServeTest, PartitionedScanMatchesSerial) {
   IOLAP_ASSERT_OK_AND_ASSIGN(
       auto expected_groups,
       engine.RollUp(QueryRegion::All(), 0, 1, AggregateFunc::kSum));
+  const int64_t chunks_before = partitions->value();
   IOLAP_ASSERT_OK_AND_ASSIGN(
       auto parallel_groups,
       service.UncachedRollUp(QueryRegion::All(), 0, 1, AggregateFunc::kSum));
+  EXPECT_GT(partitions->value() - chunks_before, 1);
   ASSERT_EQ(parallel_groups.size(), expected_groups.size());
   for (size_t i = 0; i < expected_groups.size(); ++i) {
     EXPECT_NEAR(parallel_groups[i].value, expected_groups[i].value, 1e-9);
