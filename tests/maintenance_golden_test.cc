@@ -11,7 +11,11 @@
 // The same stream also drives a QueryService with every answer tier on
 // (cache, aggregate index, synopsis, 4 shards); after each batch its
 // aggregates and rollups must match a QueryEngine over a fresh Transitive
-// re-allocation of the mutated fact table.
+// re-allocation of the mutated fact table. Every served read (exact,
+// bounded at epsilon > 0 and at epsilon = 0, and the Uncached* rescans)
+// also folds into a digest pinned with the final cache, index and store
+// counters, so a change to which tier answers, what it promises or the
+// answer's bytes shows up here.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +23,11 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <ostream>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -321,11 +327,61 @@ void ExpectSameAnswer(const AggregateResult& served,
       << what;
 }
 
-class MaintainedServiceOracle : public ::testing::TestWithParam<PolicyKind> {};
+/// Served-read digest and final tier counters of the oracle stream.
+struct ServedParam {
+  PolicyKind policy;
+  uint64_t digest;  // FNV-1a 64 over every served read, in read order
+  AggregateCache::Stats cache;
+  int64_t index_probes;
+  int64_t index_nodes_read;
+  int64_t store_estimates;
+  int64_t store_exact_hits;
+};
+
+constexpr ServedParam kServed[] = {
+    {PolicyKind::kCount, 0xa91584a73c9cc77fULL, {8935, 2035, 1985, 0, 1560},
+     48, 2546, 1985, 1907},
+    {PolicyKind::kMeasure, 0x99324e35cc4b2e85ULL, {8935, 2035, 1985, 0, 1560},
+     48, 2546, 1985, 1907},
+};
+
+void PrintTo(const ServedParam& p, std::ostream* os) {
+  *os << PolicyLabel(p.policy);
+}
+
+/// FNV-1a 64 over the bytes of what a served read returned.
+class ReadDigest {
+ public:
+  template <typename T>
+  void Fold(const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
+    for (size_t i = 0; i < sizeof(value); ++i) {
+      h_ = (h_ ^ bytes[i]) * 1099511628211ULL;
+    }
+  }
+  void Fold(const AnswerStats& answer) {
+    Fold(answer.tier);
+    Fold(answer.exact);
+    Fold(answer.bound);
+    Fold(answer.cache_hit);
+  }
+  void Fold(const std::vector<AggregateResult>& groups) {
+    for (const AggregateResult& g : groups) Fold(g);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 1469598103934665603ULL;
+};
+
+class MaintainedServiceOracle : public ::testing::TestWithParam<ServedParam> {
+};
 
 TEST_P(MaintainedServiceOracle, EveryTierMatchesRebuildAfterEachBatch) {
+  const ServedParam& param = GetParam();
   const StarSchema schema = MakeStreamSchema();
-  const AllocationOptions options = StreamOptions(GetParam());
+  const AllocationOptions options = StreamOptions(param.policy);
   IOLAP_ASSERT_OK_AND_ASSIGN(std::vector<FactRecord> facts,
                              GenerateTable(schema));
   StorageEnv env(MakeTempDir(), 256);
@@ -361,7 +417,14 @@ TEST_P(MaintainedServiceOracle, EveryTierMatchesRebuildAfterEachBatch) {
                                  AggregateFunc::kAverage, AggregateFunc::kMin,
                                  AggregateFunc::kMax};
 
+  // A point aggregate is not a rollup.
+  EXPECT_EQ(service.RollUp(QueryRegion::All(), -1, 1, AggregateFunc::kSum)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
   int64_t tier_answers[4] = {};  // by AnswerTier
+  ReadDigest digest;
   Rng rng(2026);
   FactId next_id = 100'000;
   for (int step = 0; step < kSteps; ++step) {
@@ -392,6 +455,49 @@ TEST_P(MaintainedServiceOracle, EveryTierMatchesRebuildAfterEachBatch) {
             service.Aggregate(probes[p], func, AnswerSpec::Exact(), &answer));
         ExpectSameAnswer(got, want, what);
         ++tier_answers[static_cast<int>(answer.tier)];
+        digest.Fold(answer);
+        digest.Fold(got);
+        // A zero error budget is the exact contract, byte for byte.
+        IOLAP_ASSERT_OK_AND_ASSIGN(
+            AggregateResult zero,
+            service.Aggregate(probes[p], func, AnswerSpec::Bounded(0),
+                              &answer));
+        EXPECT_EQ(std::memcmp(&zero, &got, sizeof(got)), 0) << what;
+        EXPECT_TRUE(answer.exact) << what;
+        digest.Fold(answer);
+        digest.Fold(zero);
+        IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult rescanned,
+                                   service.UncachedAggregate(probes[p], func));
+        ExpectSameAnswer(rescanned, want, what);
+        digest.Fold(rescanned);
+      }
+    }
+    // Bounded reads over two-dimension crosses, which the store can only
+    // estimate: a budget first, then none.
+    for (NodeId n : h0.nodes_at_level(2)) {
+      const QueryRegion cross =
+          QueryRegion::All().With(0, n).With(1, h1.nodes_at_level(2)[1]);
+      for (AggregateFunc func : funcs) {
+        const std::string what = "step " + std::to_string(step) + " cross " +
+                                 std::to_string(n) + " func " +
+                                 std::to_string(static_cast<int>(func));
+        IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult want,
+                                   engine.Aggregate(cross, func));
+        for (double epsilon : {25.0, 0.0}) {
+          AnswerStats answer;
+          IOLAP_ASSERT_OK_AND_ASSIGN(
+              AggregateResult got,
+              service.Aggregate(cross, func, AnswerSpec::Bounded(epsilon),
+                                &answer));
+          EXPECT_LE(std::abs(got.value - want.value),
+                    answer.bound + 1e-6 * std::max(1.0, std::abs(want.value)))
+              << what << " epsilon " << epsilon;
+          if (epsilon == 0) {
+            EXPECT_TRUE(answer.exact) << what;
+          }
+          digest.Fold(answer);
+          digest.Fold(got);
+        }
       }
     }
     for (AggregateFunc func : funcs) {
@@ -401,15 +507,25 @@ TEST_P(MaintainedServiceOracle, EveryTierMatchesRebuildAfterEachBatch) {
                      : QueryRegion::All().With(0, h0.nodes_at_level(2)[3]);
         IOLAP_ASSERT_OK_AND_ASSIGN(std::vector<AggregateResult> want,
                                    engine.RollUp(region, dim, 2, func));
-        IOLAP_ASSERT_OK_AND_ASSIGN(std::vector<AggregateResult> got,
-                                   service.RollUp(region, dim, 2, func));
+        bool cache_hit = false;
+        IOLAP_ASSERT_OK_AND_ASSIGN(
+            std::vector<AggregateResult> got,
+            service.RollUp(region, dim, 2, func, nullptr, &cache_hit));
         ASSERT_EQ(got.size(), want.size());
+        IOLAP_ASSERT_OK_AND_ASSIGN(
+            std::vector<AggregateResult> rescanned,
+            service.UncachedRollUp(region, dim, 2, func));
+        ASSERT_EQ(rescanned.size(), want.size());
+        digest.Fold(cache_hit);
+        digest.Fold(got);
+        digest.Fold(rescanned);
         for (size_t g = 0; g < want.size(); ++g) {
-          ExpectSameAnswer(got[g], want[g],
-                           "step " + std::to_string(step) + " rollup dim " +
-                               std::to_string(dim) + " group " +
-                               std::to_string(g) + " func " +
-                               std::to_string(static_cast<int>(func)));
+          const std::string what =
+              "step " + std::to_string(step) + " rollup dim " +
+              std::to_string(dim) + " group " + std::to_string(g) + " func " +
+              std::to_string(static_cast<int>(func));
+          ExpectSameAnswer(got[g], want[g], what);
+          ExpectSameAnswer(rescanned[g], want[g], what);
         }
       }
     }
@@ -420,13 +536,26 @@ TEST_P(MaintainedServiceOracle, EveryTierMatchesRebuildAfterEachBatch) {
   EXPECT_GT(tier_answers[static_cast<int>(AnswerTier::kSynopsis)] +
                 tier_answers[static_cast<int>(AnswerTier::kIndex)],
             0);
+
+  EXPECT_EQ(digest.value(), param.digest);
+  const AggregateCache::Stats cache = service.cache()->stats();
+  EXPECT_EQ(cache.hits, param.cache.hits);
+  EXPECT_EQ(cache.misses, param.cache.misses);
+  EXPECT_EQ(cache.inserted_entries, param.cache.inserted_entries);
+  EXPECT_EQ(cache.evicted_entries, param.cache.evicted_entries);
+  EXPECT_EQ(cache.invalidated_entries, param.cache.invalidated_entries);
+  const AggIndex::Stats index = service.agg_index()->stats();
+  EXPECT_EQ(index.probes, param.index_probes);
+  EXPECT_EQ(index.nodes_read, param.index_nodes_read);
+  const SynopsisStore::Stats store = service.synopsis()->stats();
+  EXPECT_EQ(store.estimates, param.store_estimates);
+  EXPECT_EQ(store.exact_hits, param.store_exact_hits);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, MaintainedServiceOracle,
-                         ::testing::Values(PolicyKind::kCount,
-                                           PolicyKind::kMeasure),
+                         ::testing::ValuesIn(kServed),
                          [](const auto& info) {
-                           return std::string(PolicyLabel(info.param));
+                           return std::string(PolicyLabel(info.param.policy));
                          });
 
 }  // namespace
