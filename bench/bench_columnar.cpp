@@ -104,14 +104,6 @@ int main(int argc, char** argv) {
   };
   const auto run = [&](const ColumnarEdb* mirror, const Probe& p,
                        std::vector<double>* values) -> Status {
-    if (p.rollup_dim < 0) {
-      IOLAP_ASSIGN_OR_RETURN(
-          AggregateResult r,
-          engine.Aggregate(all_rows, p.region, AggregateFunc::kSum, nullptr,
-                           mirror));
-      values->push_back(r.value);
-      return Status::Ok();
-    }
     IOLAP_ASSIGN_OR_RETURN(
         auto groups, engine.RollUp(all_rows, p.region, p.rollup_dim, 1,
                                    AggregateFunc::kSum, nullptr, mirror));

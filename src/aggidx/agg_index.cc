@@ -255,42 +255,20 @@ Status AggIndex::QueryRectLocked(const Rect& query, bool minmax,
   return Status::Ok();
 }
 
-Result<AggregateResult> AggIndex::Aggregate(const QueryRegion& region,
-                                            AggregateFunc func) {
-  std::lock_guard<std::mutex> lock(mu_);
-  IOLAP_RETURN_IF_ERROR(EnsureBuiltLocked());
-  AggregateResult acc;
-  IOLAP_RETURN_IF_ERROR(
-      QueryRectLocked(RegionToRect(*schema_, region), IsMinMax(func), &acc));
-  FinalizeAggregate(&acc, func);
-  ++stats_.probes;
-  if (probes_counter_ != nullptr) probes_counter_->Add(1);
-  return acc;
-}
-
 Result<std::vector<AggregateResult>> AggIndex::RollUp(
     const QueryRegion& region, int dim, int level, AggregateFunc func) {
-  IOLAP_RETURN_IF_ERROR(CheckRollUpArgs(*schema_, dim, level));
-  const Hierarchy& h = schema_->dim(dim);
+  if (dim >= 0) IOLAP_RETURN_IF_ERROR(CheckRollUpArgs(*schema_, dim, level));
   std::lock_guard<std::mutex> lock(mu_);
   IOLAP_RETURN_IF_ERROR(EnsureBuiltLocked());
-  const Rect base = RegionToRect(*schema_, region);
-  const std::vector<NodeId>& nodes = h.nodes_at_level(level);
-  std::vector<AggregateResult> groups(nodes.size());
-  for (size_t g = 0; g < nodes.size(); ++g) {
-    // Each group is the query region narrowed to the group node in `dim` —
-    // still an axis-aligned box, so it is one more index probe.
-    const int32_t glo = std::max(base.lo[dim], h.leaf_begin(nodes[g]));
-    const int32_t ghi = std::min(base.hi[dim], h.leaf_end(nodes[g]) - 1);
-    AggregateResult acc;
-    if (glo <= ghi) {
-      Rect q = base;
-      q.lo[dim] = glo;
-      q.hi[dim] = ghi;
-      IOLAP_RETURN_IF_ERROR(QueryRectLocked(q, IsMinMax(func), &acc));
+  std::vector<AggregateResult> groups(RollUpGroups(*schema_, dim, level));
+  for (size_t g = 0; g < groups.size(); ++g) {
+    // Each group region is still an axis-aligned box: one index probe.
+    QueryRegion group;
+    if (RollUpGroupRegion(*schema_, region, dim, level, g, &group)) {
+      IOLAP_RETURN_IF_ERROR(QueryRectLocked(RegionToRect(*schema_, group),
+                                            IsMinMax(func), &groups[g]));
     }
-    FinalizeAggregate(&acc, func);
-    groups[g] = acc;
+    FinalizeAggregate(&groups[g], func);
   }
   stats_.probes += static_cast<int64_t>(groups.size());
   if (probes_counter_ != nullptr) {

@@ -92,7 +92,7 @@ static_assert(kAggIndexEntriesPerPage == 36);
 class AggIndex : public EdbChangeListener {
  public:
   struct Stats {
-    int64_t probes = 0;         // aggregate / rollup-group lookups served
+    int64_t probes = 0;         // group lookups served (1 per point aggregate)
     int64_t nodes_read = 0;     // node pages visited by lookups
     int64_t builds = 0;         // Build() calls and first builds
     int64_t refreshes = 0;      // rebuilds of a previously built index
@@ -114,17 +114,13 @@ class AggIndex : public EdbChangeListener {
   /// writer can be concurrent.
   Status Build();
 
-  /// Allocation-weighted aggregate over `region`, answered from node
-  /// partials. kUnavailable when the index is unbuilt or stale, or when
-  /// `func` is MIN/MAX and the region covers a cell that lost a row since
-  /// the last build (see class comment).
-  Result<AggregateResult> Aggregate(const QueryRegion& region,
-                                    AggregateFunc func);
-
-  /// Rollup: one aggregate per node of `dim` at `level` restricted to
-  /// `region`, indexed by node ordinal — answered as one index probe per
-  /// group (each group region is still a box). Refused as a whole, as
-  /// Aggregate refuses, if any group is.
+  /// Rollup answered from node partials: one aggregate per node of `dim`
+  /// at `level` restricted to `region`, indexed by node ordinal, each group
+  /// one probe of its box (the region narrowed to the group node). `dim <
+  /// 0` is a point aggregate: one probe of the whole region. kUnavailable
+  /// when the index is unbuilt or stale, or when `func` is MIN/MAX and some
+  /// group covers a cell that lost a row since the last build (see class
+  /// comment); a refusal refuses every group.
   Result<std::vector<AggregateResult>> RollUp(const QueryRegion& region,
                                               int dim, int level,
                                               AggregateFunc func);

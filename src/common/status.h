@@ -22,9 +22,9 @@ enum class StatusCode {
   kIoError,
   kInternal,
   kUnimplemented,
-  // Transient environmental failure: the operation failed now but may
-  // succeed if retried (e.g. a flaky device). DiskManager's retry policy
-  // retries these; kIoError stays permanent and surfaces immediately.
+  // The answer is not available now but may be later: an unbuilt or stale
+  // partial store refuses with this, and the serve layer falls through to
+  // the next tier.
   kUnavailable,
 };
 

@@ -44,12 +44,17 @@ void Append(std::vector<T>* to, const std::vector<T>& from) {
 
 /// The bookkeeping every mutation batch shares: a trace span carrying the
 /// batch size and, once the batch succeeds, a pool flush plus the batch's
-/// wall time and counted I/O charged to the stats.
+/// wall time, counted I/O and R-tree node reads (searches, inserts and
+/// removes alike) charged to the stats.
 class BatchScope {
  public:
-  BatchScope(StorageEnv& env, const char* name, const char* arg,
-             size_t size)
-      : env_(env), span_(name), io_before_(env.disk().stats()) {
+  BatchScope(StorageEnv& env, const PagedRTree& rtree, const char* name,
+             const char* arg, size_t size)
+      : env_(env),
+        rtree_(rtree),
+        span_(name),
+        io_before_(env.disk().stats()),
+        nodes_before_(rtree.nodes_accessed()) {
     span_.AddArg(arg, static_cast<int64_t>(size));
   }
 
@@ -57,14 +62,17 @@ class BatchScope {
     IOLAP_RETURN_IF_ERROR(env_.pool().FlushAll());
     stats->seconds += watch_.ElapsedSeconds();
     stats->io += env_.disk().stats() - io_before_;
+    stats->rtree_nodes_accessed += rtree_.nodes_accessed() - nodes_before_;
     return Status::Ok();
   }
 
  private:
   StorageEnv& env_;
+  const PagedRTree& rtree_;
   TraceSpan span_;
   Stopwatch watch_;
   IoStats io_before_;
+  int64_t nodes_before_;
 };
 
 }  // namespace
@@ -376,9 +384,7 @@ Status MaintenanceManager::AliveOverlaps(const FactRecord& fact,
   const Rect rect = FactRegionToRect(*schema_, fact);
   stats->touched_boxes.push_back(rect);
   ids->clear();
-  const int64_t nodes_before = rtree_->nodes_accessed();
   IOLAP_RETURN_IF_ERROR(rtree_->Search(rect, ids));
-  stats->rtree_nodes_accessed += rtree_->nodes_accessed() - nodes_before;
   ids->erase(std::remove_if(ids->begin(), ids->end(),
                             [&](int64_t id) { return !directory_[id].alive; }),
              ids->end());
@@ -477,7 +483,8 @@ Status MaintenanceManager::RewritePreciseRows(std::map<FactId, double> measures,
 
 Status MaintenanceManager::ApplyUpdates(const std::vector<FactUpdate>& updates,
                                         MaintenanceStats* stats) {
-  BatchScope batch(*env_, "maint.apply_updates", "updates", updates.size());
+  BatchScope batch(*env_, *rtree_, "maint.apply_updates", "updates",
+                   updates.size());
   const int k = schema_->num_dims();
   BufferPool& pool = env_->pool();
   stats->updates_applied += static_cast<int64_t>(updates.size());
@@ -539,7 +546,8 @@ Status MaintenanceManager::ApplyUpdates(const std::vector<FactUpdate>& updates,
 
 Status MaintenanceManager::InsertFacts(const std::vector<FactRecord>& inserts,
                                        MaintenanceStats* stats) {
-  BatchScope batch(*env_, "maint.insert_facts", "inserts", inserts.size());
+  BatchScope batch(*env_, *rtree_, "maint.insert_facts", "inserts",
+                   inserts.size());
   const int k = schema_->num_dims();
   BufferPool& pool = env_->pool();
   stats->inserts_applied += static_cast<int64_t>(inserts.size());
@@ -655,7 +663,8 @@ Status MaintenanceManager::InsertFacts(const std::vector<FactRecord>& inserts,
 
 Status MaintenanceManager::DeleteFacts(const std::vector<FactRecord>& deletes,
                                        MaintenanceStats* stats) {
-  BatchScope batch(*env_, "maint.delete_facts", "deletes", deletes.size());
+  BatchScope batch(*env_, *rtree_, "maint.delete_facts", "deletes",
+                   deletes.size());
   const int k = schema_->num_dims();
   stats->deletes_applied += static_cast<int64_t>(deletes.size());
 

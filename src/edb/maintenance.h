@@ -162,8 +162,7 @@ class MaintenanceManager {
 
   /// Fills `ids` with the alive components whose bbox overlaps `fact`'s
   /// region, in R-tree search order. Records the fact's rect and each
-  /// hit's bbox in stats->touched_boxes and the node pages the search
-  /// visited in stats->rtree_nodes_accessed.
+  /// hit's bbox in stats->touched_boxes.
   Status AliveOverlaps(const FactRecord& fact, MaintenanceStats* stats,
                        std::vector<int64_t>* ids);
 

@@ -129,6 +129,36 @@ inline Status CheckRollUpArgs(const StarSchema& schema, int dim, int level) {
   return Status::Ok();
 }
 
+/// Groups of a rollup of `dim` at `level`: one per node of that level.
+/// `dim < 0` is a point aggregate, which has one group.
+inline int64_t RollUpGroups(const StarSchema& schema, int dim, int level) {
+  return dim < 0 ? 1 : schema.dim(dim).num_nodes_at_level(level);
+}
+
+/// The region of group `g` of that rollup: `region` narrowed in `dim` to
+/// the group's node. Hierarchy nodes nest or are disjoint, so the narrowed
+/// region keeps whichever of the group node and `region.node[dim]` lies
+/// inside the other; false when they are disjoint (the group is empty).
+/// A point aggregate's one group is `region` itself.
+inline bool RollUpGroupRegion(const StarSchema& schema,
+                              const QueryRegion& region, int dim, int level,
+                              int64_t g, QueryRegion* group) {
+  *group = region;
+  if (dim < 0) return true;
+  const Hierarchy& h = schema.dim(dim);
+  const NodeId node = h.nodes_at_level(level)[g];
+  const NodeId within = region.node[dim];
+  if (h.leaf_end(node) <= h.leaf_begin(within) ||
+      h.leaf_begin(node) >= h.leaf_end(within)) {
+    return false;
+  }
+  if (h.leaf_begin(node) >= h.leaf_begin(within) &&
+      h.leaf_end(node) <= h.leaf_end(within)) {
+    group->node[dim] = node;
+  }
+  return true;
+}
+
 /// Does `region` intersect the leaf box `rect`? Used by the serve cache to
 /// decide whether a maintenance batch's touched component boxes overlap a
 /// cached result's region.

@@ -83,6 +83,7 @@ Result<PagedRTree> PagedRTree::Create(DiskManager* disk, BufferPool* pool,
 }
 
 Result<PagedRTree::NodeData> PagedRTree::ReadNode(PageId page) {
+  ++nodes_accessed_;
   IOLAP_ASSIGN_OR_RETURN(PageGuard guard, pool_->Pin(file_, page));
   const std::byte* data = guard.data();
   NodeData node;
@@ -419,7 +420,6 @@ Status PagedRTree::Remove(const Rect& rect, int64_t id, bool* removed) {
 
 Status PagedRTree::SearchNode(PageId page, const Rect& query,
                               std::vector<int64_t>* out) {
-  ++nodes_accessed_;
   IOLAP_ASSIGN_OR_RETURN(NodeData node, ReadNode(page));
   for (const PagedEntry& e : node.entries) {
     if (!RectsIntersect(e.rect, query, k_)) continue;

@@ -36,7 +36,8 @@ class PagedRTree {
   int64_t size() const { return size_; }
   int height() const { return height_; }
 
-  /// Node pages visited by Search calls.
+  /// Node pages read: by Search, and by the descents and fix-ups of
+  /// Insert and Remove (choose-leaf, find-leaf, adjust and condense).
   int64_t nodes_accessed() const { return nodes_accessed_; }
   void ResetStats() { nodes_accessed_ = 0; }
 

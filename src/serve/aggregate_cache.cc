@@ -14,27 +14,20 @@ AggregateCache::AggregateCache(int64_t capacity_slots)
       invalidated_counter_(GlobalCounter("serve.cache.invalidated_entries")),
       slots_gauge_(GlobalGauge("serve.cache.used_slots")) {}
 
-AggregateCacheKey AggregateCache::MakeAggregateKey(const StarSchema& schema,
-                                                   const QueryRegion& region,
-                                                   AggregateFunc func,
-                                                   AnswerMode mode) {
+AggregateCacheKey AggregateCache::MakeKey(const StarSchema& schema,
+                                          const QueryRegion& region, int dim,
+                                          int level, AggregateFunc func,
+                                          AnswerMode mode) {
   AggregateCacheKey key;
   const QueryRegion normalized = NormalizeRegion(schema, region);
   for (int d = 0; d < kMaxDims; ++d) key.node[d] = normalized.node[d];
-  key.kind = 0;
+  if (dim >= 0) {
+    key.kind = 1;
+    key.dim = static_cast<int8_t>(dim);
+    key.level = static_cast<int8_t>(level);
+  }
   key.func = static_cast<int8_t>(func);
   key.mode = static_cast<int8_t>(mode);
-  return key;
-}
-
-AggregateCacheKey AggregateCache::MakeRollUpKey(const StarSchema& schema,
-                                                const QueryRegion& region,
-                                                int dim, int level,
-                                                AggregateFunc func) {
-  AggregateCacheKey key = MakeAggregateKey(schema, region, func);
-  key.kind = 1;
-  key.dim = static_cast<int8_t>(dim);
-  key.level = static_cast<int8_t>(level);
   return key;
 }
 

@@ -80,13 +80,12 @@ class AggregateCache {
   /// `capacity_slots` <= 0 constructs a cache that never admits anything.
   explicit AggregateCache(int64_t capacity_slots);
 
-  static AggregateCacheKey MakeAggregateKey(const StarSchema& schema,
-                                            const QueryRegion& region,
-                                            AggregateFunc func,
-                                            AnswerMode mode = AnswerMode::kExact);
-  static AggregateCacheKey MakeRollUpKey(const StarSchema& schema,
-                                         const QueryRegion& region, int dim,
-                                         int level, AggregateFunc func);
+  /// The key of a rollup of `dim` at `level` over `region`; `dim < 0` is
+  /// a point aggregate (kind 0, dim -1, level 0).
+  static AggregateCacheKey MakeKey(const StarSchema& schema,
+                                   const QueryRegion& region, int dim,
+                                   int level, AggregateFunc func,
+                                   AnswerMode mode);
 
   /// On hit, copies the cached values (size 1 for point aggregates) into
   /// `values`, the entry's promised error bound (0 for exact entries) into

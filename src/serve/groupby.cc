@@ -193,11 +193,14 @@ Status ScanChunkColumnar(StorageEnv* env, const StarSchema* schema,
 
 }  // namespace
 
-Result<std::vector<AggregateResult>> GroupByEngine::LocalGroupBy(
-    const std::vector<Chunk>& chunks, const QueryRegion& region, int dim,
-    int level, int64_t num_groups, GroupByStats* stats,
+Result<std::vector<AggregateResult>> GroupByEngine::RollUp(
+    const std::vector<RowRange>& ranges, const QueryRegion& region, int dim,
+    int level, AggregateFunc func, GroupByStats* stats,
     const ColumnarEdb* columnar) {
+  if (dim >= 0) IOLAP_RETURN_IF_ERROR(CheckRollUpArgs(*schema_, dim, level));
   if (local_queries_counter_ != nullptr) local_queries_counter_->Add(1);
+  const int64_t num_groups = RollUpGroups(*schema_, dim, level);
+  const std::vector<Chunk> chunks = BuildChunks(ranges);
   const size_t n = chunks.size();
   std::vector<AggregateResult> groups(num_groups);
   std::vector<std::unique_ptr<LocalAcc>> accs(n);
@@ -243,38 +246,10 @@ Result<std::vector<AggregateResult>> GroupByEngine::LocalGroupBy(
   }
   IOLAP_RETURN_IF_ERROR(status);
 
-  for (int64_t r : rows) stats->rows_scanned += r;
-  stats->chunks = static_cast<int64_t>(n);
-  return groups;
-}
-
-Result<AggregateResult> GroupByEngine::Aggregate(
-    const std::vector<RowRange>& ranges, const QueryRegion& region,
-    AggregateFunc func, GroupByStats* stats, const ColumnarEdb* columnar) {
-  GroupByStats local;
-  GroupByStats* st = stats != nullptr ? stats : &local;
-  const std::vector<Chunk> chunks = BuildChunks(ranges);
-  // A point aggregate is a one-group group-by.
-  IOLAP_ASSIGN_OR_RETURN(
-      std::vector<AggregateResult> groups,
-      LocalGroupBy(chunks, region, /*dim=*/-1, /*level=*/0, 1, st, columnar));
-  FinalizeAggregate(&groups[0], func);
-  return groups[0];
-}
-
-Result<std::vector<AggregateResult>> GroupByEngine::RollUp(
-    const std::vector<RowRange>& ranges, const QueryRegion& region, int dim,
-    int level, AggregateFunc func, GroupByStats* stats,
-    const ColumnarEdb* columnar) {
-  IOLAP_RETURN_IF_ERROR(CheckRollUpArgs(*schema_, dim, level));
-  const Hierarchy& h = schema_->dim(dim);
-  GroupByStats local;
-  GroupByStats* st = stats != nullptr ? stats : &local;
-  const int64_t num_groups = h.num_nodes_at_level(level);
-  IOLAP_ASSIGN_OR_RETURN(
-      std::vector<AggregateResult> groups,
-      LocalGroupBy(BuildChunks(ranges), region, dim, level, num_groups, st,
-                   columnar));
+  if (stats != nullptr) {
+    for (int64_t r : rows) stats->rows_scanned += r;
+    stats->chunks = static_cast<int64_t>(n);
+  }
   for (AggregateResult& g : groups) FinalizeAggregate(&g, func);
   return groups;
 }

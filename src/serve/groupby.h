@@ -60,20 +60,13 @@ class GroupByEngine {
                 const TypedFile<EdbRecord>* edb, ThreadPool* pool,
                 const GroupByOptions& options);
 
-  /// Allocation-weighted point aggregate over `region`, scanning `ranges`.
-  /// With a non-null `columnar` (a mirror of the same rows as the row EDB,
-  /// in the same order), chunks scan the columnar extents and decode only
-  /// the columns the query projects (AggregateScanProjection) — same rows,
-  /// same order, same double arithmetic, so answers stay byte-identical to
-  /// the row path.
-  Result<AggregateResult> Aggregate(const std::vector<RowRange>& ranges,
-                                    const QueryRegion& region,
-                                    AggregateFunc func, GroupByStats* stats,
-                                    const ColumnarEdb* columnar = nullptr);
-
-  /// Group-by (rollup): one aggregate per node of `dim` at `level`
-  /// restricted to `region`, indexed by node ordinal. `columnar` as in
-  /// Aggregate.
+  /// Allocation-weighted group-by over `ranges`: one aggregate per node of
+  /// `dim` at `level` restricted to `region`, indexed by node ordinal;
+  /// `dim < 0` is a point aggregate, one group. With a non-null `columnar`
+  /// (a mirror of the same rows as the row EDB, in the same order), chunks
+  /// scan the columnar extents and decode only the columns the query
+  /// projects (AggregateScanProjection) — same rows, same order, same
+  /// double arithmetic, so answers stay byte-identical to the row path.
   Result<std::vector<AggregateResult>> RollUp(
       const std::vector<RowRange>& ranges, const QueryRegion& region, int dim,
       int level, AggregateFunc func, GroupByStats* stats,
@@ -86,11 +79,6 @@ class GroupByEngine {
   };
 
   std::vector<Chunk> BuildChunks(const std::vector<RowRange>& ranges) const;
-
-  Result<std::vector<AggregateResult>> LocalGroupBy(
-      const std::vector<Chunk>& chunks, const QueryRegion& region, int dim,
-      int level, int64_t num_groups, GroupByStats* stats,
-      const ColumnarEdb* columnar);
 
   StorageEnv* env_;
   const StarSchema* schema_;

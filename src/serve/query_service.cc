@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -390,48 +389,124 @@ std::vector<RowRange> QueryService::CollectRanges(
   return merged;
 }
 
-Result<AggregateResult> QueryService::ScanAggregate(const LockedShards& ls,
-                                                    const QueryRegion& region,
-                                                    AggregateFunc func) {
-  GroupByStats gstats;
-  IOLAP_ASSIGN_OR_RETURN(AggregateResult out,
-                         groupby_->Aggregate(CollectRanges(ls), region, func,
-                                             &gstats, columnar_.get()));
-  RecordScanStats(gstats);
-  return out;
-}
+Result<std::vector<AggregateResult>> QueryService::Walk(
+    const QueryRegion& region, int dim, int level, AggregateFunc func,
+    const AnswerSpec& spec, bool scan_only, AnswerStats* answer_stats,
+    int64_t* generation, ShardSnapshot* shards) {
+  TraceSpan span("serve.query");
+  Stopwatch timer;
+  if (queries_counter_ != nullptr) queries_counter_->Add(1);
+  IOLAP_RETURN_IF_ERROR(EnsureShardsReady());
+  const Rect rect = RegionToRect(*schema_, region);
+  LockedShards ls = AcquireShared(rect, shards);
+  if (generation != nullptr) *generation = ls.global_gen;
 
-Result<std::vector<AggregateResult>> QueryService::ScanRollUp(
-    const LockedShards& ls, const QueryRegion& region, int dim, int level,
-    AggregateFunc func) {
-  GroupByStats gstats;
-  IOLAP_ASSIGN_OR_RETURN(
-      std::vector<AggregateResult> groups,
-      groupby_->RollUp(CollectRanges(ls), region, dim, level, func, &gstats,
-                       columnar_.get()));
-  RecordScanStats(gstats);
-  return groups;
-}
+  // A bounded spec with no error budget IS the exact contract; collapsing
+  // it here makes bounded(0) trivially memcmp-equal to exact mode.
+  const bool bounded =
+      spec.mode == AnswerMode::kBounded && spec.epsilon > 0;
+  const bool cached = cache_ != nullptr && !scan_only;
+  AnswerStats answer;  // a scan's: exact, bound 0, no cache hit
+  std::vector<AggregateResult> groups;
+  bool answered = false;
 
-void QueryService::RecordScanStats(const GroupByStats& gstats) {
-  if (partitions_counter_ != nullptr) partitions_counter_->Add(gstats.chunks);
-  if (scan_rows_histogram_ != nullptr) {
-    scan_rows_histogram_->Record(gstats.rows_scanned);
+  // Cache tier. An exact entry serves both contracts (a bound of zero fits
+  // any epsilon); a bounded entry serves only bounded queries whose budget
+  // its recorded bound fits — never an exact query.
+  AggregateCacheKey exact_key;
+  AggregateCacheKey bounded_key;
+  if (cached) {
+    exact_key = AggregateCache::MakeKey(*schema_, region, dim, level, func,
+                                        AnswerMode::kExact);
+    if (bounded) {
+      bounded_key = AggregateCache::MakeKey(*schema_, region, dim, level,
+                                            func, AnswerMode::kBounded);
+    }
+    double cached_bound = 0;
+    answered = cache_->Lookup(exact_key, &groups) ||
+               (bounded &&
+                cache_->Lookup(bounded_key, &groups, &cached_bound) &&
+                cached_bound <= spec.epsilon);
+    if (answered) {
+      answer = {.tier = AnswerTier::kCache,
+                .bound = cached_bound,
+                .cache_hit = true,
+                .exact = cached_bound == 0};
+    }
   }
-  if (partitions_histogram_ != nullptr) {
-    partitions_histogram_->Record(gstats.chunks);
-  }
-}
 
-void QueryService::FinishQuery(AnswerTier tier, TraceSpan* span,
-                               const Stopwatch& timer) {
-  span->AddArg("tier", static_cast<int64_t>(tier));
-  const int t = static_cast<int>(tier);
+  // Index tier: exact answers from stored partials — the per-node store
+  // when every group is exact there, else the cell tree. Any error falls
+  // through; the lower tiers are always correct.
+  if (!answered && agg_index_ != nullptr && !scan_only) {
+    Result<std::vector<AggregateResult>> stored =
+        synopsis_->ExactRollUp(region, dim, level, func);
+    if (stored.ok()) {
+      groups = std::move(*stored);
+      answer.tier = AnswerTier::kSynopsis;
+      answered = true;
+    } else {
+      Result<std::vector<AggregateResult>> indexed =
+          agg_index_->RollUp(region, dim, level, func);
+      answered = indexed.ok();
+      Counter* counter =
+          answered ? index_answers_counter_ : index_fallbacks_counter_;
+      if (counter != nullptr) counter->Add(1);
+      if (answered) {
+        groups = std::move(*indexed);
+        answer.tier = AnswerTier::kIndex;
+      }
+    }
+  }
+
+  // Approximate tier (bounded point queries only): accept the store's
+  // estimate iff its proven bound fits the query's epsilon. Cached under
+  // the *bounded* key even when the bound is 0, so with agg_index off
+  // exact-key entries stay pure scan products.
+  bool estimated = false;
+  if (!answered && bounded && dim < 0 && options_.synopsis && !scan_only) {
+    Result<BoundedAggregate> est =
+        synopsis_->EstimateAggregate(region, func, spec.delta);
+    estimated = answered = est.ok() && est->bound <= spec.epsilon;
+    if (answered) {
+      groups = {est->result};
+      answer = {.tier = AnswerTier::kSynopsis,
+                .bound = est->bound,
+                .exact = est->exact};
+    }
+  }
+
+  // Scan tier: the oracle.
+  if (!answered) {
+    GroupByStats gstats;
+    IOLAP_ASSIGN_OR_RETURN(groups, groupby_->RollUp(CollectRanges(ls), region,
+                                                    dim, level, func, &gstats,
+                                                    columnar_.get()));
+    if (partitions_counter_ != nullptr) {
+      partitions_counter_->Add(gstats.chunks);
+    }
+    if (scan_rows_histogram_ != nullptr) {
+      scan_rows_histogram_->Record(gstats.rows_scanned);
+    }
+    if (partitions_histogram_ != nullptr) {
+      partitions_histogram_->Record(gstats.chunks);
+    }
+  }
+
+  if (cached && !answer.cache_hit) {
+    cache_->Insert(estimated ? bounded_key : exact_key, rect, groups,
+                   ShardMap::MaskOfRange(ls.first, ls.last), answer.bound);
+  }
+  if (scan_only) return groups;
+  span.AddArg("tier", static_cast<int64_t>(answer.tier));
+  const int t = static_cast<int>(answer.tier);
   if (tier_counters_[t] != nullptr) tier_counters_[t]->Add(1);
   if (query_us_histogram_ != nullptr) {
     query_us_histogram_->Record(
         static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
   }
+  if (answer_stats != nullptr) *answer_stats = answer;
+  return groups;
 }
 
 Result<AggregateResult> QueryService::Aggregate(const QueryRegion& region,
@@ -440,166 +515,24 @@ Result<AggregateResult> QueryService::Aggregate(const QueryRegion& region,
                                                 AnswerStats* answer_stats,
                                                 int64_t* generation,
                                                 ShardSnapshot* shards) {
-  // A bounded spec with no error budget IS the exact contract; collapsing
-  // it here makes bounded(0) trivially memcmp-equal to exact mode.
-  const bool bounded =
-      spec.mode == AnswerMode::kBounded && spec.epsilon > 0;
-  TraceSpan span("serve.query");
-  Stopwatch timer;
-  if (queries_counter_ != nullptr) queries_counter_->Add(1);
-  IOLAP_RETURN_IF_ERROR(EnsureShardsReady());
-  const auto finish = [&](AnswerTier tier, double bound, bool exact,
-                          bool cache_hit) {
-    if (answer_stats != nullptr) {
-      answer_stats->tier = tier;
-      answer_stats->bound = bound;
-      answer_stats->cache_hit = cache_hit;
-      answer_stats->exact = exact;
-    }
-    FinishQuery(tier, &span, timer);
-  };
-  const Rect rect = RegionToRect(*schema_, region);
-  LockedShards ls = AcquireShared(rect, shards);
-  if (generation != nullptr) *generation = ls.global_gen;
-
-  // Cache tier. An exact entry serves both contracts (a bound of zero fits
-  // any epsilon); a bounded entry serves only bounded queries whose budget
-  // its recorded bound fits — never an exact query.
-  AggregateCacheKey exact_key;
-  AggregateCacheKey bounded_key;
-  std::vector<AggregateResult> cached;
-  if (cache_ != nullptr) {
-    exact_key = AggregateCache::MakeAggregateKey(*schema_, region, func,
-                                                 AnswerMode::kExact);
-    if (cache_->Lookup(exact_key, &cached) && cached.size() == 1) {
-      finish(AnswerTier::kCache, 0, true, true);
-      return cached[0];
-    }
-    if (bounded) {
-      bounded_key = AggregateCache::MakeAggregateKey(*schema_, region, func,
-                                                     AnswerMode::kBounded);
-      double cached_bound = 0;
-      if (cache_->Lookup(bounded_key, &cached, &cached_bound) &&
-          cached.size() == 1 && cached_bound <= spec.epsilon) {
-        finish(AnswerTier::kCache, cached_bound, cached_bound == 0, true);
-        return cached[0];
-      }
-    }
-  }
-
-  // The per-node store answers exact walks (agg_index on) and bounded
-  // ones (synopsis on); one estimate serves both checks below.
-  const bool approximate = bounded && options_.synopsis;
-  std::optional<BoundedAggregate> est;
-  if (synopsis_ != nullptr && (agg_index_ != nullptr || approximate)) {
-    Result<BoundedAggregate> r =
-        synopsis_->EstimateAggregate(region, func, spec.delta);
-    if (r.ok()) est = *r;
-  }
-
-  // Index tier: exact answers from stored partials — the per-node store
-  // when its answer is exact, else the cell tree. Any index error falls
-  // through; the lower tiers are always correct.
-  if (agg_index_ != nullptr) {
-    if (est && est->bound == 0) {
-      if (cache_ != nullptr) {
-        cache_->Insert(exact_key, rect, {est->result},
-                       ShardMap::MaskOfRange(ls.first, ls.last));
-      }
-      finish(AnswerTier::kSynopsis, 0, true, false);
-      return est->result;
-    }
-    Result<AggregateResult> indexed = agg_index_->Aggregate(region, func);
-    if (indexed.ok()) {
-      if (index_answers_counter_ != nullptr) index_answers_counter_->Add(1);
-      if (cache_ != nullptr) {
-        cache_->Insert(exact_key, rect, {*indexed},
-                       ShardMap::MaskOfRange(ls.first, ls.last));
-      }
-      finish(AnswerTier::kIndex, 0, true, false);
-      return *indexed;
-    }
-    if (index_fallbacks_counter_ != nullptr) index_fallbacks_counter_->Add(1);
-  }
-
-  // Approximate tier (bounded contracts only): accept the store's answer
-  // iff its proven bound fits the query's epsilon. Cached under the
-  // *bounded* key even when the bound is 0, so with agg_index off
-  // exact-key entries stay pure scan products.
-  if (approximate && est && est->bound <= spec.epsilon) {
-    if (cache_ != nullptr) {
-      cache_->Insert(bounded_key, rect, {est->result},
-                     ShardMap::MaskOfRange(ls.first, ls.last), est->bound);
-    }
-    finish(AnswerTier::kSynopsis, est->bound, est->exact, false);
-    return est->result;
-  }
-
-  // Scan tier: the oracle.
-  IOLAP_ASSIGN_OR_RETURN(AggregateResult out, ScanAggregate(ls, region, func));
-  if (cache_ != nullptr) {
-    cache_->Insert(exact_key, rect, {out},
-                   ShardMap::MaskOfRange(ls.first, ls.last));
-  }
-  finish(AnswerTier::kScan, 0, true, false);
-  return out;
+  IOLAP_ASSIGN_OR_RETURN(std::vector<AggregateResult> groups,
+                         Walk(region, /*dim=*/-1, /*level=*/0, func, spec,
+                              /*scan_only=*/false, answer_stats, generation,
+                              shards));
+  return groups[0];
 }
 
 Result<std::vector<AggregateResult>> QueryService::RollUp(
     const QueryRegion& region, int dim, int level, AggregateFunc func,
     int64_t* generation, bool* cache_hit, ShardSnapshot* shards) {
-  // Before the cache: its key narrows dim and level to one byte each.
+  // Before the walk, which reads a negative dim as a point aggregate.
   IOLAP_RETURN_IF_ERROR(CheckRollUpArgs(*schema_, dim, level));
-  TraceSpan span("serve.query");
-  Stopwatch timer;
-  if (queries_counter_ != nullptr) queries_counter_->Add(1);
-  IOLAP_RETURN_IF_ERROR(EnsureShardsReady());
-  const Rect rect = RegionToRect(*schema_, region);
-  LockedShards ls = AcquireShared(rect, shards);
-  if (generation != nullptr) *generation = ls.global_gen;
-  if (cache_hit != nullptr) *cache_hit = false;
-
-  AggregateCacheKey key;
-  std::vector<AggregateResult> cached;
-  if (cache_ != nullptr) {
-    key = AggregateCache::MakeRollUpKey(*schema_, region, dim, level, func);
-    if (cache_->Lookup(key, &cached)) {
-      if (cache_hit != nullptr) *cache_hit = true;
-      FinishQuery(AnswerTier::kCache, &span, timer);
-      return cached;
-    }
-  }
-
-  std::vector<AggregateResult> groups;
-  AnswerTier tier = AnswerTier::kScan;
-  if (agg_index_ != nullptr) {
-    // Every group from the per-node store when all are exact, else every
-    // group from the cell tree.
-    Result<std::vector<AggregateResult>> stored =
-        synopsis_->ExactRollUp(region, dim, level, func);
-    if (stored.ok()) {
-      groups = std::move(*stored);
-      tier = AnswerTier::kSynopsis;
-    } else {
-      Result<std::vector<AggregateResult>> indexed =
-          agg_index_->RollUp(region, dim, level, func);
-      if (indexed.ok()) {
-        groups = std::move(*indexed);
-        tier = AnswerTier::kIndex;
-        if (index_answers_counter_ != nullptr) index_answers_counter_->Add(1);
-      } else if (index_fallbacks_counter_ != nullptr) {
-        index_fallbacks_counter_->Add(1);
-      }
-    }
-  }
-  if (tier == AnswerTier::kScan) {
-    IOLAP_ASSIGN_OR_RETURN(groups, ScanRollUp(ls, region, dim, level, func));
-  }
-  if (cache_ != nullptr) {
-    cache_->Insert(key, rect, groups,
-                   ShardMap::MaskOfRange(ls.first, ls.last));
-  }
-  FinishQuery(tier, &span, timer);
+  AnswerStats answer;
+  IOLAP_ASSIGN_OR_RETURN(std::vector<AggregateResult> groups,
+                         Walk(region, dim, level, func, AnswerSpec::Exact(),
+                              /*scan_only=*/false, &answer, generation,
+                              shards));
+  if (cache_hit != nullptr) *cache_hit = answer.cache_hit;
   return groups;
 }
 
@@ -618,25 +551,19 @@ Result<std::vector<EdbRecord>> QueryService::CompletionsOf(
 Result<AggregateResult> QueryService::UncachedAggregate(
     const QueryRegion& region, AggregateFunc func, int64_t* generation,
     ShardSnapshot* shards) {
-  TraceSpan span("serve.query");
-  if (queries_counter_ != nullptr) queries_counter_->Add(1);
-  IOLAP_RETURN_IF_ERROR(EnsureShardsReady());
-  const Rect rect = RegionToRect(*schema_, region);
-  LockedShards ls = AcquireShared(rect, shards);
-  if (generation != nullptr) *generation = ls.global_gen;
-  return ScanAggregate(ls, region, func);
+  IOLAP_ASSIGN_OR_RETURN(std::vector<AggregateResult> groups,
+                         Walk(region, /*dim=*/-1, /*level=*/0, func,
+                              AnswerSpec::Exact(), /*scan_only=*/true,
+                              nullptr, generation, shards));
+  return groups[0];
 }
 
 Result<std::vector<AggregateResult>> QueryService::UncachedRollUp(
     const QueryRegion& region, int dim, int level, AggregateFunc func,
     int64_t* generation, ShardSnapshot* shards) {
-  TraceSpan span("serve.query");
-  if (queries_counter_ != nullptr) queries_counter_->Add(1);
-  IOLAP_RETURN_IF_ERROR(EnsureShardsReady());
-  const Rect rect = RegionToRect(*schema_, region);
-  LockedShards ls = AcquireShared(rect, shards);
-  if (generation != nullptr) *generation = ls.global_gen;
-  return ScanRollUp(ls, region, dim, level, func);
+  IOLAP_RETURN_IF_ERROR(CheckRollUpArgs(*schema_, dim, level));
+  return Walk(region, dim, level, func, AnswerSpec::Exact(),
+              /*scan_only=*/true, nullptr, generation, shards);
 }
 
 // ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@
 namespace iolap {
 
 class ColumnarEdb;
-class Stopwatch;
-class TraceSpan;
 
 struct ServeOptions {
   /// Worker threads for parallel group-by scans. 1 = scan inline on the
@@ -69,15 +67,22 @@ struct ShardSnapshot {
 
 /// Concurrent query-serving front end over the Extended Database.
 ///
-/// Answer tiers (each one falls through to the next): the AggregateCache
-/// (exact region+function hit, no I/O), then — with `agg_index` on — the
-/// per-node moment store when its answer is exact (in memory, no I/O) and
-/// the hierarchical aggregate index's cell tree (a few node pages instead
-/// of an EDB scan), then — for bounded-mode queries — the store's bounded
-/// estimate (accepted when its error bound fits the query's epsilon; see
-/// serve/answer.h and DESIGN.md §15), then the parallel group-by scan
-/// (serve/groupby.h). The scan stays the oracle: Uncached* never consults
-/// the cache, the index or the store.
+/// One query shape: a rollup of one dimension at one level over a region,
+/// where a point aggregate is the rollup with a single group. Every read
+/// runs one tier walk; a tier answers all the groups or falls through:
+///  1. the AggregateCache (no I/O): the exact key, then — bounded queries
+///     only — the bounded key, whose recorded error bound must fit the
+///     query's epsilon;
+///  2. with `agg_index` on, the per-node moment store when every group is
+///     exact there (in memory), else the aggregate index's cell tree (a few
+///     node pages instead of an EDB scan);
+///  3. bounded point queries only: the store's bounded estimate, accepted
+///     when its error bound fits the query's epsilon (serve/answer.h,
+///     DESIGN.md §15);
+///  4. the parallel group-by scan (serve/groupby.h).
+/// What a tier below the cache answers is cached once. The scan stays the
+/// oracle: Uncached* enter the same walk with every tier but the scan
+/// skipped, so they never consult the cache, the index or the store.
 ///
 /// Scan format: a read-only service whose EDB outgrows the buffer pool
 /// (edb.size_in_pages() > pool capacity) converts it once, at startup,
@@ -130,23 +135,24 @@ class QueryService {
   ~QueryService();
 
   /// Allocation-weighted aggregate over `region` under an answer contract
-  /// (exact by default). Exact specs walk cache -> index -> scan; bounded
-  /// specs walk cache -> index -> synopsis -> scan and accept a store
-  /// answer whenever its error bound is <= spec.epsilon (see
-  /// serve/answer.h). A bounded spec with epsilon <= 0 leaves no error
-  /// budget and takes literally the exact path, so its answers are
-  /// memcmp-equal to exact-mode answers. Optional outputs: the answering
-  /// tier, promised bound and cache hit (`answer_stats`), the pinned global
-  /// generation, and the pinned per-shard generations.
+  /// (exact by default): the one-group walk (see class comment). A bounded
+  /// spec accepts a store answer whenever its error bound is <=
+  /// spec.epsilon; with epsilon <= 0 it leaves no error budget and takes
+  /// literally the exact path, so its answers are memcmp-equal to
+  /// exact-mode answers. Optional outputs: the answering tier, promised
+  /// bound and cache hit (`answer_stats`), the pinned global generation,
+  /// and the pinned per-shard generations.
   Result<AggregateResult> Aggregate(
       const QueryRegion& region, AggregateFunc func,
       const AnswerSpec& spec = AnswerSpec::Exact(),
       AnswerStats* answer_stats = nullptr, int64_t* generation = nullptr,
       ShardSnapshot* shards = nullptr);
 
-  /// Cached rollup (one aggregate per node of `dim` at `level`, restricted
-  /// to `region`), indexed by node ordinal. Exact; walks the same tiers as
-  /// an exact Aggregate and is counted in the same serve.answer_tier.*.
+  /// Rollup (one aggregate per node of `dim` at `level`, restricted to
+  /// `region`), indexed by node ordinal. Exact; walks the same tiers as an
+  /// exact Aggregate and is counted in the same serve.answer_tier.*.
+  /// kInvalidArgument unless `dim` is a schema dimension and `level` one of
+  /// its levels below the root.
   Result<std::vector<AggregateResult>> RollUp(const QueryRegion& region,
                                               int dim, int level,
                                               AggregateFunc func,
@@ -160,9 +166,11 @@ class QueryService {
   Result<std::vector<EdbRecord>> CompletionsOf(FactId fact_id,
                                                int64_t* generation = nullptr);
 
-  /// Rescans the EDB, bypassing the cache in both directions (no lookup,
-  /// no insert). The verification and cold-scan baseline: a cached answer
-  /// must equal this at the same (shard) generations.
+  /// Rescans the EDB: the walk with every tier but the scan skipped (no
+  /// cache lookup or insert, no index or store probe, not counted in
+  /// serve.answer_tier.* or serve.query_us). The verification and
+  /// cold-scan baseline: a served answer must equal this at the same
+  /// (shard) generations.
   Result<AggregateResult> UncachedAggregate(const QueryRegion& region,
                                             AggregateFunc func,
                                             int64_t* generation = nullptr,
@@ -251,7 +259,6 @@ class QueryService {
   Status EnsureShardsReady();
   Status InitShardsLocked();
   void MakeShards(int num_shards);
-  void RecordScanStats(const GroupByStats& gstats);
   /// Scans rows [begin, end) and appends shard-runs to the shards' range
   /// lists by dimension-0 leaf. Caller holds exclusive locks on every
   /// shard the scanned rows can map to. `prev_shard` carries the
@@ -273,18 +280,15 @@ class QueryService {
   Status MutateLocked(const std::vector<Rect>& rects, MaintenanceStats* stats,
                       const std::function<Status(MaintenanceStats*)>& apply);
 
-  Result<AggregateResult> ScanAggregate(const LockedShards& ls,
-                                        const QueryRegion& region,
-                                        AggregateFunc func);
-  Result<std::vector<AggregateResult>> ScanRollUp(const LockedShards& ls,
-                                                  const QueryRegion& region,
-                                                  int dim, int level,
-                                                  AggregateFunc func);
-
-  /// Ends one served Aggregate or RollUp: bumps the answering tier's
-  /// serve.answer_tier.* counter, tags `span` with the tier and records
+  /// The one tier walk behind Aggregate, RollUp and the Uncached*
+  /// rescans, for a rollup of `dim` at `level` or, with `dim < 0`, a point
+  /// aggregate (one group); see the class comment. `scan_only` skips every
+  /// tier but the scan and counts nothing in serve.answer_tier.* or
   /// serve.query_us.
-  void FinishQuery(AnswerTier tier, TraceSpan* span, const Stopwatch& timer);
+  Result<std::vector<AggregateResult>> Walk(
+      const QueryRegion& region, int dim, int level, AggregateFunc func,
+      const AnswerSpec& spec, bool scan_only, AnswerStats* answer_stats,
+      int64_t* generation, ShardSnapshot* shards);
 
   /// Dimension-0 shard partition for the synopsis store: the shard map's
   /// begins when sharded, the whole leaf range otherwise.

@@ -7,10 +7,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <mutex>
-#include <thread>
 
 #include "obs/metrics.h"
 
@@ -29,33 +27,6 @@ constexpr int64_t kMaxIov = 256;
 constexpr int64_t kCheckpointChunkPages = 256;
 
 }  // namespace
-
-template <typename Fn>
-Status DiskManager::RunWithRetry(Fn&& attempt) {
-  Status st = attempt();
-  if (st.ok() || st.code() != StatusCode::kUnavailable ||
-      !retry_policy_.enabled()) {
-    return st;
-  }
-  int64_t backoff_us = retry_policy_.backoff_initial_us;
-  for (int retry = 1; retry <= retry_policy_.max_retries; ++retry) {
-    // Looked up per retry, not cached: retries are rare (transient faults
-    // only) and the registry may be installed after this manager exists.
-    if (Counter* c = GlobalCounter("io.retries")) c->Add(1);
-    if (backoff_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-    }
-    backoff_us = std::min<int64_t>(
-        retry_policy_.backoff_max_us,
-        static_cast<int64_t>(static_cast<double>(backoff_us) *
-                             retry_policy_.backoff_multiplier));
-    st = attempt();
-    if (st.ok() || st.code() != StatusCode::kUnavailable) return st;
-  }
-  return Status::Unavailable(st.message() + " (exhausted " +
-                             std::to_string(retry_policy_.max_retries) +
-                             " retries)");
-}
 
 DiskManager::DiskManager(std::string directory)
     : directory_(std::move(directory)) {
@@ -120,11 +91,6 @@ Status DiskManager::ReadPage(FileId file, PageId page, void* buffer) {
 
 Status DiskManager::ReadPages(FileId file, PageId first, int64_t n,
                               void* buffer) {
-  return RunWithRetry([&] { return ReadPagesOnce(file, first, n, buffer); });
-}
-
-Status DiskManager::ReadPagesOnce(FileId file, PageId first, int64_t n,
-                                  void* buffer) {
   IOLAP_RETURN_IF_ERROR(Inject('r', file, first, n));
   IOLAP_ASSIGN_OR_RETURN(FileState * state, GetFile(file));
   if (n <= 0) {
@@ -152,12 +118,6 @@ Status DiskManager::WritePage(FileId file, PageId page, const void* buffer) {
 
 Status DiskManager::WritePages(FileId file, PageId first, int64_t n,
                                const void* buffer) {
-  return RunWithRetry(
-      [&] { return WritePagesOnce(file, first, n, buffer); });
-}
-
-Status DiskManager::WritePagesOnce(FileId file, PageId first, int64_t n,
-                                   const void* buffer) {
   IOLAP_RETURN_IF_ERROR(Inject('w', file, first, n));
   IOLAP_ASSIGN_OR_RETURN(FileState * state, GetFile(file));
   if (n <= 0) {
@@ -183,13 +143,6 @@ Status DiskManager::WritePagesOnce(FileId file, PageId first, int64_t n,
 Status DiskManager::WritePagesGather(FileId file, PageId first,
                                      const std::byte* const* pages,
                                      int64_t n) {
-  return RunWithRetry(
-      [&] { return WritePagesGatherOnce(file, first, pages, n); });
-}
-
-Status DiskManager::WritePagesGatherOnce(FileId file, PageId first,
-                                         const std::byte* const* pages,
-                                         int64_t n) {
   IOLAP_RETURN_IF_ERROR(Inject('w', file, first, n));
   IOLAP_ASSIGN_OR_RETURN(FileState * state, GetFile(file));
   if (n <= 0) {

@@ -27,20 +27,6 @@ using PageId = int64_t;
 
 inline constexpr FileId kInvalidFileId = -1;
 
-/// Bounded retry-with-backoff for *transient* page I/O failures
-/// (`StatusCode::kUnavailable`). Permanent failures (`kIoError` and every
-/// other code) surface immediately regardless of the policy. Disabled by
-/// default: `max_retries == 0` reproduces the fail-fast behaviour every
-/// existing cost-model and fault-injection test pins.
-struct RetryPolicy {
-  int max_retries = 0;              // extra attempts after the first failure
-  int64_t backoff_initial_us = 100;  // sleep before the first retry
-  double backoff_multiplier = 2.0;   // exponential growth per retry
-  int64_t backoff_max_us = 100'000;  // backoff ceiling
-
-  bool enabled() const { return max_retries > 0; }
-};
-
 /// Owns a workspace directory of page-addressed temporary files and counts
 /// every page read/write. All persistent state in the library (fact tables,
 /// summary tables, sort runs, the extended database) lives in files managed
@@ -124,11 +110,6 @@ class DiskManager {
     return Inject('c', kInvalidFileId, 0, n);
   }
 
-  /// Installs the transient-failure retry policy. Like SetFaultInjector,
-  /// must be called before the manager is shared across threads.
-  void SetRetryPolicy(const RetryPolicy& policy) { retry_policy_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_policy_; }
-
   /// Race-free snapshot of the I/O counters (the counters themselves are
   /// atomics, so concurrent reads and writes keep incrementing while the
   /// snapshot is taken).
@@ -165,16 +146,6 @@ class DiskManager {
   Status Inject(char op, FileId file, PageId first, int64_t n);
   Status GrowTo(FileState* state, PageId end_page);
 
-  // Single-attempt bodies wrapped by the public retrying entry points.
-  Status ReadPagesOnce(FileId file, PageId first, int64_t n, void* buffer);
-  Status WritePagesOnce(FileId file, PageId first, int64_t n,
-                        const void* buffer);
-  Status WritePagesGatherOnce(FileId file, PageId first,
-                              const std::byte* const* pages, int64_t n);
-
-  template <typename Fn>
-  Status RunWithRetry(Fn&& attempt);
-
   std::string directory_;
   FileId next_file_id_ = 0;
   // unique_ptr values keep FileState addresses stable across rehashes, so
@@ -185,7 +156,6 @@ class DiskManager {
   std::atomic<int64_t> page_reads_{0};
   std::atomic<int64_t> page_writes_{0};
   FaultInjector fault_injector_;
-  RetryPolicy retry_policy_;
 };
 
 }  // namespace iolap

@@ -220,30 +220,19 @@ Result<BoundedAggregate> SynopsisStore::EstimateAggregate(
 
 Result<std::vector<AggregateResult>> SynopsisStore::ExactRollUp(
     const QueryRegion& region, int dim, int level, AggregateFunc func) {
-  IOLAP_RETURN_IF_ERROR(CheckRollUpArgs(*schema_, dim, level));
-  const Hierarchy& h = schema_->dim(dim);
+  if (dim >= 0) IOLAP_RETURN_IF_ERROR(CheckRollUpArgs(*schema_, dim, level));
   std::lock_guard<std::mutex> lock(mu_);
   IOLAP_RETURN_IF_ERROR(BeginEstimateLocked());
-  const NodeId within = region.node[dim];
-  const int32_t wlo = h.leaf_begin(within);
-  const int32_t whi = h.leaf_end(within);
-  const std::vector<NodeId>& nodes = h.nodes_at_level(level);
-  std::vector<AggregateResult> groups(nodes.size());
-  for (size_t g = 0; g < nodes.size(); ++g) {
-    // Hierarchy nodes nest or are disjoint, so the group region is the
-    // region with its `dim` node narrowed to whichever of the two nodes
-    // lies inside the other — or empty.
-    const int32_t glo = h.leaf_begin(nodes[g]);
-    const int32_t ghi = h.leaf_end(nodes[g]);
-    if (ghi <= wlo || glo >= whi) {
+  std::vector<AggregateResult> groups(RollUpGroups(*schema_, dim, level));
+  for (size_t g = 0; g < groups.size(); ++g) {
+    QueryRegion group;
+    if (!RollUpGroupRegion(*schema_, region, dim, level, g, &group)) {
       FinalizeAggregate(&groups[g], func);
       continue;
     }
-    QueryRegion group = region;
-    if (glo >= wlo && ghi <= whi) group.node[dim] = nodes[g];
     const BoundedAggregate est = EstimateLocked(group, func, kExactDelta);
     if (est.bound != 0) {
-      return Status::Unavailable("rollup group not exact in the synopsis");
+      return Status::Unavailable("group not exact in the synopsis");
     }
     groups[g] = est.result;
   }

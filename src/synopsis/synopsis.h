@@ -112,10 +112,10 @@ class SynopsisStore : public EdbChangeListener {
                                              AggregateFunc func, double delta);
 
   /// Rollup (one aggregate per node of `dim` at `level`, restricted to
-  /// `region`, indexed by node ordinal) answered only if every group's
-  /// answer is exact (bound 0). Returns kUnavailable when unbuilt, stale,
-  /// or some group would need a bounded estimate; the caller then falls
-  /// back to an exact tier.
+  /// `region`, indexed by node ordinal; `dim < 0` is a point aggregate, one
+  /// group) answered only if every group's answer is exact (bound 0).
+  /// Returns kUnavailable when unbuilt, stale, or some group would need a
+  /// bounded estimate; the caller then falls back to an exact tier.
   Result<std::vector<AggregateResult>> ExactRollUp(const QueryRegion& region,
                                                    int dim, int level,
                                                    AggregateFunc func);

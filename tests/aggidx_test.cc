@@ -50,6 +50,15 @@ FactRecord MakeFactAt(const StarSchema& schema, FactId id, double measure,
   return f;
 }
 
+/// A point aggregate from the cell tree: its one-group rollup.
+Result<AggregateResult> TreeAggregate(AggIndex& index,
+                                      const QueryRegion& region,
+                                      AggregateFunc func) {
+  IOLAP_ASSIGN_OR_RETURN(std::vector<AggregateResult> groups,
+                         index.RollUp(region, /*dim=*/-1, /*level=*/0, func));
+  return groups[0];
+}
+
 constexpr AggregateFunc kAllFuncs[] = {
     AggregateFunc::kSum, AggregateFunc::kCount, AggregateFunc::kAverage,
     AggregateFunc::kMin, AggregateFunc::kMax};
@@ -147,7 +156,7 @@ TEST_F(AggIndexTest, DirectAggregateMatchesEngineAllFuncs) {
       IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult expected,
                                  engine.Aggregate(region, func));
       IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult got,
-                                 index.Aggregate(region, func));
+                                 TreeAggregate(index, region, func));
       EXPECT_NEAR(got.value, expected.value, 1e-9);
       EXPECT_NEAR(got.min, expected.min, 1e-9);
       EXPECT_NEAR(got.max, expected.max, 1e-9);
@@ -197,7 +206,7 @@ TEST_F(AggIndexTest, UnbuiltIndexRefusesUntilRebuilt) {
   AggIndex index(&env_, &schema_, &manager_->edb());
   // Queries never build: an unbuilt index refuses every probe.
   for (AggregateFunc func : kAllFuncs) {
-    EXPECT_EQ(index.Aggregate(QueryRegion::All(), func).status().code(),
+    EXPECT_EQ(TreeAggregate(index, QueryRegion::All(), func).status().code(),
               StatusCode::kUnavailable);
   }
   EXPECT_EQ(index.RollUp(QueryRegion::All(), 0, 1, AggregateFunc::kSum)
@@ -208,7 +217,7 @@ TEST_F(AggIndexTest, UnbuiltIndexRefusesUntilRebuilt) {
   IOLAP_ASSERT_OK(index.RebuildIfStale());
   EXPECT_EQ(index.stats().builds, 1);
   IOLAP_ASSERT_OK(
-      index.Aggregate(QueryRegion::All(), AggregateFunc::kMax).status());
+      TreeAggregate(index, QueryRegion::All(), AggregateFunc::kMax).status());
   IOLAP_ASSERT_OK(index.RebuildIfStale());  // fresh: a no-op
   EXPECT_EQ(index.stats().builds, 1);
   EXPECT_EQ(index.stats().refreshes, 0);
@@ -625,7 +634,7 @@ TEST_F(AggIndexSelectiveTest, InvalidatedIndexRefusesUntilRebuilt) {
   EXPECT_EQ(index.stats().builds, 1);
   index.Invalidate();
   for (AggregateFunc func : kAllFuncs) {
-    EXPECT_EQ(index.Aggregate(cross_a_, func).status().code(),
+    EXPECT_EQ(TreeAggregate(index, cross_a_, func).status().code(),
               StatusCode::kUnavailable);
   }
   EXPECT_EQ(index.stats().builds + index.stats().refreshes, 1);
@@ -636,7 +645,7 @@ TEST_F(AggIndexSelectiveTest, InvalidatedIndexRefusesUntilRebuilt) {
     IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult expected,
                                engine.Aggregate(cross_a_, func));
     IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult got,
-                               index.Aggregate(cross_a_, func));
+                               TreeAggregate(index, cross_a_, func));
     EXPECT_NEAR(got.value, expected.value, 1e-9);
   }
 }
@@ -659,7 +668,7 @@ TEST_F(AggIndexSelectiveTest, EmptyEdbAnswersEmptyAggregates) {
       // cell tree directly as well. Every cell lost its rows, so the tree
       // refuses MIN/MAX until a rebuild.
       Result<AggregateResult> tree =
-          service.agg_index()->Aggregate(region, func);
+          TreeAggregate(*service.agg_index(), region, func);
       if (func == AggregateFunc::kMin || func == AggregateFunc::kMax) {
         EXPECT_EQ(tree.status().code(), StatusCode::kUnavailable);
         continue;
@@ -675,8 +684,9 @@ TEST_F(AggIndexSelectiveTest, EmptyEdbAnswersEmptyAggregates) {
     for (AggregateFunc func : kAllFuncs) {
       IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult expected,
                                  engine.Aggregate(region, func));
-      IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult tree,
-                                 service.agg_index()->Aggregate(region, func));
+      IOLAP_ASSERT_OK_AND_ASSIGN(
+          AggregateResult tree,
+          TreeAggregate(*service.agg_index(), region, func));
       EXPECT_NEAR(tree.value, expected.value, 1e-9);
       EXPECT_NEAR(tree.count, expected.count, 1e-9);
     }

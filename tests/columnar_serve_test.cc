@@ -149,14 +149,15 @@ TEST_F(ColumnarEngineEquivalenceTest, AnswersMatchRowPathAcrossSeeds) {
       for (AggregateFunc func : kAllFuncs) {
         IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult want,
                                    oracle.Aggregate(region, func));
+        // A point aggregate is the one-group rollup.
         IOLAP_ASSERT_OK_AND_ASSIGN(
-            AggregateResult row,
-            engine.Aggregate(whole, region, func, nullptr, nullptr));
+            auto row, engine.RollUp(whole, region, -1, 0, func, nullptr,
+                                    nullptr));
         IOLAP_ASSERT_OK_AND_ASSIGN(
-            AggregateResult got,
-            engine.Aggregate(split, region, func, nullptr, &col));
-        ExpectSameResult(row, got);
-        ExpectNearOracle(want.value, got.value);
+            auto got, engine.RollUp(split, region, -1, 0, func, nullptr, &col));
+        ExpectSameResults(row, got);
+        ASSERT_EQ(got.size(), 1u);
+        ExpectNearOracle(want.value, got[0].value);
       }
       for (int dim = 0; dim < schema_.num_dims(); ++dim) {
         for (int level = 1; level <= schema_.dim(dim).num_levels(); ++level) {

@@ -102,95 +102,26 @@ TEST_F(DiskManagerTest, ManyFilesAreIndependent) {
 }
 
 // ---------------------------------------------------------------------------
-// Retry policy: transient (UNAVAILABLE) failures are retried with backoff
-// when a policy is installed; permanent (IO_ERROR) failures never are; the
-// default policy retries nothing.
+// Fault injection: an injected failure is the operation's result, code and
+// all, after exactly one attempt.
 
-RetryPolicy FastRetries(int max_retries) {
-  RetryPolicy policy;
-  policy.max_retries = max_retries;
-  policy.backoff_initial_us = 1;  // keep the test fast
-  policy.backoff_max_us = 10;
-  return policy;
-}
-
-TEST_F(DiskManagerTest, TransientFailureRetriedToSuccess) {
+TEST_F(DiskManagerTest, InjectedFailureSurfacesWithItsCode) {
   IOLAP_ASSERT_OK_AND_ASSIGN(FileId f, disk_.CreateFile("t"));
   std::byte page[kPageSize] = {};
   IOLAP_ASSERT_OK(disk_.WritePage(f, 0, page));
-  disk_.SetRetryPolicy(FastRetries(5));
-  int failures = 3;
-  int attempts = 0;
-  disk_.SetFaultInjector([&](char op, FileId, PageId) {
-    if (op != 'r') return Status::Ok();
-    ++attempts;
-    return --failures >= 0 ? Status::Unavailable("transient") : Status::Ok();
-  });
-  IOLAP_ASSERT_OK(disk_.ReadPage(f, 0, page));
-  EXPECT_EQ(attempts, 4);  // 3 transient failures + the success
-}
-
-TEST_F(DiskManagerTest, PermanentFailureIsNotRetried) {
-  IOLAP_ASSERT_OK_AND_ASSIGN(FileId f, disk_.CreateFile("t"));
-  std::byte page[kPageSize] = {};
-  IOLAP_ASSERT_OK(disk_.WritePage(f, 0, page));
-  disk_.SetRetryPolicy(FastRetries(5));
-  int attempts = 0;
-  disk_.SetFaultInjector([&](char op, FileId, PageId) {
-    if (op != 'r') return Status::Ok();
-    ++attempts;
-    return Status::IoError("permanent");
-  });
-  Status st = disk_.ReadPage(f, 0, page);
-  EXPECT_EQ(st.code(), StatusCode::kIoError);
-  EXPECT_EQ(attempts, 1);
-}
-
-TEST_F(DiskManagerTest, DefaultPolicySurfacesTransientFailures) {
-  IOLAP_ASSERT_OK_AND_ASSIGN(FileId f, disk_.CreateFile("t"));
-  std::byte page[kPageSize] = {};
-  IOLAP_ASSERT_OK(disk_.WritePage(f, 0, page));
-  int attempts = 0;
-  disk_.SetFaultInjector([&](char op, FileId, PageId) {
-    if (op != 'r') return Status::Ok();
-    ++attempts;
-    return Status::Unavailable("transient");
-  });
-  Status st = disk_.ReadPage(f, 0, page);
-  EXPECT_EQ(st.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(attempts, 1);
-}
-
-TEST_F(DiskManagerTest, RetryExhaustionReportsAttempts) {
-  IOLAP_ASSERT_OK_AND_ASSIGN(FileId f, disk_.CreateFile("t"));
-  std::byte page[kPageSize] = {};
-  IOLAP_ASSERT_OK(disk_.WritePage(f, 0, page));
-  disk_.SetRetryPolicy(FastRetries(2));
-  int attempts = 0;
-  disk_.SetFaultInjector([&](char op, FileId, PageId) {
-    if (op != 'r') return Status::Ok();
-    ++attempts;
-    return Status::Unavailable("transient");
-  });
-  Status st = disk_.ReadPage(f, 0, page);
-  EXPECT_EQ(st.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(attempts, 3);  // first attempt + 2 retries
-  EXPECT_NE(st.message().find("exhausted"), std::string::npos);
-}
-
-TEST_F(DiskManagerTest, WritesAreRetriedToo) {
-  IOLAP_ASSERT_OK_AND_ASSIGN(FileId f, disk_.CreateFile("t"));
-  std::byte page[kPageSize] = {};
-  disk_.SetRetryPolicy(FastRetries(3));
-  int failures = 2;
-  disk_.SetFaultInjector([&](char op, FileId, PageId) {
-    if (op != 'w') return Status::Ok();
-    return --failures >= 0 ? Status::Unavailable("transient") : Status::Ok();
-  });
-  IOLAP_ASSERT_OK(disk_.WritePage(f, 0, page));
-  std::byte got[kPageSize];
+  for (const Status& injected :
+       {Status::IoError("permanent"), Status::Unavailable("transient")}) {
+    int attempts = 0;
+    disk_.SetFaultInjector([&](char, FileId, PageId) {
+      ++attempts;
+      return injected;
+    });
+    EXPECT_EQ(disk_.ReadPage(f, 0, page).code(), injected.code());
+    EXPECT_EQ(disk_.WritePage(f, 0, page).code(), injected.code());
+    EXPECT_EQ(attempts, 2);
+  }
   disk_.SetFaultInjector(nullptr);
-  IOLAP_ASSERT_OK(disk_.ReadPage(f, 0, got));
+  IOLAP_ASSERT_OK(disk_.ReadPage(f, 0, page));
 }
 
 // ---------------------------------------------------------------------------

@@ -340,9 +340,9 @@ struct ServedParam {
 
 constexpr ServedParam kServed[] = {
     {PolicyKind::kCount, 0xa91584a73c9cc77fULL, {8935, 2035, 1985, 0, 1560},
-     48, 2546, 1985, 1907},
+     48, 2546, 1987, 1383},
     {PolicyKind::kMeasure, 0x99324e35cc4b2e85ULL, {8935, 2035, 1985, 0, 1560},
-     48, 2546, 1985, 1907},
+     48, 2546, 1987, 1383},
 };
 
 void PrintTo(const ServedParam& p, std::ostream* os) {

@@ -261,6 +261,38 @@ TEST_F(MutationsTest, EveryBatchKindCountsRtreeNodes) {
   EXPECT_GT(updated.rtree_nodes_accessed, 0);
 }
 
+// A merge removes the merged components' entries from the R-tree and
+// inserts the grown bbox; those descents read nodes too, so a merging
+// batch reports more nodes than its overlap search visited.
+TEST_F(MutationsTest, MergingInsertCountsTreeUpdateNodes) {
+  StorageEnv scratch(MakeTempDir(), 32);
+  std::vector<FactRecord> facts = PaperFacts(scratch);
+  StorageEnv env(MakeTempDir(), 256);
+  auto manager = BuildManager(env, facts);
+  ASSERT_EQ(manager->rtree().size(), 2);  // CC1 and CC2
+
+  // (ALL, ALL) overlaps both components. Its one search runs first, on the
+  // tree as it stands now.
+  FactRecord f;
+  f.fact_id = 300;
+  f.measure = 1000;
+  for (int d = 0; d < 2; ++d) {
+    f.node[d] = schema_.dim(d).root();
+    f.level[d] = static_cast<uint8_t>(schema_.dim(d).num_levels());
+  }
+  const int64_t before = manager->rtree().nodes_accessed();
+  std::vector<int64_t> hits;
+  IOLAP_ASSERT_OK(
+      manager->rtree().Search(FactRegionToRect(schema_, f), &hits));
+  ASSERT_EQ(hits.size(), 2u);
+  const int64_t search_nodes = manager->rtree().nodes_accessed() - before;
+
+  MaintenanceStats stats;
+  IOLAP_ASSERT_OK(manager->InsertFacts({f}, &stats));
+  EXPECT_EQ(stats.components_merged, 1);
+  EXPECT_GT(stats.rtree_nodes_accessed, search_nodes);
+}
+
 TEST_F(MutationsTest, PrefixScansSurviveCompaction) {
   // Regression: compaction can shrink the EDB below the original precise
   // prefix; subsequent prefix scans (updates/deletes of precise facts)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -233,6 +234,54 @@ TEST_F(ServeTest, PartitionedScanMatchesSerial) {
   for (size_t i = 0; i < expected_groups.size(); ++i) {
     EXPECT_NEAR(parallel_groups[i].value, expected_groups[i].value, 1e-9);
   }
+}
+
+// The Uncached* rescans enter the served walk with every tier but the scan
+// skipped: no cache lookup or insert, no index or store probe, and no
+// serve.answer_tier.* or serve.query_us sample.
+TEST_F(ServeTest, UncachedReadsBypassEveryTier) {
+  MetricsRegistry registry;
+  SetGlobalMetrics(&registry);
+  struct Uninstall {
+    ~Uninstall() { SetGlobalMetrics(nullptr); }
+  } uninstall;
+  ServeOptions opts;
+  opts.agg_index = true;
+  opts.synopsis = true;
+  QueryService service(manager_.get(), opts);
+  const auto tier_answers = [&] {
+    int64_t n = 0;
+    for (const char* tier : {"cache", "index", "synopsis", "scan"}) {
+      n += registry.counter(std::string("serve.answer_tier.") + tier)->value();
+    }
+    return n;
+  };
+
+  for (const QueryRegion& region : ProbeRegions()) {
+    IOLAP_ASSERT_OK(
+        service.UncachedAggregate(region, AggregateFunc::kSum).status());
+    IOLAP_ASSERT_OK(
+        service.UncachedRollUp(region, 0, 1, AggregateFunc::kSum).status());
+  }
+  EXPECT_EQ(service.cache()->stats().hits + service.cache()->stats().misses,
+            0);
+  EXPECT_EQ(service.cache()->entries(), 0);
+  EXPECT_EQ(service.agg_index()->stats().probes, 0);
+  EXPECT_EQ(service.synopsis()->stats().estimates, 0);
+  EXPECT_EQ(tier_answers(), 0);
+  EXPECT_EQ(registry.histogram("serve.query_us")->count(), 0);
+  EXPECT_EQ(service.UncachedRollUp(QueryRegion::All(), -1, 1,
+                                   AggregateFunc::kSum)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // A served read walks the tiers and is counted.
+  IOLAP_ASSERT_OK(
+      service.Aggregate(QueryRegion::All(), AggregateFunc::kSum).status());
+  EXPECT_EQ(service.cache()->stats().misses, 1);
+  EXPECT_EQ(tier_answers(), 1);
+  EXPECT_EQ(registry.histogram("serve.query_us")->count(), 1);
 }
 
 TEST_F(ServeTest, CompletionsOfMatchesEngineAndRejectsTombstoneId) {
@@ -656,9 +705,10 @@ class CacheMaskTest : public ::testing::Test {
 
   AggregateCacheKey KeyFor(int dim, NodeId node,
                            AnswerMode mode = AnswerMode::kExact) const {
-    return AggregateCache::MakeAggregateKey(
-        schema_, QueryRegion::All().With(dim, node), AggregateFunc::kSum,
-        mode);
+    return AggregateCache::MakeKey(schema_,
+                                   QueryRegion::All().With(dim, node),
+                                   /*dim=*/-1, /*level=*/0,
+                                   AggregateFunc::kSum, mode);
   }
 
   Rect BoxAll() const { return RegionToRect(schema_, QueryRegion::All()); }

@@ -11,13 +11,11 @@
 //       [--policy=count|measure|uniform] [--algorithm=transitive|block|
 //        independent|basic] [--epsilon=0.005] [--buffer-pages=4096]
 //       [--checkpoint-dir=ckpt/] [--checkpoint-every=N] [--resume=1]
-//       [--io-retries=N] [--io-retry-backoff-us=100]
 //       Builds the Extended Database and writes it as CSV.
 //       --checkpoint-dir persists restartable state there at iteration /
 //       component boundaries (every N boundaries with --checkpoint-every);
 //       --resume=1 continues a killed run from its newest valid checkpoint.
-//       --io-retries enables bounded retry with exponential backoff for
-//       transient (UNAVAILABLE) storage failures. See docs/OPERATIONS.md.
+//       See docs/OPERATIONS.md.
 //
 //   iolap_cli query --schema=s.csv --facts=f.csv --dim=<name> --node=<name>
 //       [--func=sum|count|avg]
@@ -98,16 +96,6 @@ PolicyKind ParsePolicy(const std::string& name) {
   return PolicyKind::kCount;
 }
 
-/// --io-retries / --io-retry-backoff-us: retry is a property of the storage
-/// environment (every file in it), not of one allocation run, so it lives
-/// on the DiskManager rather than in AllocationOptions.
-void ApplyRetryPolicy(const Flags& flags, StorageEnv* env) {
-  RetryPolicy policy;
-  policy.max_retries = static_cast<int>(flags.GetInt("io-retries", 0));
-  policy.backoff_initial_us = flags.GetInt("io-retry-backoff-us", 100);
-  env->disk().SetRetryPolicy(policy);
-}
-
 int CmdSample(const Flags& flags) {
   std::string dir = flags.GetString("dir", ".");
   {
@@ -168,7 +156,6 @@ int CmdEstimate(const Flags& flags) {
 int CmdAllocate(const Flags& flags) {
   StarSchema schema = Unwrap(LoadSchemaCsv(flags.GetString("schema", "")));
   StorageEnv env(MakeWorkDir("cli"), flags.GetInt("buffer-pages", 4096));
-  ApplyRetryPolicy(flags, &env);
   TypedFile<FactRecord> facts =
       Unwrap(LoadFactsCsv(env, schema, flags.GetString("facts", "")));
   AllocationOptions options;
