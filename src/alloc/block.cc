@@ -25,7 +25,7 @@ std::vector<std::vector<TableSegment>> PackTableGroups(
     const SummaryTableInfo& t = data.tables[i];
     if (t.size() == 0) continue;
     groups[packed.bin_of[i]].push_back(
-        TableSegment{t.begin, t.end, static_cast<int16_t>(i)});
+        TableSegment{t.begin, t.end, static_cast<int16_t>(i), t.levels});
   }
   // Drop bins that ended up empty (zero-size tables).
   groups.erase(std::remove_if(groups.begin(), groups.end(),

@@ -37,9 +37,9 @@ Status RunIndependent(StorageEnv& env, const StarSchema& schema,
     for (int t : chain_tables) {
       descending.push_back(data->tables[t].levels);
       if (data->tables[t].size() > 0) {
-        segments.push_back(TableSegment{data->tables[t].begin,
-                                        data->tables[t].end,
-                                        static_cast<int16_t>(t)});
+        segments.push_back(TableSegment{
+            data->tables[t].begin, data->tables[t].end,
+            static_cast<int16_t>(t), data->tables[t].levels});
       }
     }
     if (segments.empty()) continue;

@@ -15,11 +15,12 @@ namespace iolap {
 
 /// A contiguous record range of the imprecise file holding (part of) one
 /// summary table, already sorted by region start key under the pass's
-/// sort spec.
+/// sort spec. `levels` is the table's level vector.
 struct TableSegment {
   int64_t begin = 0;
   int64_t end = 0;
   int16_t table = -1;
+  LevelVector levels{};
 };
 
 struct EmitStats {
@@ -37,6 +38,13 @@ struct EmitStats {
 /// table regions are hierarchy-aligned and pairwise disjoint, so start and
 /// end orders agree and eviction is strictly front-to-back; the peak window
 /// size is bounded by the table's partition size (Definition 9).
+///
+/// Every comparison is on integers computed once: a cell's packed key and
+/// its ancestor ordinals per (dimension, level) the tables use, once per
+/// cell; an entry's start and end key prefixes, once when it is read. Each
+/// window keeps the smallest cell key at which it may load or evict, so an
+/// idle window costs one compare, and finds the group covering a cell in a
+/// flat open-addressed map keyed by ancestor ordinals.
 class PassEngine {
  public:
   PassEngine(BufferPool* pool, const StarSchema* schema,

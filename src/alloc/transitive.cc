@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -16,65 +15,6 @@
 namespace iolap {
 
 namespace {
-
-constexpr int32_t kNoComponent = std::numeric_limits<int32_t>::max();
-
-/// Component-order comparators for Step 2: by canonical component id, then
-/// canonical key order. The normalized prefix leads with the component id,
-/// so intra-sort compares almost never walk the hierarchy terms.
-struct ComponentCellLess {
-  const std::vector<int32_t>* canon;
-  CellSpecLess base;
-
-  bool operator()(const CellRecord& a, const CellRecord& b) const;
-  uint64_t KeyPrefix(const CellRecord& a) const;
-};
-
-struct ComponentEntryLess {
-  const std::vector<int32_t>* canon;
-  EntrySpecLess base;
-
-  bool operator()(const ImpreciseRecord& a, const ImpreciseRecord& b) const;
-  uint64_t KeyPrefix(const ImpreciseRecord& a) const;
-};
-
-int32_t CanonOf(const std::vector<int32_t>& canon, int32_t ccid) {
-  return ccid < 0 ? kNoComponent : canon[ccid];
-}
-
-bool ComponentCellLess::operator()(const CellRecord& a,
-                                   const CellRecord& b) const {
-  int32_t ca = CanonOf(*canon, a.ccid), cb = CanonOf(*canon, b.ccid);
-  if (ca != cb) return ca < cb;
-  return base(a, b);
-}
-
-uint64_t ComponentCellLess::KeyPrefix(const CellRecord& a) const {
-  uint64_t key = 0;
-  int bits = 64;
-  PackKeyBits(static_cast<uint32_t>(CanonOf(*canon, a.ccid)), 32, &key,
-              &bits);
-  PackKeyBits(base.KeyPrefix(a) >> 32, 32, &key, &bits);
-  return key;
-}
-
-bool ComponentEntryLess::operator()(const ImpreciseRecord& a,
-                                    const ImpreciseRecord& b) const {
-  int32_t ca = CanonOf(*canon, a.ccid), cb = CanonOf(*canon, b.ccid);
-  if (ca != cb) return ca < cb;
-  if (a.table != b.table) return a.table < b.table;
-  return base(a, b);
-}
-
-uint64_t ComponentEntryLess::KeyPrefix(const ImpreciseRecord& a) const {
-  uint64_t key = 0;
-  int bits = 64;
-  PackKeyBits(static_cast<uint32_t>(CanonOf(*canon, a.ccid)), 32, &key,
-              &bits);
-  PackKeyBits(static_cast<uint16_t>(a.table - INT16_MIN), 16, &key, &bits);
-  PackKeyBits(base.KeyPrefix(a) >> 48, 16, &key, &bits);
-  return key;
-}
 
 /// Accumulates a leaf-space bounding box.
 struct Bbox {
@@ -163,7 +103,8 @@ Status RunExternalComponent(StorageEnv& env, const StarSchema& schema,
       IOLAP_RETURN_IF_ERROR(cur.Next(&e));
       if (segments.empty() || segments.back().table != e.table) {
         if (!segments.empty()) segments.back().end = index;
-        segments.push_back(TableSegment{index, index, e.table});
+        segments.push_back(
+            TableSegment{index, index, e.table, data->tables[e.table].levels});
       }
       ++index;
     }
@@ -336,13 +277,12 @@ Status RunTransitive(StorageEnv& env, const StarSchema& schema,
     ExternalSorter<CellRecord> cell_sorter(&env.disk(), &pool,
                                            env.buffer_pages());
     IOLAP_RETURN_IF_ERROR(cell_sorter.Sort(
-        &data->cells,
-        ComponentCellLess{&canon, CellSpecLess(&canonical)}));
+        &data->cells, ComponentCellLess(&canon, &canonical)));
     ExternalSorter<ImpreciseRecord> entry_sorter(&env.disk(), &pool,
                                                  env.buffer_pages());
     IOLAP_RETURN_IF_ERROR(entry_sorter.Sort(
         &data->imprecise,
-        ComponentEntryLess{&canon, EntrySpecLess(&canonical)}));
+        ComponentEntryLess(&canon, data->tables.size(), &canonical)));
   }
 
   // ---- Step 3a: one streaming scan building the component directory.

@@ -42,6 +42,8 @@ class Hierarchy {
   bool is_leaf(NodeId node) const { return level_[node] == 1; }
 
   LeafId leaf_begin(NodeId node) const { return leaf_begin_[node]; }
+  /// The table behind leaf_begin, indexed by node.
+  const LeafId* leaf_begins() const { return leaf_begin_.data(); }
   LeafId leaf_end(NodeId node) const { return leaf_end_[node]; }
   int32_t region_width(NodeId node) const {
     return leaf_end_[node] - leaf_begin_[node];
@@ -72,6 +74,12 @@ class Hierarchy {
   /// precomputed table; this is the hot call in sort-key evaluation.
   int32_t LeafAncestorOrdinal(LeafId leaf, int level) const {
     return leaf_ancestor_ordinal_[(level - 1) * num_leaves_ + leaf];
+  }
+
+  /// The table row behind LeafAncestorOrdinal for one level, indexed by
+  /// leaf: hot loops hoist it out of their per-record work.
+  const int32_t* LeafAncestorOrdinals(int level) const {
+    return leaf_ancestor_ordinal_.data() + (level - 1) * num_leaves_;
   }
 
   /// Node id for the given (level, ordinal) pair.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 namespace iolap {
 
@@ -133,25 +134,30 @@ Result<PageId> PagedRTree::AllocateNode() {
 
 void PagedRTree::FreeNode(PageId page) { free_pages_.push_back(page); }
 
-Result<PageId> PagedRTree::ChooseLeaf(const Rect& rect) {
+Status PagedRTree::ChooseLeaf(const Rect& rect, std::vector<NodeData>* path) {
+  path->clear();
   PageId page = root_;
   while (true) {
     IOLAP_ASSIGN_OR_RETURN(NodeData node, ReadNode(page));
-    if (node.leaf) return page;
-    const PagedEntry* best = nullptr;
-    double best_enlargement = std::numeric_limits<double>::infinity();
-    double best_area = std::numeric_limits<double>::infinity();
-    for (const PagedEntry& e : node.entries) {
-      double enl = Enlargement(e.rect, rect, k_);
-      double area = Area(e.rect, k_);
-      if (enl < best_enlargement ||
-          (enl == best_enlargement && area < best_area)) {
-        best = &e;
-        best_enlargement = enl;
-        best_area = area;
+    const bool leaf = node.leaf;
+    if (!leaf) {
+      const PagedEntry* best = nullptr;
+      double best_enlargement = std::numeric_limits<double>::infinity();
+      double best_area = std::numeric_limits<double>::infinity();
+      for (const PagedEntry& e : node.entries) {
+        double enl = Enlargement(e.rect, rect, k_);
+        double area = Area(e.rect, k_);
+        if (enl < best_enlargement ||
+            (enl == best_enlargement && area < best_area)) {
+          best = &e;
+          best_enlargement = enl;
+          best_area = area;
+        }
       }
+      page = best->child;
     }
-    page = best->child;
+    path->push_back(std::move(node));
+    if (leaf) return Status::Ok();
   }
 }
 
@@ -239,71 +245,71 @@ Status PagedRTree::SplitNode(NodeData* node, NodeData* fresh) {
   return Status::Ok();
 }
 
-Status PagedRTree::AdjustTree(PageId page, PageId split_page) {
+Status PagedRTree::AdjustTree(std::vector<NodeData>* path,
+                              std::optional<NodeData> split) {
   while (true) {
-    IOLAP_ASSIGN_OR_RETURN(NodeData node, ReadNode(page));
+    NodeData& node = path->back();
     if (node.parent < 0) {
-      if (split_page >= 0) {
+      if (split.has_value()) {
         // Root split: grow the tree.
         IOLAP_ASSIGN_OR_RETURN(PageId new_root, AllocateNode());
-        IOLAP_ASSIGN_OR_RETURN(NodeData split, ReadNode(split_page));
         NodeData root;
         root.page = new_root;
         root.leaf = false;
         root.parent = -1;
         root.entries.push_back(PagedEntry{node.Mbr(k_), node.page});
-        root.entries.push_back(PagedEntry{split.Mbr(k_), split.page});
+        root.entries.push_back(PagedEntry{split->Mbr(k_), split->page});
         node.parent = new_root;
-        split.parent = new_root;
+        split->parent = new_root;
         IOLAP_RETURN_IF_ERROR(WriteNode(node));
-        IOLAP_RETURN_IF_ERROR(WriteNode(split));
+        IOLAP_RETURN_IF_ERROR(WriteNode(*split));
         IOLAP_RETURN_IF_ERROR(WriteNode(root));
         root_ = new_root;
         ++height_;
       }
       return Status::Ok();
     }
-    IOLAP_ASSIGN_OR_RETURN(NodeData parent, ReadNode(node.parent));
+    NodeData& parent = (*path)[path->size() - 2];
     for (PagedEntry& e : parent.entries) {
       if (e.child == node.page) {
         e.rect = node.Mbr(k_);
         break;
       }
     }
-    PageId next_split = -1;
-    if (split_page >= 0) {
-      IOLAP_ASSIGN_OR_RETURN(NodeData split, ReadNode(split_page));
-      split.parent = parent.page;
-      IOLAP_RETURN_IF_ERROR(WriteNode(split));
-      parent.entries.push_back(PagedEntry{split.Mbr(k_), split_page});
+    std::optional<NodeData> next_split;
+    if (split.has_value()) {
+      split->parent = parent.page;
+      IOLAP_RETURN_IF_ERROR(WriteNode(*split));
+      parent.entries.push_back(PagedEntry{split->Mbr(k_), split->page});
       if (parent.entries.size() > static_cast<size_t>(max_entries_)) {
         NodeData fresh;
         IOLAP_ASSIGN_OR_RETURN(fresh.page, AllocateNode());
         IOLAP_RETURN_IF_ERROR(SplitNode(&parent, &fresh));
         IOLAP_RETURN_IF_ERROR(WriteNode(fresh));
-        next_split = fresh.page;
+        next_split = std::move(fresh);
       }
     }
     IOLAP_RETURN_IF_ERROR(WriteNode(parent));
-    page = parent.page;
-    split_page = next_split;
+    path->pop_back();
+    split = std::move(next_split);
   }
 }
 
 Status PagedRTree::Insert(const Rect& rect, int64_t id) {
-  IOLAP_ASSIGN_OR_RETURN(PageId leaf_page, ChooseLeaf(rect));
-  IOLAP_ASSIGN_OR_RETURN(NodeData leaf, ReadNode(leaf_page));
+  std::vector<NodeData> path;
+  IOLAP_RETURN_IF_ERROR(ChooseLeaf(rect, &path));
+  NodeData& leaf = path.back();
   leaf.entries.push_back(PagedEntry{rect, id});
-  PageId split_page = -1;
+  std::optional<NodeData> split;
   if (leaf.entries.size() > static_cast<size_t>(max_entries_)) {
     NodeData fresh;
     IOLAP_ASSIGN_OR_RETURN(fresh.page, AllocateNode());
     IOLAP_RETURN_IF_ERROR(SplitNode(&leaf, &fresh));
     IOLAP_RETURN_IF_ERROR(WriteNode(fresh));
-    split_page = fresh.page;
+    split = std::move(fresh);
   }
   IOLAP_RETURN_IF_ERROR(WriteNode(leaf));
-  IOLAP_RETURN_IF_ERROR(AdjustTree(leaf_page, split_page));
+  IOLAP_RETURN_IF_ERROR(AdjustTree(&path, std::move(split)));
   ++size_;
   return Status::Ok();
 }

@@ -2,6 +2,7 @@
 #define IOLAP_RTREE_PAGED_RTREE_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -62,9 +63,16 @@ class PagedRTree {
   Result<PageId> AllocateNode();
   void FreeNode(PageId page);
 
-  Result<PageId> ChooseLeaf(const Rect& rect);
+  /// Descends to the leaf `rect` belongs in; `path` receives the image of
+  /// every node read, root first and leaf last.
+  Status ChooseLeaf(const Rect& rect, std::vector<NodeData>* path);
   Status SplitNode(NodeData* node, NodeData* fresh);
-  Status AdjustTree(PageId page, PageId split_page);
+  /// Walks `path` back up from its last node, which was just written (as
+  /// was `split`, its new sibling, if it split): refreshes each parent's
+  /// entry, adds and splits as needed, and writes each parent. The images
+  /// on the path stand in for re-reading the pages.
+  Status AdjustTree(std::vector<NodeData>* path,
+                    std::optional<NodeData> split);
   Status FindLeaf(PageId page, const Rect& rect, int64_t id, PageId* leaf);
   Status CondenseTree(PageId leaf_page);
   Status SearchNode(PageId page, const Rect& query,

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <concepts>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -331,6 +332,7 @@ class ExternalSorter {
       RunCursor& c = cur[i];
       if (c.left == 0) {
         c.done = true;
+        key8[i] = std::numeric_limits<uint64_t>::max();
         return Status::Ok();
       }
       int64_t npages = std::min(block, c.end_page - c.next_page);
@@ -371,13 +373,14 @@ class ExternalSorter {
     // Loser tree over the k runs. Operands are taken lowest index first, so
     // one strict less() per match both picks the winner and sends equal
     // keys to the lower run index, which keeps the merge stable. Exhausted
-    // runs lose every match.
+    // runs lose every match: their key is all ones, so only a tie at that
+    // key needs to look at which run is done.
     auto winner_of = [&](size_t x, size_t y) -> size_t {
       size_t a = std::min(x, y);  // ties go to the lower run index
       size_t b = std::max(x, y);
+      if (key8[a] != key8[b]) return key8[a] < key8[b] ? a : b;
       if (cur[a].done) return b;
       if (cur[b].done) return a;
-      if (key8[a] != key8[b]) return key8[a] < key8[b] ? a : b;
       return less(*head_of(b), *head_of(a)) ? b : a;
     };
     std::vector<size_t> loser(k, 0);

@@ -214,7 +214,9 @@ Result<BoundedAggregate> SynopsisStore::EstimateAggregate(
   std::lock_guard<std::mutex> lock(mu_);
   IOLAP_RETURN_IF_ERROR(BeginEstimateLocked());
   BoundedAggregate out = EstimateLocked(region, func, delta);
-  if (out.exact) CountExactLocked();
+  // An exact composition can still carry an infinite bound (MIN/MAX after
+  // a removal patched the slice extremes); only bound-0 answers count.
+  if (out.exact && out.bound == 0) CountExactLocked();
   return out;
 }
 

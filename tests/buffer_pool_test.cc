@@ -341,7 +341,9 @@ class PlannedPoolTest : public BufferPoolTest {
     for (int p = 0; p < npages; ++p) {
       auto guard = pool.Pin(f, p);
       EXPECT_TRUE(guard.ok()) << guard.status().ToString();
-      if (guard.ok()) EXPECT_EQ(guard->data()[0], std::byte(p)) << p;
+      if (guard.ok()) {
+        EXPECT_EQ(guard->data()[0], std::byte(p)) << p;
+      }
     }
     return disk_.stats().page_reads - before.page_reads;
   }

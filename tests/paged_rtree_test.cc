@@ -84,6 +84,27 @@ TEST(PagedRTreeTest, SearchIsCountedAndSublinear) {
   EXPECT_LT(tree.nodes_accessed(), 40);
 }
 
+// Insert reads each node on its root-to-leaf path once: the fix-up walks
+// back up on the images the descent read. (With fan-out 72, 300 entries
+// never split an inner node, whose split re-points its moved children.)
+TEST(PagedRTreeTest, InsertReadsEachPathNodeOnce) {
+  StorageEnv env(MakeTempDir(), 64);
+  IOLAP_ASSERT_OK_AND_ASSIGN(PagedRTree tree,
+                             PagedRTree::Create(&env.disk(), &env.pool(), 2));
+  Rng rng(3);
+  for (int i = 0; i < 300; ++i) {
+    const int32_t x = static_cast<int32_t>(rng.Uniform(1000));
+    const int32_t y = static_cast<int32_t>(rng.Uniform(1000));
+    const int height = tree.height();
+    const int64_t before = tree.nodes_accessed();
+    IOLAP_ASSERT_OK(tree.Insert(MakeRect2(x, y, x + 3, y + 3), i));
+    EXPECT_EQ(tree.nodes_accessed() - before, height) << "insert " << i;
+  }
+  EXPECT_EQ(tree.height(), 2);
+  IOLAP_ASSERT_OK_AND_ASSIGN(bool ok, tree.CheckInvariants());
+  EXPECT_TRUE(ok);
+}
+
 TEST(PagedRTreeTest, SurvivesTinyBufferPool) {
   // 3 frames: every node access goes through pin/evict churn.
   StorageEnv env(MakeTempDir(), 3);

@@ -399,6 +399,53 @@ TEST(SynopsisMaintenanceTest, IncrementalMatchesRebuildAcrossMutations) {
   }
 }
 
+// exact_hits counts bound-0 answers only. Deleting facts patches the slice
+// extremes, after which a MIN/MAX composition can be exact in its terms yet
+// carry an infinite bound; such an answer must not count as exact.
+TEST(SynopsisMaintenanceTest, ExactHitsCountBoundZeroAnswersOnly) {
+  StorageEnv env(MakeTempDir(), 512);
+  IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakePaperExampleSchema());
+  DatasetSpec spec;
+  spec.num_facts = 400;
+  spec.seed = 7;
+  IOLAP_ASSERT_OK_AND_ASSIGN(auto facts, GenerateFacts(env, schema, spec));
+  std::vector<FactRecord> catalog;
+  {
+    auto cursor = facts.Scan(env.pool());
+    FactRecord f;
+    while (!cursor.done()) {
+      IOLAP_ASSERT_OK(cursor.Next(&f));
+      catalog.push_back(f);
+    }
+  }
+  AllocationOptions options;
+  options.policy = PolicyKind::kUniform;
+  IOLAP_ASSERT_OK_AND_ASSIGN(
+      auto manager, MaintenanceManager::Build(env, schema, &facts, options));
+  ServeOptions sopts;
+  sopts.synopsis = true;
+  QueryService service(manager.get(), sopts);
+  ASSERT_NE(service.synopsis(), nullptr);
+  for (size_t i = 0; i < 40; ++i) {
+    IOLAP_ASSERT_OK(service.DeleteFacts({catalog[i * 7]}));
+  }
+  SynopsisStore& store = *service.synopsis();
+  int64_t exact_unbounded = 0;
+  for (const QueryRegion& region : RegionsOverDims01(schema)) {
+    for (AggregateFunc func : kAllFuncs) {
+      const int64_t before = store.stats().exact_hits;
+      IOLAP_ASSERT_OK_AND_ASSIGN(BoundedAggregate got,
+                                 store.EstimateAggregate(region, func, 0.05));
+      if (got.exact && got.bound != 0) ++exact_unbounded;
+      EXPECT_EQ(store.stats().exact_hits - before, got.bound == 0 ? 1 : 0)
+          << "func " << static_cast<int>(func) << " exact " << got.exact
+          << " bound " << got.bound;
+    }
+  }
+  // The deletions produced the case this test exists for.
+  EXPECT_GT(exact_unbounded, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Service-level contract.
 
