@@ -40,7 +40,7 @@ void PublishResult(const AllocationResult& result) {
 
 Result<AllocationResult> Allocator::Run(StorageEnv& env,
                                         const StarSchema& schema,
-                                        TypedFile<FactRecord>* facts,
+                                        const TypedFile<FactRecord>* facts,
                                         const AllocationOptions& options) {
   TraceSpan run_span("alloc.run");
   AllocationResult result;

@@ -69,11 +69,11 @@ struct AllocationResult {
 /// algorithm end-to-end, producing the Extended Database.
 class Allocator {
  public:
-  /// `facts` is consumed (sorted in place). All working files live in
+  /// `facts` is read and never modified. All working files live in
   /// `env`'s disk manager; `env.pool()` bounds the algorithms' memory.
   static Result<AllocationResult> Run(StorageEnv& env,
                                       const StarSchema& schema,
-                                      TypedFile<FactRecord>* facts,
+                                      const TypedFile<FactRecord>* facts,
                                       const AllocationOptions& options);
 };
 

@@ -1,7 +1,6 @@
 #ifndef IOLAP_ALLOC_DATASET_H_
 #define IOLAP_ALLOC_DATASET_H_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -26,16 +25,12 @@ struct SummaryTableInfo {
 };
 
 /// Output of the preprocessing step shared by all algorithms: the fact
-/// table sorted into summary-table order and split into the cell summary
-/// table C (canonical order, δ seeded) and the imprecise summary tables.
+/// table, in summary-table order, split into the cell summary table C
+/// (canonical order, δ seeded) and the imprecise summary tables.
 struct PreparedDataset {
   TypedFile<CellRecord> cells;
   TypedFile<ImpreciseRecord> imprecise;
   std::vector<SummaryTableInfo> tables;
-
-  /// First cell key (leaf vector) of every page of `cells` — in-memory
-  /// fence keys used to derive conservative first/last bounds.
-  std::vector<std::array<int32_t, kMaxDims>> fences;
 
   int64_t num_precise_facts = 0;
   int64_t num_imprecise_facts = 0;

@@ -97,7 +97,9 @@ struct AllocationOptions {
   /// component runs the global iteration count — the ablation baseline.
   bool early_convergence = true;
 
-  /// Cap on |C| when domain == kImpreciseUnion (region unions can explode).
+  /// kImpreciseUnion only: cap on the stub cells preprocessing enumerates,
+  /// one per (imprecise region, cell inside it) pair — a cell counts once
+  /// per covering region, so this bounds the stubs, not |C|.
   int64_t max_domain_cells = 50'000'000;
 
   /// Checkpoint/restart (disabled by default). When disabled the demand-I/O

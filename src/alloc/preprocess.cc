@@ -12,27 +12,12 @@ namespace {
 
 using LeafKey = std::array<int32_t, kMaxDims>;
 
-LeafKey RegionStartKey(const StarSchema& schema, const ImpreciseRecord& r) {
-  LeafKey k{};
-  for (int d = 0; d < schema.num_dims(); ++d) {
-    k[d] = schema.dim(d).leaf_begin(r.node[d]);
+/// Leaf-lexicographic (canonical) comparison over the first `k` dims.
+int CompareLeaves(const int32_t* a, const int32_t* b, int k) {
+  for (int d = 0; d < k; ++d) {
+    if (a[d] != b[d]) return a[d] < b[d] ? -1 : 1;
   }
-  return k;
-}
-
-LeafKey RegionEndKey(const StarSchema& schema, const ImpreciseRecord& r) {
-  LeafKey k{};
-  for (int d = 0; d < schema.num_dims(); ++d) {
-    k[d] = schema.dim(d).leaf_end(r.node[d]) - 1;
-  }
-  return k;
-}
-
-bool LeafKeyLess(const LeafKey& a, const LeafKey& b, int num_dims) {
-  for (int d = 0; d < num_dims; ++d) {
-    if (a[d] != b[d]) return a[d] < b[d];
-  }
-  return false;
+  return 0;
 }
 
 /// Index of the last fence <= key, or -1 if every fence exceeds key.
@@ -41,7 +26,7 @@ int64_t LastFenceLeq(const std::vector<LeafKey>& fences, const LeafKey& key,
   int64_t lo = 0, hi = static_cast<int64_t>(fences.size());
   while (lo < hi) {  // invariant: fences[lo-1] <= key < fences[hi]
     int64_t mid = (lo + hi) / 2;
-    if (LeafKeyLess(key, fences[mid], num_dims)) {
+    if (CompareLeaves(key.data(), fences[mid].data(), num_dims) < 0) {
       hi = mid;
     } else {
       lo = mid + 1;
@@ -79,25 +64,17 @@ Status EnumerateRegionCells(const StarSchema& schema,
   return Status::Ok();
 }
 
-bool SameLeaves(const int32_t* a, const int32_t* b, int k) {
-  return std::memcmp(a, b, static_cast<size_t>(k) * sizeof(int32_t)) == 0;
-}
-
 }  // namespace
 
 Result<PreparedDataset> PrepareDataset(StorageEnv& env,
                                        const StarSchema& schema,
-                                       TypedFile<FactRecord>* facts,
+                                       const TypedFile<FactRecord>* facts,
                                        const AllocationOptions& options) {
   const int k = schema.num_dims();
+  const int64_t cell_rpp = TypedFile<CellRecord>::kRecordsPerPage;
+  const int64_t imp_rpp = TypedFile<ImpreciseRecord>::kRecordsPerPage;
   DiskManager& disk = env.disk();
   BufferPool& pool = env.pool();
-
-  // Step 1: sort D into summary-table order (one "special sort").
-  {
-    ExternalSorter<FactRecord> sorter(&disk, &pool, env.buffer_pages());
-    IOLAP_RETURN_IF_ERROR(sorter.Sort(facts, SummaryOrderLess(&schema)));
-  }
 
   PreparedDataset out;
   IOLAP_ASSIGN_OR_RETURN(out.cells, TypedFile<CellRecord>::Create(disk, "cells"));
@@ -106,96 +83,145 @@ Result<PreparedDataset> PrepareDataset(StorageEnv& env,
   IOLAP_ASSIGN_OR_RETURN(out.precise_edb,
                          TypedFile<EdbRecord>::Create(disk, "precise_edb"));
 
-  // Optional stub file for the kImpreciseUnion cell domain.
+  // kImpreciseUnion: every cell of every imprecise region, enumerated from
+  // the unsorted facts and sorted canonically for the scan to merge into C.
   TypedFile<CellRecord> stubs;
   const bool union_domain = options.domain == CellDomain::kImpreciseUnion;
   if (union_domain) {
     IOLAP_ASSIGN_OR_RETURN(stubs,
                            TypedFile<CellRecord>::Create(disk, "cell_stubs"));
+    {
+      auto appender = stubs.MakeAppender(pool);
+      int64_t budget = options.max_domain_cells;
+      auto cursor = facts->Scan(pool);
+      FactRecord fact;
+      while (!cursor.done()) {
+        IOLAP_RETURN_IF_ERROR(cursor.Next(&fact));
+        if (fact.IsPrecise(k)) continue;
+        IOLAP_RETURN_IF_ERROR(
+            EnumerateRegionCells(schema, fact, &budget, &appender));
+      }
+      appender.Close();
+    }
+    SpecComparator canonical(&schema, SortSpec::Canonical(schema));
+    ExternalSorter<CellRecord> sorter(&disk, &pool, env.buffer_pages());
+    IOLAP_RETURN_IF_ERROR(sorter.Sort(&stubs, CellSpecLess(&canonical)));
   }
-  int64_t stub_budget = options.max_domain_cells;
 
-  // Step 2: single scan of the sorted facts. The precise prefix (level
-  // vector all-ones sorts first) aggregates into C in canonical order; the
-  // imprecise tail splits into page-aligned summary tables.
+  // One sort of D into summary-table order (the "special sort") whose final
+  // merge feeds one scan; nothing the scan writes is read back. The precise
+  // prefix (level vector all ones sorts first) aggregates into C in
+  // canonical order, merged with the sorted stubs, so C and its page fences
+  // are final before the first imprecise fact arrives. Each imprecise fact
+  // then gets its first/last bounds and joins its table's partition sweep
+  // (Definition 9, Section 4.2) as it is appended to its page-aligned
+  // summary table.
   {
     auto cell_appender = out.cells.MakeAppender(pool);
     auto imp_appender = out.imprecise.MakeAppender(pool);
     auto edb_appender = out.precise_edb.MakeAppender(pool);
-    auto stub_appender = stubs.MakeAppender(pool);
-
-    CellRecord cur_cell;
+    auto stub_cursor = stubs.Scan(pool);
+    std::vector<LeafKey> fences;  // first leaf key of every page of C
+    CellRecord cell;              // the open cell of C
     bool have_cell = false;
-    LevelVector cur_levels{};
-    bool in_imprecise = false;
+    bool cells_done = false;
+    // Partition sweep of the open summary table: the most entries in one
+    // block of chained [first, last] intervals.
+    int64_t block_count = 0, block_max_last = -2, partition = 0;
 
     auto flush_cell = [&]() -> Status {
       if (!have_cell) return Status::Ok();
-      cur_cell.delta_prev = cur_cell.delta0;
-      IOLAP_RETURN_IF_ERROR(cell_appender.Append(cur_cell));
+      if (out.cells.size() % cell_rpp == 0) {
+        LeafKey fence{};
+        std::memcpy(fence.data(), cell.leaf, sizeof(cell.leaf));
+        fences.push_back(fence);
+      }
+      cell.delta_prev = cell.delta0;
       have_cell = false;
+      return cell_appender.Append(cell);
+    };
+    // Makes `leaf` the open cell of C unless it already is.
+    auto open_cell = [&](const int32_t* leaf) -> Status {
+      if (have_cell && CompareLeaves(cell.leaf, leaf, k) == 0) {
+        return Status::Ok();
+      }
+      IOLAP_RETURN_IF_ERROR(flush_cell());
+      cell = CellRecord{};
+      std::memcpy(cell.leaf, leaf, sizeof(cell.leaf));
+      cell.delta0 = options.DeltaBase();
+      have_cell = true;
       return Status::Ok();
     };
+    // Opens the stub cells ordered before `leaf` (all that are left when
+    // `leaf` is null).
+    auto open_stubs_before = [&](const int32_t* leaf) -> Status {
+      CellRecord stub;
+      while (!stub_cursor.done()) {
+        IOLAP_RETURN_IF_ERROR(stub_cursor.Read(&stub));
+        if (leaf != nullptr && CompareLeaves(stub.leaf, leaf, k) >= 0) break;
+        IOLAP_RETURN_IF_ERROR(open_cell(stub.leaf));
+        stub_cursor.Advance();
+      }
+      return Status::Ok();
+    };
+    auto finish_cells = [&]() -> Status {
+      IOLAP_RETURN_IF_ERROR(open_stubs_before(nullptr));
+      IOLAP_RETURN_IF_ERROR(flush_cell());
+      cell_appender.Close();
+      cells_done = true;
+      return Status::Ok();
+    };
+    auto close_table = [&]() {
+      SummaryTableInfo& table = out.tables.back();
+      table.end = out.imprecise.size();
+      table.partition_records = std::max(partition, block_count);
+      table.partition_pages = std::max<int64_t>(
+          1, (table.partition_records + imp_rpp - 1) / imp_rpp);
+    };
 
-    auto cursor = facts->Scan(pool);
-    FactRecord fact;
-    while (!cursor.done()) {
-      IOLAP_RETURN_IF_ERROR(cursor.Next(&fact));
+    auto scan = [&](const FactRecord& fact) -> Status {
       if (fact.IsPrecise(k)) {
         ++out.num_precise_facts;
         int32_t leaf[kMaxDims] = {};
         for (int d = 0; d < k; ++d) {
           leaf[d] = schema.dim(d).leaf_begin(fact.node[d]);
         }
-        if (!have_cell || !SameLeaves(cur_cell.leaf, leaf, k)) {
-          IOLAP_RETURN_IF_ERROR(flush_cell());
-          cur_cell = CellRecord{};
-          std::memcpy(cur_cell.leaf, leaf, sizeof(cur_cell.leaf));
-          cur_cell.delta0 = options.DeltaBase();
-          have_cell = true;
-        }
-        cur_cell.delta0 += options.DeltaContribution(fact);
+        IOLAP_RETURN_IF_ERROR(open_stubs_before(leaf));
+        IOLAP_RETURN_IF_ERROR(open_cell(leaf));
+        cell.delta0 += options.DeltaContribution(fact);
         EdbRecord edb;
         edb.fact_id = fact.fact_id;
         edb.measure = fact.measure;
         edb.weight = 1.0;
         std::memcpy(edb.leaf, leaf, sizeof(edb.leaf));
-        IOLAP_RETURN_IF_ERROR(edb_appender.Append(edb));
-        continue;
+        return edb_appender.Append(edb);
       }
 
-      // First imprecise fact: close out the cell stream.
-      if (!in_imprecise) {
-        IOLAP_RETURN_IF_ERROR(flush_cell());
-        in_imprecise = true;
-      }
+      if (!cells_done) IOLAP_RETURN_IF_ERROR(finish_cells());
       ++out.num_imprecise_facts;
       LevelVector levels = fact.level_vector();
-      if (out.tables.empty() || levels != cur_levels) {
-        if (!out.tables.empty()) {
-          out.tables.back().end = out.imprecise.size();
-        }
+      if (out.tables.empty() || levels != out.tables.back().levels) {
+        if (!out.tables.empty()) close_table();
         // Pad to a page boundary with explicit sentinels (fact_id = -1,
         // precise region, ccid = -1) so that whole-file sorts — Transitive's
         // component sort — can push them harmlessly to the end, while range
         // scans skip them via the segment bounds.
-        {
-          const int64_t rpp = TypedFile<ImpreciseRecord>::kRecordsPerPage;
-          ImpreciseRecord sentinel;
-          sentinel.fact_id = -1;
-          for (int d = 0; d < k; ++d) {
-            sentinel.node[d] = schema.dim(d).leaf_node(0);
-            sentinel.level[d] = 1;
-          }
-          while (out.imprecise.size() % rpp != 0) {
-            IOLAP_RETURN_IF_ERROR(imp_appender.Append(sentinel));
-          }
+        ImpreciseRecord sentinel;
+        sentinel.fact_id = -1;
+        for (int d = 0; d < k; ++d) {
+          sentinel.node[d] = schema.dim(d).leaf_node(0);
+          sentinel.level[d] = 1;
+        }
+        while (out.imprecise.size() % imp_rpp != 0) {
+          IOLAP_RETURN_IF_ERROR(imp_appender.Append(sentinel));
         }
         SummaryTableInfo table;
         table.levels = levels;
         table.begin = out.imprecise.size();
         out.tables.push_back(table);
-        cur_levels = levels;
+        block_count = 0;
+        block_max_last = -2;
+        partition = 0;
       }
       ImpreciseRecord rec;
       rec.fact_id = fact.fact_id;
@@ -203,160 +229,49 @@ Result<PreparedDataset> PrepareDataset(StorageEnv& env,
       std::memcpy(rec.node, fact.node, sizeof(rec.node));
       std::memcpy(rec.level, fact.level, sizeof(rec.level));
       rec.table = static_cast<int16_t>(out.tables.size() - 1);
-      IOLAP_RETURN_IF_ERROR(imp_appender.Append(rec));
 
-      if (union_domain) {
-        Status st =
-            EnumerateRegionCells(schema, fact, &stub_budget, &stub_appender);
-        IOLAP_RETURN_IF_ERROR(st);
+      // Conservative first/last bounds from the page fences of C.
+      LeafKey start{}, end{};
+      for (int d = 0; d < k; ++d) {
+        start[d] = schema.dim(d).leaf_begin(fact.node[d]);
+        end[d] = schema.dim(d).leaf_end(fact.node[d]) - 1;
       }
-    }
-    IOLAP_RETURN_IF_ERROR(flush_cell());
-    if (!out.tables.empty()) {
-      out.tables.back().end = out.imprecise.size();
-    }
-    cell_appender.Close();
+      const int64_t first_page = LastFenceLeq(fences, start, k);
+      const int64_t last_page = LastFenceLeq(fences, end, k);
+      if (last_page >= 0) {
+        rec.first = std::max<int64_t>(0, first_page) * cell_rpp;
+        rec.last = std::min(out.cells.size() - 1,
+                            last_page * cell_rpp + cell_rpp - 1);
+      } else {
+        rec.first = 0;
+        rec.last = -1;  // region entirely before C; certainly empty
+      }
+
+      const int64_t l = std::max(rec.last, rec.first);
+      if (rec.first > block_max_last) {
+        partition = std::max(partition, block_count);
+        block_count = 1;
+        block_max_last = l;
+      } else {
+        ++block_count;
+        block_max_last = std::max(block_max_last, l);
+      }
+      return imp_appender.Append(rec);
+    };
+
+    ExternalSorter<FactRecord> sorter(&disk, &pool, env.buffer_pages());
+    IOLAP_RETURN_IF_ERROR(
+        sorter.SortInto(*facts, SummaryOrderLess(&schema), scan));
+    if (!cells_done) IOLAP_RETURN_IF_ERROR(finish_cells());
+    if (!out.tables.empty()) close_table();
     imp_appender.Close();
     edb_appender.Close();
-    stub_appender.Close();
   }
 
-  // Step 3 (kImpreciseUnion only): sort the stubs and merge them with the
-  // precise cells into the final C.
-  if (union_domain && stubs.size() > 0) {
-    {
-      SpecComparator canonical(&schema, SortSpec::Canonical(schema));
-      ExternalSorter<CellRecord> sorter(&disk, &pool, env.buffer_pages());
-      IOLAP_RETURN_IF_ERROR(sorter.Sort(&stubs, CellSpecLess(&canonical)));
-    }
-    IOLAP_ASSIGN_OR_RETURN(auto merged,
-                           TypedFile<CellRecord>::Create(disk, "cells_union"));
-    {
-    auto appender = merged.MakeAppender(pool);
-    auto pc = out.cells.Scan(pool);
-    auto sc = stubs.Scan(pool);
-    CellRecord precise_cell, stub_cell;
-    bool have_precise = !pc.done(), have_stub = !sc.done();
-    if (have_precise) IOLAP_RETURN_IF_ERROR(pc.Next(&precise_cell));
-    if (have_stub) IOLAP_RETURN_IF_ERROR(sc.Next(&stub_cell));
-    auto advance_precise = [&]() -> Status {
-      have_precise = !pc.done();
-      if (have_precise) return pc.Next(&precise_cell);
-      return Status::Ok();
-    };
-    auto advance_stub = [&]() -> Status {
-      have_stub = !sc.done();
-      if (have_stub) return sc.Next(&stub_cell);
-      return Status::Ok();
-    };
-    while (have_precise || have_stub) {
-      int cmp;
-      if (!have_stub) {
-        cmp = -1;
-      } else if (!have_precise) {
-        cmp = 1;
-      } else if (SameLeaves(precise_cell.leaf, stub_cell.leaf, k)) {
-        cmp = 0;
-      } else {
-        cmp = 1;
-        for (int d = 0; d < k; ++d) {
-          if (precise_cell.leaf[d] != stub_cell.leaf[d]) {
-            cmp = precise_cell.leaf[d] < stub_cell.leaf[d] ? -1 : 1;
-            break;
-          }
-        }
-      }
-      if (cmp <= 0) {
-        IOLAP_RETURN_IF_ERROR(appender.Append(precise_cell));
-        if (cmp == 0) {
-          // Skip all duplicate stubs of this cell.
-          LeafKey key;
-          std::memcpy(key.data(), stub_cell.leaf, sizeof(int32_t) * kMaxDims);
-          while (have_stub && SameLeaves(stub_cell.leaf, key.data(), k)) {
-            IOLAP_RETURN_IF_ERROR(advance_stub());
-          }
-        }
-        IOLAP_RETURN_IF_ERROR(advance_precise());
-      } else {
-        CellRecord fresh;
-        std::memcpy(fresh.leaf, stub_cell.leaf, sizeof(fresh.leaf));
-        fresh.delta0 = options.DeltaBase();
-        fresh.delta_prev = fresh.delta0;
-        IOLAP_RETURN_IF_ERROR(appender.Append(fresh));
-        LeafKey key;
-        std::memcpy(key.data(), stub_cell.leaf, sizeof(int32_t) * kMaxDims);
-        while (have_stub && SameLeaves(stub_cell.leaf, key.data(), k)) {
-          IOLAP_RETURN_IF_ERROR(advance_stub());
-        }
-      }
-    }
-    appender.Close();
-    }
-    IOLAP_RETURN_IF_ERROR(pool.EvictFile(out.cells.file_id()));
-    IOLAP_RETURN_IF_ERROR(disk.DeleteFile(out.cells.file_id()));
-    out.cells = merged;
+  if (union_domain) {
     IOLAP_RETURN_IF_ERROR(pool.EvictFile(stubs.file_id()));
     IOLAP_RETURN_IF_ERROR(disk.DeleteFile(stubs.file_id()));
   }
-
-  // Step 4: fence keys — the first cell key of every page of C.
-  {
-    const int64_t rpp = TypedFile<CellRecord>::kRecordsPerPage;
-    for (int64_t i = 0; i < out.cells.size(); i += rpp) {
-      IOLAP_ASSIGN_OR_RETURN(CellRecord c, out.cells.Get(pool, i));
-      LeafKey key{};
-      std::memcpy(key.data(), c.leaf, sizeof(int32_t) * kMaxDims);
-      out.fences.push_back(key);
-    }
-  }
-
-  // Step 5: conservative first/last bounds per imprecise fact and partition
-  // sizes per summary table (the sweep of Section 4.2).
-  {
-    const int64_t cell_rpp = TypedFile<CellRecord>::kRecordsPerPage;
-    const int64_t imp_rpp = TypedFile<ImpreciseRecord>::kRecordsPerPage;
-    const int64_t num_cells = out.cells.size();
-    for (SummaryTableInfo& table : out.tables) {
-      int64_t block_count = 0;
-      int64_t block_max_last = -2;
-      int64_t partition = 0;
-      auto cursor = out.imprecise.MutableScan(pool, table.begin, table.end);
-      ImpreciseRecord rec;
-      while (!cursor.done()) {
-        IOLAP_RETURN_IF_ERROR(cursor.Read(&rec));
-        LeafKey start = RegionStartKey(schema, rec);
-        LeafKey end = RegionEndKey(schema, rec);
-        int64_t first_page = LastFenceLeq(out.fences, start, k);
-        int64_t last_page = LastFenceLeq(out.fences, end, k);
-        if (last_page < 0 || num_cells == 0) {
-          rec.first = 0;
-          rec.last = -1;  // region entirely before C; certainly empty
-        } else {
-          rec.first = std::max<int64_t>(0, first_page) * cell_rpp;
-          rec.last = std::min(num_cells - 1, last_page * cell_rpp + cell_rpp - 1);
-        }
-        IOLAP_RETURN_IF_ERROR(cursor.Write(rec));
-        cursor.Advance();
-
-        int64_t f = rec.first;
-        int64_t l = std::max(rec.last, rec.first);
-        if (f > block_max_last) {
-          partition = std::max(partition, block_count);
-          block_count = 1;
-          block_max_last = l;
-        } else {
-          ++block_count;
-          block_max_last = std::max(block_max_last, l);
-        }
-      }
-      partition = std::max(partition, block_count);
-      table.partition_records = partition;
-      table.partition_pages =
-          table.size() == 0 ? 0 : std::max<int64_t>(1, (partition + imp_rpp - 1) / imp_rpp);
-    }
-    IOLAP_RETURN_IF_ERROR(pool.FlushFile(out.imprecise.file_id()));
-  }
-
   return out;
 }
 

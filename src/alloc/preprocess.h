@@ -11,16 +11,18 @@
 namespace iolap {
 
 /// The preprocessing step common to all allocation algorithms (Section 4.1):
-/// sorts `facts` into summary-table order, materializes the cell summary
-/// table C (δ(c) seeded per policy, canonical sort order, fence keys per
-/// page) and the page-aligned imprecise summary tables, emits the EDB rows
-/// of the precise facts, and computes per-table partition sizes
-/// (Definition 9) from conservative first/last bounds.
+/// one external sort of `facts` into summary-table order whose final merge
+/// feeds one scan. The scan materializes the cell summary table C (δ(c)
+/// seeded per policy, canonical sort order) and the page-aligned imprecise
+/// summary tables, emits the EDB rows of the precise facts, and computes
+/// each entry's conservative first/last bounds (from in-memory page fence
+/// keys of C) and each table's partition size (Definition 9) as it writes
+/// them. No file it writes is read back.
 ///
-/// `facts` is sorted in place and may be discarded afterwards.
+/// `facts` is read and never modified.
 Result<PreparedDataset> PrepareDataset(StorageEnv& env,
                                        const StarSchema& schema,
-                                       TypedFile<FactRecord>* facts,
+                                       const TypedFile<FactRecord>* facts,
                                        const AllocationOptions& options);
 
 }  // namespace iolap

@@ -78,7 +78,8 @@ class BatchScope {
 }  // namespace
 
 Result<std::unique_ptr<MaintenanceManager>> MaintenanceManager::Build(
-    StorageEnv& env, const StarSchema& schema, TypedFile<FactRecord>* facts,
+    StorageEnv& env, const StarSchema& schema,
+    const TypedFile<FactRecord>* facts,
     const AllocationOptions& options) {
   TraceSpan span("maint.build");
   auto manager = std::unique_ptr<MaintenanceManager>(

@@ -110,12 +110,12 @@ class MaintenanceManager {
     bool alive = true;
   };
 
-  /// Runs preprocessing + Transitive on `facts` (consumed), then inserts
-  /// each component's bounding box into the R-tree, one Insert per
-  /// component.
+  /// Runs preprocessing + Transitive on `facts` (read and never
+  /// modified), then inserts each component's bounding box into the
+  /// R-tree, one Insert per component.
   static Result<std::unique_ptr<MaintenanceManager>> Build(
       StorageEnv& env, const StarSchema& schema,
-      TypedFile<FactRecord>* facts, const AllocationOptions& options);
+      const TypedFile<FactRecord>* facts, const AllocationOptions& options);
 
   /// Measure updates to existing facts (regions unchanged).
   Status ApplyUpdates(const std::vector<FactUpdate>& updates,

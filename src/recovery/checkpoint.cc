@@ -225,7 +225,6 @@ Status CheckpointManager::Save(int iteration, bool converged,
   TypedFile<EdbRecord> edb = result.edb;
   h.edb_pages = edb.size_in_pages();
   h.num_tables = static_cast<uint32_t>(data->tables.size());
-  h.num_fences = static_cast<uint32_t>(data->fences.size());
   h.num_directory =
       directory != nullptr ? static_cast<uint32_t>(directory->size()) : 0;
   h.num_per_iteration = static_cast<uint32_t>(result.per_iteration.size());
@@ -254,12 +253,10 @@ Status CheckpointManager::Save(int iteration, bool converged,
   // final name, fsync the directory. The rename is the commit point.
   std::string blob;
   blob.reserve(sizeof(h) + h.num_tables * sizeof(SummaryTableInfo) +
-               h.num_fences * sizeof(data->fences[0]) +
                h.num_directory * sizeof(ComponentInfo) +
                h.num_per_iteration * sizeof(IterationStats) + sizeof(uint64_t));
   AppendPod(&blob, &h, 1);
   AppendPod(&blob, data->tables.data(), data->tables.size());
-  AppendPod(&blob, data->fences.data(), data->fences.size());
   if (directory != nullptr) {
     AppendPod(&blob, directory->data(), directory->size());
   }
@@ -376,7 +373,6 @@ Result<bool> CheckpointManager::LoadGeneration(uint64_t gen) {
     return false;
   }
   size_t expect = sizeof(h) + h.num_tables * sizeof(SummaryTableInfo) +
-                  h.num_fences * sizeof(std::array<int32_t, kMaxDims>) +
                   h.num_directory * sizeof(ComponentInfo) +
                   h.num_per_iteration * sizeof(IterationStats) +
                   sizeof(uint64_t);
@@ -412,7 +408,6 @@ Result<bool> CheckpointManager::LoadGeneration(uint64_t gen) {
   header_ = h;
   const char* p = blob.data() + sizeof(h);
   ReadPod(&p, h.num_tables, &tables_);
-  ReadPod(&p, h.num_fences, &fences_);
   ReadPod(&p, h.num_directory, &directory_);
   ReadPod(&p, h.num_per_iteration, &per_iteration_);
   return true;
@@ -446,7 +441,6 @@ Status CheckpointManager::Restore(PreparedDataset* data,
   Bump("ckpt.pages_imported", header_.edb_pages);
 
   data->tables = tables_;
-  data->fences = fences_;
   data->num_precise_facts = header_.num_precise;
   data->num_imprecise_facts = header_.num_imprecise;
 

@@ -19,8 +19,8 @@
 namespace iolap {
 
 /// POD header of the on-disk checkpoint manifest (`manifest.<gen>`; see
-/// docs/FORMAT.md). Followed by four trivially-copyable arrays
-/// (SummaryTableInfo, cell-page fence keys, ComponentInfo, IterationStats)
+/// docs/FORMAT.md). Followed by three trivially-copyable arrays
+/// (SummaryTableInfo, ComponentInfo, IterationStats)
 /// and a trailing FNV-1a 64 checksum over everything before it.
 struct ManifestHeader {
   char magic[8];     // "IOLAPCK1"
@@ -72,14 +72,13 @@ struct ManifestHeader {
 
   // Lengths of the trailing arrays.
   uint32_t num_tables;
-  uint32_t num_fences;
   uint32_t num_directory;
   uint32_t num_per_iteration;
 };
 static_assert(std::is_trivially_copyable_v<ManifestHeader>,
               "manifest header must be memcpy-able");
 
-inline constexpr uint32_t kManifestVersion = 1;
+inline constexpr uint32_t kManifestVersion = 2;
 inline constexpr uint32_t kManifestFlagBasicPayload = 1u << 0;
 inline constexpr uint32_t kManifestFlagConverged = 1u << 1;
 
@@ -217,7 +216,6 @@ class CheckpointManager {
   bool resumed_ = false;
   ManifestHeader header_{};
   std::vector<SummaryTableInfo> tables_;
-  std::vector<std::array<int32_t, kMaxDims>> fences_;
   std::vector<ComponentInfo> directory_;
   std::vector<IterationStats> per_iteration_;
 

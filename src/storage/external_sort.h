@@ -5,6 +5,7 @@
 #include <concepts>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,7 +36,9 @@ concept SorterKeyPrefix = requires(const Less& less, const T& value) {
 /// sorts B-page chunks one after another, then (B-1)-way merge passes
 /// combine them. For the data-to-memory ratios in the paper's experiments
 /// this is the standard two-pass sort its cost model assumes (read+write
-/// every page twice).
+/// every page twice). The sorted sequence either overwrites the input
+/// (Sort, SortRange) or goes record by record to a consumer (SortInto),
+/// which saves the final pass's writes and the reader's re-read.
 ///
 /// The sorter bypasses the buffer pool (its memory *is* the budget); the
 /// caller's pool pages for the file are flushed and evicted first so both
@@ -68,7 +71,6 @@ class ExternalSorter {
     requires SorterKeyPrefix<Less, T>
   Status SortRange(TypedFile<T>* file, int64_t begin, int64_t end,
                    Less less) {
-    const int64_t count = end - begin;
     if (begin % kRpp != 0) {
       return Status::InvalidArgument("sort range start not page-aligned");
     }
@@ -76,23 +78,53 @@ class ExternalSorter {
       return Status::OutOfRange("sort range outside file");
     }
     IOLAP_RETURN_IF_ERROR(pool_->EvictFile(file->file_id()));
-    if (count <= 1) return Status::Ok();
+    if (end - begin <= 1) return Status::Ok();
+    InPlace out;
+    return SortTo(file->file_id(), begin, end - begin, less, out);
+  }
 
+  /// Hands the records of `file` to `consume` (callable as
+  /// `Status(const T&)`) in the order Sort would leave them in, without
+  /// writing that order anywhere: the in-memory fast path hands them out of
+  /// the sorted chunk, and the final merge pass feeds `consume` instead of
+  /// a file. `file` is read and never modified. A non-OK status from
+  /// `consume` ends the sort and is returned.
+  template <typename Less, typename Consume>
+    requires SorterKeyPrefix<Less, T>
+  Status SortInto(const TypedFile<T>& file, Less less, Consume consume) {
+    IOLAP_RETURN_IF_ERROR(pool_->EvictFile(file.file_id()));
+    if (file.empty()) return Status::Ok();
+    return SortTo(file.file_id(), 0, file.size(), less, consume);
+  }
+
+ private:
+  static constexpr int64_t kRpp = TypedFile<T>::kRecordsPerPage;
+
+  /// Output of Sort and SortRange: the sorted records overwrite the range.
+  struct InPlace {};
+
+  /// One sorted run in a scratch file.
+  struct Run {
+    int64_t start_page;
+    int64_t records;
+  };
+
+  /// Sorts records [begin, begin + count) of `file` (count >= 1; the pool
+  /// holds none of its pages) into `out`: InPlace, or a consumer.
+  template <typename Less, typename Out>
+  Status SortTo(FileId file, int64_t begin, int64_t count, Less less,
+                Out& out) {
     const int64_t budget_records = budget_pages_ * kRpp;
 
     // Fast path: the whole range fits in the sort budget.
     if (count <= budget_records) {
       TraceSpan span("sort.in_memory");
       span.AddArg("records", count);
-      return SortInMemory(file->file_id(), begin, count, less);
+      return SortInMemory(file, begin, count, less, out);
     }
 
     // Pass 0: run generation. Runs are written one after another, so the
     // scratch file grows densely.
-    struct Run {
-      int64_t start_page;  // within the scratch file
-      int64_t records;
-    };
     IOLAP_ASSIGN_OR_RETURN(FileId scratch_a, disk_->CreateFile("sort_a"));
     IOLAP_ASSIGN_OR_RETURN(FileId scratch_b, disk_->CreateFile("sort_b"));
     std::vector<Run> runs;
@@ -102,38 +134,42 @@ class ExternalSorter {
       int64_t next_page = 0;
       for (int64_t offset = 0; offset < count; offset += budget_records) {
         int64_t n = std::min(budget_records, count - offset);
-        IOLAP_RETURN_IF_ERROR(GenerateRun(file->file_id(), begin + offset,
-                                          scratch_a, next_page, n, less));
+        IOLAP_RETURN_IF_ERROR(GenerateRun(file, begin + offset, scratch_a,
+                                          next_page, n, less));
         runs.push_back(Run{next_page, n});
         next_page += (n + kRpp - 1) / kRpp;
       }
     }
 
-    // Merge passes. The final pass (one output run) writes straight back
-    // into the original file.
+    // Merge passes. The final pass (at most fan-in runs) writes into `out`:
+    // back over the sorted range, or into the consumer.
     TraceSpan merge_span("sort.merge");
     merge_span.AddArg("runs", static_cast<int64_t>(runs.size()));
     FileId src = scratch_a;
     FileId dst = scratch_b;
-    const int64_t fan_in = budget_pages_ - 1;
-    while (runs.size() > 1) {
-      bool final_pass = static_cast<int64_t>(runs.size()) <= fan_in;
-      FileId out_file = final_pass ? file->file_id() : dst;
-      std::vector<Run> next_runs;
-      int64_t out_page = final_pass ? begin / kRpp : 0;
-      for (size_t group_begin = 0; group_begin < runs.size();
-           group_begin += static_cast<size_t>(fan_in)) {
-        size_t group_end =
-            std::min(runs.size(), group_begin + static_cast<size_t>(fan_in));
-        int64_t merged = 0;
-        IOLAP_RETURN_IF_ERROR(MergeRuns(
-            src, out_file, out_page,
-            std::vector<Run>(runs.begin() + group_begin,
-                             runs.begin() + group_end),
-            less, &merged));
-        next_runs.push_back(Run{out_page, merged});
-        out_page += (merged + kRpp - 1) / kRpp;
+    const size_t fan_in = static_cast<size_t>(budget_pages_ - 1);
+    while (true) {
+      const bool final_pass = runs.size() <= fan_in;
+      if constexpr (!std::is_same_v<Out, InPlace>) {
+        if (final_pass) {
+          IOLAP_RETURN_IF_ERROR(MergeRuns(src, runs, less, out));
+          break;
+        }
       }
+      const FileId out_file = final_pass ? file : dst;
+      int64_t out_page = final_pass ? begin / kRpp : 0;
+      std::vector<Run> next_runs;
+      for (size_t g = 0; g < runs.size(); g += fan_in) {
+        std::vector<Run> group(
+            runs.begin() + g, runs.begin() + std::min(runs.size(), g + fan_in));
+        PageWriter writer(disk_, out_file, out_page,
+                          MergeBlockPages(group.size()));
+        IOLAP_RETURN_IF_ERROR(MergeRuns(src, group, less, writer));
+        IOLAP_RETURN_IF_ERROR(writer.Finish());
+        next_runs.push_back(Run{out_page, writer.records()});
+        out_page += (writer.records() + kRpp - 1) / kRpp;
+      }
+      if (final_pass) break;
       runs = std::move(next_runs);
       std::swap(src, dst);
     }
@@ -143,13 +179,16 @@ class ExternalSorter {
     return Status::Ok();
   }
 
- private:
-  static constexpr int64_t kRpp = TypedFile<T>::kRecordsPerPage;
-
   /// Pages moved per disk transfer outside the merge (run generation and
   /// the fast path).
   int64_t IoBlockPages() const {
     return std::max<int64_t>(1, budget_pages_ / 2);
+  }
+
+  /// Pages per input block, and per output block, of a k-way merge: the
+  /// budget split across the k inputs plus the output stream.
+  int64_t MergeBlockPages(size_t k) const {
+    return std::max<int64_t>(1, budget_pages_ / static_cast<int64_t>(k + 1));
   }
 
   Status ReadPageRange(FileId file, int64_t first_page, int64_t npages,
@@ -183,60 +222,19 @@ class ExternalSorter {
     int64_t idx;   // input position, also the final tie-break
   };
 
-  /// Stably sorts (prefix, index) pairs into the order `less` defines over
-  /// the records behind them: byte-skipping LSD radix on the 8-byte prefix,
-  /// then a fallback comparison sort inside each equal-prefix group.
-  /// `rec_at(idx)` must return the record at input position `idx`.
-  template <typename Less, typename RecAt>
-  static void SortKeyed(std::vector<Keyed>* keys, const Less& less,
-                        const RecAt& rec_at) {
-    const int64_t n = static_cast<int64_t>(keys->size());
-    std::vector<Keyed> tmp(n);
-    for (int shift = 0; shift < 64; shift += 8) {
-      int32_t count[257] = {0};
-      for (int64_t i = 0; i < n; ++i) {
-        ++count[(((*keys)[i].key >> shift) & 255) + 1];
-      }
-      bool single_bucket = false;
-      for (int b = 1; b <= 256; ++b) {
-        if (count[b] == n) {
-          single_bucket = true;
-          break;
-        }
-      }
-      if (single_bucket) continue;  // byte constant across the chunk
-      for (int b = 1; b <= 256; ++b) count[b] += count[b - 1];
-      for (int64_t i = 0; i < n; ++i) {
-        tmp[count[((*keys)[i].key >> shift) & 255]++] = (*keys)[i];
-      }
-      keys->swap(tmp);
-    }
-    for (int64_t s = 0; s < n;) {
-      int64_t e = s + 1;
-      while (e < n && (*keys)[e].key == (*keys)[s].key) ++e;
-      if (e - s > 1) {
-        std::sort(keys->begin() + s, keys->begin() + e,
-                  [&](const Keyed& a, const Keyed& b) {
-                    if (less(*rec_at(a.idx), *rec_at(b.idx))) return true;
-                    if (less(*rec_at(b.idx), *rec_at(a.idx))) return false;
-                    return a.idx < b.idx;
-                  });
-      }
-      s = e;
-    }
+  /// Record `i` of records laid out `kRpp` to a page in `pages`.
+  static const T* RecordAt(const std::byte* pages, int64_t i) {
+    return reinterpret_cast<const T*>(pages + (i / kRpp) * kPageSize +
+                                      (i % kRpp) * sizeof(T));
   }
 
   /// Builds (prefix, index) keys straight from `n` records laid out in
-  /// `pages`, sorts them stably, and gathers the records in sorted order
-  /// into `out_pages` (same page layout; non-record bytes of `out_pages`
-  /// are left untouched).
+  /// `pages` and sorts them stably into the order `less` defines over the
+  /// records behind them: byte-skipping LSD radix on the 8-byte prefix,
+  /// then a fallback comparison sort inside each equal-prefix group.
   template <typename Less>
-  static void KeyedSortPages(const std::byte* pages, int64_t n,
-                             const Less& less, std::byte* out_pages) {
-    auto rec_at = [&](int64_t i) -> const T* {
-      return reinterpret_cast<const T*>(pages + (i / kRpp) * kPageSize +
-                                        (i % kRpp) * sizeof(T));
-    };
+  static std::vector<Keyed> SortedKeys(const std::byte* pages, int64_t n,
+                                       const Less& less) {
     std::vector<Keyed> keys(n);
     {
       int64_t i = 0;
@@ -248,32 +246,83 @@ class ExternalSorter {
         }
       }
     }
-    SortKeyed(&keys, less, rec_at);
+    std::vector<Keyed> tmp(n);
+    for (int shift = 0; shift < 64; shift += 8) {
+      int32_t count[257] = {0};
+      for (int64_t i = 0; i < n; ++i) {
+        ++count[((keys[i].key >> shift) & 255) + 1];
+      }
+      bool single_bucket = false;
+      for (int b = 1; b <= 256; ++b) {
+        if (count[b] == n) {
+          single_bucket = true;
+          break;
+        }
+      }
+      if (single_bucket) continue;  // byte constant across the chunk
+      for (int b = 1; b <= 256; ++b) count[b] += count[b - 1];
+      for (int64_t i = 0; i < n; ++i) {
+        tmp[count[(keys[i].key >> shift) & 255]++] = keys[i];
+      }
+      keys.swap(tmp);
+    }
+    for (int64_t s = 0; s < n;) {
+      int64_t e = s + 1;
+      while (e < n && keys[e].key == keys[s].key) ++e;
+      if (e - s > 1) {
+        std::sort(keys.begin() + s, keys.begin() + e,
+                  [&](const Keyed& a, const Keyed& b) {
+                    const T& ra = *RecordAt(pages, a.idx);
+                    const T& rb = *RecordAt(pages, b.idx);
+                    if (less(ra, rb)) return true;
+                    if (less(rb, ra)) return false;
+                    return a.idx < b.idx;
+                  });
+      }
+      s = e;
+    }
+    return keys;
+  }
+
+  /// Copies the records of `pages` into `out_pages` in `keys` order (same
+  /// page layout; non-record bytes of `out_pages` are left untouched).
+  static void Gather(const std::byte* pages, const std::vector<Keyed>& keys,
+                     std::byte* out_pages) {
+    const int64_t n = static_cast<int64_t>(keys.size());
     int64_t j = 0;
     for (int64_t p = 0; p * kRpp < n; ++p) {
       T* rec = reinterpret_cast<T*>(out_pages + p * kPageSize);
       int64_t take = std::min<int64_t>(kRpp, n - p * kRpp);
       for (int64_t s = 0; s < take; ++s, ++j) {
-        std::memcpy(&rec[s], rec_at(keys[j].idx), sizeof(T));
+        std::memcpy(&rec[s], RecordAt(pages, keys[j].idx), sizeof(T));
       }
     }
   }
 
-  /// Fast path: reads the whole range, sorts, writes it back. Tail records
-  /// sharing the final page (beyond the sorted range) ride along in the
-  /// page images, so they are preserved without an extra read.
-  template <typename Less>
-  Status SortInMemory(FileId file, int64_t begin, int64_t count, Less less) {
+  /// Fast path: reads the whole range and sorts it in memory. In place,
+  /// the records are gathered into a copy of the page images and written
+  /// back, so tail records sharing the final page (beyond the sorted range)
+  /// ride along without an extra read. Otherwise they go straight to the
+  /// consumer and nothing is written.
+  template <typename Less, typename Out>
+  Status SortInMemory(FileId file, int64_t begin, int64_t count, Less less,
+                      Out& out) {
     const int64_t first_page = begin / kRpp;
     const int64_t npages = (count + kRpp - 1) / kRpp;
     std::vector<std::byte> pages(static_cast<size_t>(npages) * kPageSize);
     IOLAP_RETURN_IF_ERROR(ReadPageRange(file, first_page, npages,
                                         pages.data()));
-    // Gather into a copy of the page images so tail records and slack
-    // bytes are written back unchanged.
-    std::vector<std::byte> sorted(pages);
-    KeyedSortPages(pages.data(), count, less, sorted.data());
-    return WritePageRange(file, first_page, npages, sorted.data());
+    const std::vector<Keyed> keys = SortedKeys(pages.data(), count, less);
+    if constexpr (std::is_same_v<Out, InPlace>) {
+      std::vector<std::byte> sorted(pages);
+      Gather(pages.data(), keys, sorted.data());
+      return WritePageRange(file, first_page, npages, sorted.data());
+    } else {
+      for (const Keyed& key : keys) {
+        IOLAP_RETURN_IF_ERROR(out(*RecordAt(pages.data(), key.idx)));
+      }
+      return Status::Ok();
+    }
   }
 
   /// Sorts one budget-sized chunk of input and appends it to the scratch
@@ -287,25 +336,91 @@ class ExternalSorter {
     const int64_t npages = (n + kRpp - 1) / kRpp;
     std::vector<std::byte> pages(static_cast<size_t>(npages) * kPageSize);
     IOLAP_RETURN_IF_ERROR(ReadPageRange(in, first_page, npages, pages.data()));
-    // Keys are built straight from the page images and the records gathered
-    // straight into a fresh (zeroed) paginated buffer.
     std::vector<std::byte> sorted(pages.size());  // value-init: slack = 0
-    KeyedSortPages(pages.data(), n, less, sorted.data());
+    Gather(pages.data(), SortedKeys(pages.data(), n, less), sorted.data());
     return WritePageRange(out, out_page, npages, sorted.data());
   }
 
-  /// Merges one group of runs with a loser tree: each run streams through
-  /// a block buffer of several pages and the merged output is flushed a
-  /// block at a time, so the page I/O count is that of a page-at-a-time
-  /// merge with far fewer syscalls. Key ties go to the lower run index,
-  /// which keeps the merged order stable.
-  template <typename Run, typename Less>
-  Status MergeRuns(FileId src, FileId out_file, int64_t out_start_page,
-                   std::vector<Run> group, Less less, int64_t* merged_out) {
+  /// Merge output to a file: records are buffered a block of pages at a
+  /// time and written from `first_page` on, so the page I/O count is that
+  /// of a page-at-a-time writer with far fewer syscalls.
+  class PageWriter {
+   public:
+    PageWriter(DiskManager* disk, FileId file, int64_t first_page,
+               int64_t block_pages)
+        : disk_(disk),
+          file_(file),
+          page_(first_page),
+          block_(block_pages),
+          buf_(static_cast<size_t>(block_pages) * kPageSize),
+          rec_(buf_.data()) {}
+
+    Status operator()(const T& record) {
+      std::memcpy(rec_, &record, sizeof(T));
+      ++records_;
+      if (--page_left_ > 0) {
+        rec_ += sizeof(T);
+        return Status::Ok();
+      }
+      page_left_ = kRpp;
+      if (++pages_filled_ < block_) {
+        rec_ = buf_.data() + pages_filled_ * kPageSize;
+        return Status::Ok();
+      }
+      IOLAP_RETURN_IF_ERROR(
+          disk_->WritePages(file_, page_, block_, buf_.data()));
+      page_ += block_;
+      std::memset(buf_.data(), 0, buf_.size());
+      rec_ = buf_.data();
+      pages_filled_ = 0;
+      return Status::Ok();
+    }
+
+    /// Writes the buffered tail. A partial final page keeps the records
+    /// already on disk in its tail slots (they belong to data beyond the
+    /// sorted range).
+    Status Finish() {
+      if (pages_filled_ > 0) {
+        IOLAP_RETURN_IF_ERROR(
+            disk_->WritePages(file_, page_, pages_filled_, buf_.data()));
+        page_ += pages_filled_;
+      }
+      const int64_t rem = kRpp - page_left_;
+      if (rem == 0) return Status::Ok();
+      std::byte* last = buf_.data() + pages_filled_ * kPageSize;
+      IOLAP_ASSIGN_OR_RETURN(int64_t size, disk_->SizeInPages(file_));
+      if (page_ < size) {
+        alignas(16) std::byte existing[kPageSize];
+        IOLAP_RETURN_IF_ERROR(disk_->ReadPage(file_, page_, existing));
+        std::memcpy(last + rem * sizeof(T), existing + rem * sizeof(T),
+                    (kRpp - rem) * sizeof(T));
+      }
+      return disk_->WritePage(file_, page_, last);
+    }
+
+    int64_t records() const { return records_; }
+
+   private:
+    DiskManager* disk_;
+    FileId file_;
+    int64_t page_;   // file page the buffer's first page goes to
+    int64_t block_;  // pages per write
+    std::vector<std::byte> buf_;  // value-init: slack = 0
+    std::byte* rec_;              // next record slot in buf_
+    int64_t page_left_ = kRpp;    // record slots left on this page
+    int64_t pages_filled_ = 0;    // full pages in buf_
+    int64_t records_ = 0;
+  };
+
+  /// Merges one group of runs with a loser tree into `emit` (a PageWriter
+  /// or a consumer, called once per record in merged order). Each run
+  /// streams through a block buffer of several pages. Key ties go to the
+  /// lower run index, which keeps the merged order stable.
+  template <typename Less, typename Emit>
+  Status MergeRuns(FileId src, const std::vector<Run>& group, Less less,
+                   Emit& emit) {
     const size_t k = group.size();
-    // Split the budget across the k inputs plus the output stream.
-    const int64_t block =
-        std::max<int64_t>(1, budget_pages_ / static_cast<int64_t>(k + 1));
+    const int64_t block = MergeBlockPages(k);
 
     struct RunCursor {
       std::vector<std::byte> buf;
@@ -347,8 +462,8 @@ class ExternalSorter {
       return Status::Ok();
     };
     // Page/block-boundary part of popping a record; the common within-page
-    // pointer bump is inlined in the merge loop so no Status is
-    // constructed per record. Returns non-OK only on a refill failure.
+    // pointer bump is inlined in the merge loop. Returns non-OK only on a
+    // refill failure.
     auto advance_slow = [&](size_t i) -> Status {
       RunCursor& c = cur[i];
       if (c.loaded_left > 0) {
@@ -398,30 +513,8 @@ class ExternalSorter {
       winner = w[1];
     }
 
-    std::vector<std::byte> out_buf(static_cast<size_t>(block) * kPageSize);
-    std::memset(out_buf.data(), 0, out_buf.size());
-    std::byte* out_rec = out_buf.data();
-    int64_t out_page_left = kRpp;          // record slots left on this page
-    int64_t out_pages_filled = 0;          // full pages in out_buf
-    int64_t out_pg = out_start_page;
-    int64_t total = 0;
     while (!cur[winner].done) {
-      std::memcpy(out_rec, cur[winner].rec, sizeof(T));
-      ++total;
-      if (--out_page_left > 0) {
-        out_rec += sizeof(T);
-      } else if (++out_pages_filled < block) {
-        out_rec = out_buf.data() + out_pages_filled * kPageSize;
-        out_page_left = kRpp;
-      } else {
-        IOLAP_RETURN_IF_ERROR(
-            disk_->WritePages(out_file, out_pg, block, out_buf.data()));
-        out_pg += block;
-        std::memset(out_buf.data(), 0, out_buf.size());
-        out_rec = out_buf.data();
-        out_page_left = kRpp;
-        out_pages_filled = 0;
-      }
+      IOLAP_RETURN_IF_ERROR(emit(*head_of(winner)));
       RunCursor& c = cur[winner];
       --c.loaded_left;
       if (--c.page_left > 0) {
@@ -442,30 +535,6 @@ class ExternalSorter {
         winner = cand;
       }
     }
-    int64_t out_slot = out_pages_filled * kRpp + (kRpp - out_page_left);
-    if (out_slot > 0) {
-      int64_t full = out_slot / kRpp;
-      int64_t rem = out_slot % kRpp;
-      if (full > 0) {
-        IOLAP_RETURN_IF_ERROR(
-            disk_->WritePages(out_file, out_pg, full, out_buf.data()));
-        out_pg += full;
-      }
-      if (rem > 0) {
-        // Partial final page: preserve any pre-existing records in the tail
-        // slots (they belong to data beyond the sorted range).
-        std::byte* last = out_buf.data() + full * kPageSize;
-        IOLAP_ASSIGN_OR_RETURN(int64_t size, disk_->SizeInPages(out_file));
-        if (out_pg < size) {
-          alignas(16) std::byte existing[kPageSize];
-          IOLAP_RETURN_IF_ERROR(disk_->ReadPage(out_file, out_pg, existing));
-          std::memcpy(last + rem * sizeof(T), existing + rem * sizeof(T),
-                      (kRpp - rem) * sizeof(T));
-        }
-        IOLAP_RETURN_IF_ERROR(disk_->WritePage(out_file, out_pg, last));
-      }
-    }
-    *merged_out = total;
     return Status::Ok();
   }
 

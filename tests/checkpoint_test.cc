@@ -8,16 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "alloc/allocator.h"
 #include "common/result.h"
 #include "datagen/generator.h"
+#include "recovery/checkpoint.h"
 #include "tests/test_util.h"
 
 namespace iolap {
@@ -126,6 +129,8 @@ bool RunKilled(const StarSchema& schema, AlgorithmKind algorithm,
   options.checkpoint.every = CadenceFor(algorithm);
   auto result_or = Allocator::Run(env, schema, &facts, options);
   EXPECT_EQ(result_or.ok(), countdown > 0);
+  // Disarm before teardown: the pool writes back its dirty frames then.
+  env.disk().SetFaultInjector(nullptr);
   return countdown <= 0;
 }
 
@@ -281,6 +286,59 @@ TEST(CheckpointTornManifestTest, AllManifestsTornFallsBackToFreshRun) {
       ResumeAndDump(schema, AlgorithmKind::kBlock, ckpt_dir);
   ASSERT_EQ(baseline.size(), resumed.size());
   EXPECT_EQ(std::memcmp(baseline.data(), resumed.data(), baseline.size()), 0);
+}
+
+// Rewrites the version of every manifest in `ckpt_dir` and re-seals its
+// checksum, so that only the version can make resume refuse it.
+void SetManifestVersions(const std::string& ckpt_dir, uint32_t version) {
+  for (const auto& entry : std::filesystem::directory_iterator(ckpt_dir)) {
+    std::string name = entry.path().filename().string();
+    if (name.rfind("manifest.", 0) != 0) continue;
+    std::string blob;
+    {
+      std::ifstream in(entry.path(), std::ios::binary);
+      blob.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_GE(blob.size(), sizeof(ManifestHeader) + sizeof(uint64_t));
+    std::memcpy(blob.data() + offsetof(ManifestHeader, version), &version,
+                sizeof(version));
+    uint64_t h = 1469598103934665603ULL;  // FNV-1a 64
+    for (size_t i = 0; i + sizeof(uint64_t) < blob.size(); ++i) {
+      h = (h ^ static_cast<unsigned char>(blob[i])) * 1099511628211ULL;
+    }
+    std::memcpy(blob.data() + blob.size() - sizeof(h), &h, sizeof(h));
+    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  }
+}
+
+// Version 1 manifests carried a fence-key array that version 2 dropped. A
+// version-1 manifest is not resumed: the run preprocesses from scratch
+// (a resumed run imports its files without counted reads) and still ends
+// with the uninterrupted run's EDB. The same manifests re-sealed at the
+// current version do resume.
+TEST(CheckpointVersionTest, VersionOneManifestStartsFresh) {
+  IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeDenseSchema());
+  std::vector<std::byte> baseline = RunBaseline(schema, AlgorithmKind::kBlock);
+  for (uint32_t version : {1u, kManifestVersion}) {
+    SCOPED_TRACE("manifest version " + std::to_string(version));
+    std::string ckpt_dir = MakeTempDir();
+    RunCheckpointed(schema, AlgorithmKind::kBlock, ckpt_dir);
+    SetManifestVersions(ckpt_dir, version);
+
+    StorageEnv env(MakeTempDir(), kBufferPages);
+    auto facts = MakeFacts(env, schema);
+    AllocationOptions options = EquivalenceOptions(AlgorithmKind::kBlock);
+    options.checkpoint.directory = ckpt_dir;
+    options.checkpoint.every = CadenceFor(AlgorithmKind::kBlock);
+    options.checkpoint.resume = true;
+    IOLAP_ASSERT_OK_AND_ASSIGN(AllocationResult result,
+                               Allocator::Run(env, schema, &facts, options));
+    EXPECT_EQ(result.prep_io.page_reads > 0, version != kManifestVersion);
+    std::vector<std::byte> edb = DumpEdb(env, result);
+    ASSERT_EQ(baseline.size(), edb.size());
+    EXPECT_EQ(std::memcmp(baseline.data(), edb.data(), baseline.size()), 0);
+  }
 }
 
 TEST(CheckpointFingerprintTest, MismatchedOptionsRefuseToResume) {

@@ -45,20 +45,23 @@ struct GoldenParam {
 
 // Recorded while the storage layer still had a serial baseline setting
 // (page-at-a-time merge, per-page write-back, one run-generation thread);
-// it produced these same values as the tuned pipeline.
+// it produced these same values as the tuned pipeline. The writes include
+// the dirty frames preprocessing hands over in the pool (the tails of C, I
+// and the precise EDB, which it writes but never reads back); the
+// allocation phase writes them back.
 constexpr GoldenParam kGolden[] = {
-    {AlgorithmKind::kBasic, 11, 0x399cb85739ff4766ULL, 3769, 31, 53},
-    {AlgorithmKind::kBasic, 12, 0x897910917c2ccbcaULL, 3706, 29, 51},
-    {AlgorithmKind::kBasic, 13, 0xb454a9fe24679aa7ULL, 3595, 30, 49},
-    {AlgorithmKind::kIndependent, 11, 0xfac603ab40225139ULL, 3769, 361, 357},
-    {AlgorithmKind::kIndependent, 12, 0x05d9f6421b002266ULL, 3706, 348, 348},
-    {AlgorithmKind::kIndependent, 13, 0x24e81284b5502c61ULL, 3595, 352, 352},
-    {AlgorithmKind::kBlock, 11, 0xc8831a6a5435a220ULL, 3769, 249, 123},
-    {AlgorithmKind::kBlock, 12, 0xb303dbdad420a21eULL, 3706, 218, 111},
-    {AlgorithmKind::kBlock, 13, 0x0969c2031e218c15ULL, 3595, 234, 119},
-    {AlgorithmKind::kTransitive, 11, 0xc8831a6a5435a220ULL, 3769, 148, 165},
-    {AlgorithmKind::kTransitive, 12, 0xbb071be2cc72edaeULL, 3706, 128, 136},
-    {AlgorithmKind::kTransitive, 13, 0x537e246b55a08b0fULL, 3595, 133, 137},
+    {AlgorithmKind::kBasic, 11, 0x399cb85739ff4766ULL, 3769, 31, 69},
+    {AlgorithmKind::kBasic, 12, 0x897910917c2ccbcaULL, 3706, 29, 67},
+    {AlgorithmKind::kBasic, 13, 0xb454a9fe24679aa7ULL, 3595, 30, 65},
+    {AlgorithmKind::kIndependent, 11, 0xfac603ab40225139ULL, 3769, 361, 372},
+    {AlgorithmKind::kIndependent, 12, 0x05d9f6421b002266ULL, 3706, 348, 363},
+    {AlgorithmKind::kIndependent, 13, 0x24e81284b5502c61ULL, 3595, 352, 367},
+    {AlgorithmKind::kBlock, 11, 0xc8831a6a5435a220ULL, 3769, 249, 139},
+    {AlgorithmKind::kBlock, 12, 0xb303dbdad420a21eULL, 3706, 218, 127},
+    {AlgorithmKind::kBlock, 13, 0x0969c2031e218c15ULL, 3595, 234, 135},
+    {AlgorithmKind::kTransitive, 11, 0xc8831a6a5435a220ULL, 3769, 148, 181},
+    {AlgorithmKind::kTransitive, 12, 0xbb071be2cc72edaeULL, 3706, 128, 152},
+    {AlgorithmKind::kTransitive, 13, 0x537e246b55a08b0fULL, 3595, 133, 153},
 };
 
 void PrintTo(const GoldenParam& p, std::ostream* os) {

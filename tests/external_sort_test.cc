@@ -97,13 +97,14 @@ TEST_F(ExternalSortTest, InMemoryFastPath) {
   for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i].key, data[i].key);
 }
 
-// Property sweep: sizes that hit the single-chunk fast path, a single merge
-// pass, and two or more merge passes (at budget 3 the fan-in is 2, so three
-// or more runs need a second pass), with budgets down to the minimum, for
-// a prefix that decides the order (KeyedLess) and one that decides nothing
-// (TiedLess). The oracle is std::stable_sort of the input: the sorter
-// promises exactly that record sequence, which implies sortedness, no lost
-// or duplicated records, and the tie order.
+// Property sweep, in place and streamed: sizes that hit the single-chunk
+// fast path, a single merge pass, and two or more merge passes (at budget
+// 3 the fan-in is 2, so three or more runs need a second pass), with
+// budgets down to the minimum, for a prefix that decides the order
+// (KeyedLess) and one that decides nothing (TiedLess). The oracle is
+// std::stable_sort of the input: the sorter promises exactly that record
+// sequence, which implies sortedness, no lost or duplicated records, and
+// the tie order.
 struct SweepParam {
   int n;
   int budget_pages;
@@ -153,6 +154,87 @@ TEST_P(ExternalSortSweep, SortsAndPreservesMultiset) {
     ASSERT_EQ(got[i].key, data[i].key) << "at " << i;
     ASSERT_EQ(got[i].payload, data[i].payload) << "at " << i;
   }
+}
+
+// Pages a streamed sort of n records writes within `budget` pages: each
+// run once, then each intermediate pass (while more runs than the fan-in
+// remain) its merged runs once. Never the final pass, and nothing at all
+// when the input fits the budget.
+int64_t StreamedSortWrites(int64_t n, int64_t budget) {
+  const int64_t rpp = TypedFile<Rec>::kRecordsPerPage;
+  const int64_t chunk = budget * rpp;
+  auto pages = [&](int64_t records) { return (records + rpp - 1) / rpp; };
+  if (n <= chunk) return 0;
+  std::vector<int64_t> runs;
+  int64_t writes = 0;
+  for (int64_t offset = 0; offset < n; offset += chunk) {
+    runs.push_back(std::min(chunk, n - offset));
+    writes += pages(runs.back());
+  }
+  const size_t fan_in = static_cast<size_t>(budget - 1);
+  while (runs.size() > fan_in) {
+    std::vector<int64_t> merged_runs;
+    for (size_t g = 0; g < runs.size(); g += fan_in) {
+      int64_t merged = 0;
+      for (size_t i = g; i < std::min(runs.size(), g + fan_in); ++i) {
+        merged += runs[i];
+      }
+      writes += pages(merged);
+      merged_runs.push_back(merged);
+    }
+    runs = std::move(merged_runs);
+  }
+  return writes;
+}
+
+// SortInto hands the consumer exactly the stable sort, leaves the input's
+// bytes as they were, and writes only run-generation and
+// intermediate-pass pages.
+TEST_P(ExternalSortSweep, SortIntoStreamsTheStableSortWithoutWritingIt) {
+  auto [n, budget_pages, keyed] = GetParam();
+  Rng rng(static_cast<uint64_t>(n) * 1000003 +
+          static_cast<uint64_t>(budget_pages));
+  std::vector<Rec> data;
+  data.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    data.push_back(Rec{static_cast<int64_t>(rng.Uniform(97)), i});
+  }
+  TypedFile<Rec> file = MakeFile(data);
+  IOLAP_ASSERT_OK(pool_.FlushAll());
+  auto file_bytes = [&] {
+    std::vector<std::byte> bytes(
+        static_cast<size_t>(file.size_in_pages()) * kPageSize);
+    for (int64_t p = 0; p < file.size_in_pages(); ++p) {
+      EXPECT_TRUE(
+          disk_.ReadPage(file.file_id(), p, bytes.data() + p * kPageSize)
+              .ok());
+    }
+    return bytes;
+  };
+  const std::vector<std::byte> before = file_bytes();
+
+  disk_.ResetStats();
+  std::vector<Rec> got;
+  auto consume = [&got](const Rec& r) {
+    got.push_back(r);
+    return Status::Ok();
+  };
+  ExternalSorter<Rec> sorter(&disk_, &pool_, budget_pages);
+  if (keyed) {
+    IOLAP_ASSERT_OK(sorter.SortInto(file, KeyedLess{}, consume));
+  } else {
+    IOLAP_ASSERT_OK(sorter.SortInto(file, TiedLess{}, consume));
+  }
+  EXPECT_EQ(disk_.stats().page_writes, StreamedSortWrites(n, budget_pages));
+
+  std::stable_sort(data.begin(), data.end(), KeyedLess{});
+  ASSERT_EQ(got.size(), data.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].key, data[i].key) << "at " << i;
+    ASSERT_EQ(got[i].payload, data[i].payload) << "at " << i;
+  }
+  EXPECT_EQ(file.size(), n);
+  EXPECT_TRUE(file_bytes() == before) << "SortInto modified its input";
 }
 
 INSTANTIATE_TEST_SUITE_P(SizesAndBudgets, ExternalSortSweep,

@@ -120,6 +120,8 @@ TEST(FaultInjectionTest, AllocatorSurfacesMidRunFaults) {
       // The run finished under the fault threshold: it must be clean.
       EXPECT_TRUE(result.ok()) << result.status();
     }
+    // Disarm before teardown: the pool writes back its dirty frames then.
+    env.disk().SetFaultInjector(nullptr);
   }
 }
 
@@ -136,6 +138,7 @@ TEST(FaultInjectionTest, CleanRunAfterFaultyRun) {
     });
     AllocationOptions options;
     EXPECT_FALSE(Allocator::Run(env, schema, &facts, options).ok());
+    env.disk().SetFaultInjector(nullptr);
   }
   StorageEnv env(MakeTempDir(), 8);
   IOLAP_ASSERT_OK_AND_ASSIGN(auto facts, MakePaperExampleFacts(env, schema));
