@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
 
+#include "alloc/algorithms.h"
 #include "alloc/allocator.h"
+#include "alloc/preprocess.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "datagen/generator.h"
@@ -174,10 +177,9 @@ TEST(ConservationTest, AllocatedMassEqualsFactMass) {
             static_cast<int64_t>(raw.size()));
 }
 
-TEST(LargeComponentTest, ExternalPathKicksInAndMatchesBasic) {
-  // Craft a dataset whose single giant component exceeds a tiny buffer:
-  // ALL-in-D0 facts connect every D1 slice.
-  StarSchema schema = SmallSchema();
+// A dataset whose single giant component exceeds a tiny buffer: ALL-in-D0
+// facts connect every D1 slice.
+std::vector<FactRecord> GiantComponentFacts(const StarSchema& schema) {
   std::vector<FactRecord> raw;
   Rng rng(3);
   int64_t id = 1;
@@ -221,21 +223,28 @@ TEST(LargeComponentTest, ExternalPathKicksInAndMatchesBasic) {
     f.level[1] = static_cast<uint8_t>(schema.dim(1).num_levels());
     raw.push_back(f);
   }
+  return raw;
+}
 
-  auto write_facts = [&](StorageEnv& env) {
-    auto file = TypedFile<FactRecord>::Create(env.disk(), "facts");
-    EXPECT_TRUE(file.ok());
-    auto appender = file->MakeAppender(env.pool());
-    for (const FactRecord& f : raw) EXPECT_TRUE(appender.Append(f).ok());
-    appender.Close();
-    return std::move(file).value();
-  };
+TypedFile<FactRecord> WriteFacts(StorageEnv& env,
+                                 const std::vector<FactRecord>& raw) {
+  auto file = TypedFile<FactRecord>::Create(env.disk(), "facts");
+  EXPECT_TRUE(file.ok());
+  auto appender = file->MakeAppender(env.pool());
+  for (const FactRecord& f : raw) EXPECT_TRUE(appender.Append(f).ok());
+  appender.Close();
+  return std::move(file).value();
+}
+
+TEST(LargeComponentTest, ExternalPathKicksInAndMatchesBasic) {
+  StarSchema schema = SmallSchema();
+  const std::vector<FactRecord> raw = GiantComponentFacts(schema);
 
   // Reference: Basic with a huge buffer.
   std::map<std::pair<FactId, int64_t>, double> reference;
   {
     StorageEnv env(MakeTempDir(), 512);
-    auto facts = write_facts(env);
+    auto facts = WriteFacts(env, raw);
     AllocationOptions options;
     options.algorithm = AlgorithmKind::kBasic;
     options.epsilon = 0;
@@ -252,7 +261,7 @@ TEST(LargeComponentTest, ExternalPathKicksInAndMatchesBasic) {
   // Transitive with a tiny buffer must take the external component path.
   {
     StorageEnv env(MakeTempDir(), 6);
-    auto facts = write_facts(env);
+    auto facts = WriteFacts(env, raw);
     AllocationOptions options;
     options.algorithm = AlgorithmKind::kTransitive;
     options.epsilon = 0;
@@ -273,6 +282,212 @@ TEST(LargeComponentTest, ExternalPathKicksInAndMatchesBasic) {
     }
     EXPECT_EQ(rows, static_cast<int64_t>(reference.size()));
   }
+}
+
+// Runs PrepareDataset + RunTransitive and checks the component directory
+// against a brute-force reference over the component-sorted files it
+// indexes: ranges ascend contiguously, each holds exactly one connected
+// component of the allocation graph, each bbox is the union of its
+// members' leaf boxes, and the EDB ranges tile the imprecise EDB. Returns
+// an FNV-1a 64 digest of the directory's fields over the schema's dims.
+uint64_t CheckedDirectoryDigest(StorageEnv& env, const StarSchema& schema,
+                                const TypedFile<FactRecord>& facts,
+                                const AllocationOptions& options,
+                                AllocationResult* result) {
+  const int k = schema.num_dims();
+  auto prepared = PrepareDataset(env, schema, &facts, options);
+  EXPECT_TRUE(prepared.ok());
+  PreparedDataset data = std::move(prepared).value();
+  result->edb = data.precise_edb;
+  const int64_t precise_rows = result->edb.size();
+  std::vector<ComponentInfo> dir;
+  EXPECT_TRUE(
+      RunTransitive(env, schema, &data, options, result, &dir).ok());
+
+  std::vector<CellRecord> cells;
+  std::vector<ImpreciseRecord> entries;
+  {
+    auto cur = data.cells.Scan(env.pool());
+    CellRecord c;
+    while (!cur.done()) {
+      EXPECT_TRUE(cur.Next(&c).ok());
+      cells.push_back(c);
+    }
+    auto ecur = data.imprecise.Scan(env.pool());
+    ImpreciseRecord e;
+    while (!ecur.done()) {
+      EXPECT_TRUE(ecur.Next(&e).ok());
+      entries.push_back(e);
+    }
+  }
+  // Tuple t < |C| is cell t; tuple |C| + j is entry j of the sorted files.
+  const int64_t nc = static_cast<int64_t>(cells.size());
+  const int64_t ne = static_cast<int64_t>(entries.size());
+  UnionFind uf(static_cast<int32_t>(nc + ne));
+  std::vector<bool> connected(nc + ne, false);
+  for (int64_t j = 0; j < ne; ++j) {
+    if (entries[j].fact_id < 0) continue;  // page-padding sentinel
+    for (int64_t c = 0; c < nc; ++c) {
+      if (RegionCovers(schema, entries[j].node, cells[c].leaf)) {
+        uf.Union(static_cast<int32_t>(nc + j), static_cast<int32_t>(c));
+        connected[nc + j] = connected[c] = true;
+      }
+    }
+  }
+  std::map<int32_t, int64_t> component_size;
+  for (int64_t t = 0; t < nc + ne; ++t) {
+    if (connected[t]) ++component_size[uf.Find(static_cast<int32_t>(t))];
+  }
+  EXPECT_EQ(dir.size(), component_size.size());
+
+  uint64_t h = 1469598103934665603ULL;  // FNV-1a 64
+  auto fold = [&h](int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ static_cast<uint8_t>(v >> (8 * i))) * 1099511628211ULL;
+    }
+  };
+  std::set<int32_t> roots_seen;
+  int64_t cell_end = 0, entry_end = 0, edb_end = precise_rows;
+  int32_t prev_ccid = -1;
+  for (const ComponentInfo& info : dir) {
+    EXPECT_GT(info.ccid, prev_ccid);
+    EXPECT_EQ(info.cell_begin, cell_end);
+    EXPECT_EQ(info.entry_begin, entry_end);
+    EXPECT_EQ(info.edb_begin, edb_end);
+    EXPECT_LE(info.edb_begin, info.edb_end);
+    EXPECT_GT(info.tuples(), 0);
+    prev_ccid = info.ccid;
+    cell_end = info.cell_end;
+    entry_end = info.entry_end;
+    edb_end = info.edb_end;
+
+    // One whole connected component, and its leaf-box union.
+    std::vector<int64_t> members;
+    for (int64_t c = info.cell_begin; c < info.cell_end; ++c) {
+      members.push_back(c);
+    }
+    for (int64_t j = info.entry_begin; j < info.entry_end; ++j) {
+      members.push_back(nc + j);
+    }
+    const int32_t root = uf.Find(static_cast<int32_t>(members[0]));
+    EXPECT_TRUE(roots_seen.insert(root).second);
+    EXPECT_EQ(component_size[root], info.tuples());
+    int32_t lo[kMaxDims], hi[kMaxDims];
+    for (int d = 0; d < k; ++d) {
+      lo[d] = schema.dim(d).num_leaves();
+      hi[d] = -1;
+    }
+    for (int64_t t : members) {
+      EXPECT_TRUE(connected[t]);
+      EXPECT_EQ(uf.Find(static_cast<int32_t>(t)), root);
+      for (int d = 0; d < k; ++d) {
+        int32_t b, e;
+        if (t < nc) {
+          b = e = cells[t].leaf[d];
+        } else {
+          const int32_t node = entries[t - nc].node[d];
+          b = schema.dim(d).leaf_begin(node);
+          e = schema.dim(d).leaf_end(node) - 1;
+        }
+        lo[d] = std::min(lo[d], b);
+        hi[d] = std::max(hi[d], e);
+      }
+    }
+    for (int d = 0; d < k; ++d) {
+      EXPECT_EQ(info.bbox_lo[d], lo[d]) << "ccid " << info.ccid;
+      EXPECT_EQ(info.bbox_hi[d], hi[d]) << "ccid " << info.ccid;
+    }
+
+    fold(info.ccid);
+    fold(info.cell_begin);
+    fold(info.cell_end);
+    fold(info.entry_begin);
+    fold(info.entry_end);
+    fold(info.edb_begin);
+    fold(info.edb_end);
+    for (int d = 0; d < k; ++d) {
+      fold(info.bbox_lo[d]);
+      fold(info.bbox_hi[d]);
+    }
+  }
+  EXPECT_EQ(edb_end, result->edb.size());
+  // Behind the last component: only tuples in no component.
+  for (int64_t c = cell_end; c < nc; ++c) EXPECT_FALSE(connected[c]);
+  for (int64_t j = entry_end; j < ne; ++j) EXPECT_FALSE(connected[nc + j]);
+  EXPECT_EQ(result->components.num_singleton_cells, nc - cell_end);
+  return h;
+}
+
+// Many small components on a 64x64-cell grid, with singleton cells and
+// facts that overlap no cell.
+TypedFile<FactRecord> ScatteredFacts(StorageEnv& env, StarSchema* schema) {
+  std::vector<Hierarchy> dims;
+  for (const char* name : {"D0", "D1"}) {
+    auto dim = HierarchyBuilder::Uniform(name, {4, 4, 4});
+    EXPECT_TRUE(dim.ok());
+    dims.push_back(std::move(dim).value());
+  }
+  auto created = StarSchema::Create(std::move(dims));
+  EXPECT_TRUE(created.ok());
+  *schema = std::move(created).value();
+  DatasetSpec spec;
+  spec.num_facts = 1500;
+  spec.imprecise_fraction = 0.3;
+  spec.skew = 0;
+  spec.num_hotspots = 400;
+  spec.anchored = false;  // some facts overlap no cell
+  spec.seed = 5;
+  auto facts = GenerateFacts(env, *schema, spec);
+  EXPECT_TRUE(facts.ok());
+  return std::move(facts).value();
+}
+
+TEST(ComponentDirectoryTest, InMemoryComponentsPinned) {
+  StorageEnv env(MakeTempDir(), 32);
+  StarSchema schema = SmallSchema();
+  auto facts = ScatteredFacts(env, &schema);
+  AllocationOptions options;
+  options.algorithm = AlgorithmKind::kTransitive;
+  AllocationResult result;
+  const uint64_t digest =
+      CheckedDirectoryDigest(env, schema, facts, options, &result);
+  EXPECT_EQ(result.components.num_large_components, 0);
+  EXPECT_GT(result.components.num_components, 20);
+  EXPECT_GT(result.unallocatable_facts, 0);
+  EXPECT_GT(result.components.num_singleton_cells, 0);
+  EXPECT_EQ(digest, 0x7c43d9c96dd0fc3eULL);
+}
+
+// A pool so small that the largest component runs externally between
+// in-memory ones.
+TEST(ComponentDirectoryTest, MixedComponentsPinned) {
+  StorageEnv env(MakeTempDir(), 4);
+  StarSchema schema = SmallSchema();
+  auto facts = ScatteredFacts(env, &schema);
+  AllocationOptions options;
+  options.algorithm = AlgorithmKind::kTransitive;
+  AllocationResult result;
+  const uint64_t digest =
+      CheckedDirectoryDigest(env, schema, facts, options, &result);
+  EXPECT_EQ(result.components.num_large_components, 1);
+  EXPECT_GT(result.components.num_components, 20);
+  EXPECT_EQ(digest, 0x3eef4e1a9380a4e6ULL);
+}
+
+TEST(ComponentDirectoryTest, ExternalComponentPinned) {
+  StarSchema schema = SmallSchema();
+  StorageEnv env(MakeTempDir(), 6);
+  auto facts = WriteFacts(env, GiantComponentFacts(schema));
+  AllocationOptions options;
+  options.algorithm = AlgorithmKind::kTransitive;
+  options.epsilon = 0;
+  options.max_iterations = 6;
+  options.early_convergence = false;
+  AllocationResult result;
+  const uint64_t digest =
+      CheckedDirectoryDigest(env, schema, facts, options, &result);
+  EXPECT_EQ(result.components.num_large_components, 1);
+  EXPECT_EQ(digest, 0xae989368121a9d44ULL);
 }
 
 TEST(ConvergenceTest, FinalEpsBelowThresholdWhenConverged) {
