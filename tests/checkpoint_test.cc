@@ -83,22 +83,37 @@ std::vector<std::byte> DumpEdb(StorageEnv& env,
   return bytes;
 }
 
-std::vector<std::byte> RunBaseline(const StarSchema& schema,
-                                   AlgorithmKind algorithm) {
+// What a run leaves: its EDB bytes and the counters a resumed Transitive
+// run must restore or recount exactly (its component census,
+// unallocatable facts and emitted edges).
+struct RunOutput {
+  std::vector<std::byte> edb;
+  std::vector<int64_t> census;
+};
+
+RunOutput Capture(StorageEnv& env, const AllocationResult& result) {
+  const ComponentCensus& c = result.components;
+  return RunOutput{DumpEdb(env, result),
+                   {c.num_components, c.num_singleton_cells,
+                    c.largest_component, c.num_large_components,
+                    c.large_component_pages, c.max_component_iterations,
+                    c.total_component_iterations, result.unallocatable_facts,
+                    result.edges_emitted}};
+}
+
+RunOutput RunBaseline(const StarSchema& schema, AlgorithmKind algorithm) {
   StorageEnv env(MakeTempDir(), kBufferPages);
   auto facts = MakeFacts(env, schema);
   AllocationOptions options = EquivalenceOptions(algorithm);
   auto result_or = Allocator::Run(env, schema, &facts, options);
   EXPECT_TRUE(result_or.ok()) << result_or.status().ToString();
   auto result = std::move(result_or).value();
-  return DumpEdb(env, result);
+  return Capture(env, result);
 }
 
-// Resumes in a fresh environment (simulating a new process after a crash)
-// and returns the EDB bytes.
-std::vector<std::byte> ResumeAndDump(const StarSchema& schema,
-                                     AlgorithmKind algorithm,
-                                     const std::string& ckpt_dir) {
+// Resumes in a fresh environment (simulating a new process after a crash).
+RunOutput ResumeAndCapture(const StarSchema& schema, AlgorithmKind algorithm,
+                           const std::string& ckpt_dir) {
   StorageEnv env(MakeTempDir(), kBufferPages);
   auto facts = MakeFacts(env, schema);
   AllocationOptions options = EquivalenceOptions(algorithm);
@@ -108,7 +123,23 @@ std::vector<std::byte> ResumeAndDump(const StarSchema& schema,
   auto result_or = Allocator::Run(env, schema, &facts, options);
   EXPECT_TRUE(result_or.ok()) << result_or.status().ToString();
   auto result = std::move(result_or).value();
-  return DumpEdb(env, result);
+  return Capture(env, result);
+}
+
+// Checks a resumed run against the uninterrupted one: the same EDB bytes
+// and, for Transitive, the same census.
+void ExpectSameRun(AlgorithmKind algorithm, const RunOutput& baseline,
+                   const RunOutput& resumed) {
+  ASSERT_EQ(baseline.edb.size(), resumed.edb.size());
+  EXPECT_EQ(std::memcmp(baseline.edb.data(), resumed.edb.data(),
+                        baseline.edb.size()),
+            0)
+      << "EDB bytes diverge between uninterrupted and killed-then-resumed "
+         "runs";
+  if (algorithm == AlgorithmKind::kTransitive) {
+    EXPECT_EQ(baseline.census, resumed.census)
+        << "components.*, unallocatable_facts, edges_emitted";
+  }
 }
 
 // Runs with checkpointing and a fault injector that kills the run at the
@@ -152,7 +183,7 @@ TEST_P(CheckpointCrashResume, ResumedEdbIsByteIdentical) {
   const CrashParam& param = GetParam();
   IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeDenseSchema());
 
-  std::vector<std::byte> baseline = RunBaseline(schema, param.algorithm);
+  const RunOutput baseline = RunBaseline(schema, param.algorithm);
 
   // Kill, then resume in a fresh environment. If the failure point lies
   // beyond the run (it completed), the resume still exercises
@@ -160,13 +191,8 @@ TEST_P(CheckpointCrashResume, ResumedEdbIsByteIdentical) {
   std::string ckpt_dir = MakeTempDir();
   RunKilled(schema, param.algorithm, ckpt_dir, param.failure_point,
             param.fail_op);
-  std::vector<std::byte> resumed =
-      ResumeAndDump(schema, param.algorithm, ckpt_dir);
-
-  ASSERT_EQ(baseline.size(), resumed.size());
-  EXPECT_EQ(std::memcmp(baseline.data(), resumed.data(), baseline.size()), 0)
-      << "EDB bytes diverge between uninterrupted and killed-then-resumed "
-         "runs";
+  ExpectSameRun(param.algorithm, baseline,
+                ResumeAndCapture(schema, param.algorithm, ckpt_dir));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -227,9 +253,21 @@ void RunCheckpointed(const StarSchema& schema, AlgorithmKind algorithm,
   EXPECT_TRUE(result_or.ok()) << result_or.status().ToString();
 }
 
+// Resuming from the final manifest of a completed run restores the whole
+// result: nothing is recomputed and no census is counted twice.
+TEST(CheckpointFinalManifestTest, TransitiveResumesCompletedRun) {
+  IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeDenseSchema());
+  const RunOutput baseline = RunBaseline(schema, AlgorithmKind::kTransitive);
+  std::string ckpt_dir = MakeTempDir();
+  RunCheckpointed(schema, AlgorithmKind::kTransitive, ckpt_dir);
+  ExpectSameRun(AlgorithmKind::kTransitive, baseline,
+                ResumeAndCapture(schema, AlgorithmKind::kTransitive,
+                                 ckpt_dir));
+}
+
 TEST(CheckpointTornManifestTest, TruncatedManifestFallsBackOneGeneration) {
   IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeDenseSchema());
-  std::vector<std::byte> baseline = RunBaseline(schema, AlgorithmKind::kBlock);
+  const RunOutput baseline = RunBaseline(schema, AlgorithmKind::kBlock);
 
   std::string ckpt_dir = MakeTempDir();
   RunCheckpointed(schema, AlgorithmKind::kBlock, ckpt_dir);
@@ -240,15 +278,13 @@ TEST(CheckpointTornManifestTest, TruncatedManifestFallsBackOneGeneration) {
   auto size = std::filesystem::file_size(newest);
   std::filesystem::resize_file(newest, size / 2);
 
-  std::vector<std::byte> resumed =
-      ResumeAndDump(schema, AlgorithmKind::kBlock, ckpt_dir);
-  ASSERT_EQ(baseline.size(), resumed.size());
-  EXPECT_EQ(std::memcmp(baseline.data(), resumed.data(), baseline.size()), 0);
+  ExpectSameRun(AlgorithmKind::kBlock, baseline,
+                ResumeAndCapture(schema, AlgorithmKind::kBlock, ckpt_dir));
 }
 
 TEST(CheckpointTornManifestTest, CorruptedManifestFallsBackOneGeneration) {
   IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeDenseSchema());
-  std::vector<std::byte> baseline = RunBaseline(schema, AlgorithmKind::kBlock);
+  const RunOutput baseline = RunBaseline(schema, AlgorithmKind::kBlock);
 
   std::string ckpt_dir = MakeTempDir();
   RunCheckpointed(schema, AlgorithmKind::kBlock, ckpt_dir);
@@ -264,15 +300,13 @@ TEST(CheckpointTornManifestTest, CorruptedManifestFallsBackOneGeneration) {
     f.write(garbage, sizeof(garbage));
   }
 
-  std::vector<std::byte> resumed =
-      ResumeAndDump(schema, AlgorithmKind::kBlock, ckpt_dir);
-  ASSERT_EQ(baseline.size(), resumed.size());
-  EXPECT_EQ(std::memcmp(baseline.data(), resumed.data(), baseline.size()), 0);
+  ExpectSameRun(AlgorithmKind::kBlock, baseline,
+                ResumeAndCapture(schema, AlgorithmKind::kBlock, ckpt_dir));
 }
 
 TEST(CheckpointTornManifestTest, AllManifestsTornFallsBackToFreshRun) {
   IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeDenseSchema());
-  std::vector<std::byte> baseline = RunBaseline(schema, AlgorithmKind::kBlock);
+  const RunOutput baseline = RunBaseline(schema, AlgorithmKind::kBlock);
 
   std::string ckpt_dir = MakeTempDir();
   RunCheckpointed(schema, AlgorithmKind::kBlock, ckpt_dir);
@@ -282,10 +316,8 @@ TEST(CheckpointTornManifestTest, AllManifestsTornFallsBackToFreshRun) {
     std::filesystem::resize_file(entry.path(), 3);
   }
 
-  std::vector<std::byte> resumed =
-      ResumeAndDump(schema, AlgorithmKind::kBlock, ckpt_dir);
-  ASSERT_EQ(baseline.size(), resumed.size());
-  EXPECT_EQ(std::memcmp(baseline.data(), resumed.data(), baseline.size()), 0);
+  ExpectSameRun(AlgorithmKind::kBlock, baseline,
+                ResumeAndCapture(schema, AlgorithmKind::kBlock, ckpt_dir));
 }
 
 // Rewrites the version of every manifest in `ckpt_dir` and re-seals its
@@ -319,7 +351,7 @@ void SetManifestVersions(const std::string& ckpt_dir, uint32_t version) {
 // current version do resume.
 TEST(CheckpointVersionTest, VersionOneManifestStartsFresh) {
   IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeDenseSchema());
-  std::vector<std::byte> baseline = RunBaseline(schema, AlgorithmKind::kBlock);
+  const RunOutput baseline = RunBaseline(schema, AlgorithmKind::kBlock);
   for (uint32_t version : {1u, kManifestVersion}) {
     SCOPED_TRACE("manifest version " + std::to_string(version));
     std::string ckpt_dir = MakeTempDir();
@@ -336,8 +368,8 @@ TEST(CheckpointVersionTest, VersionOneManifestStartsFresh) {
                                Allocator::Run(env, schema, &facts, options));
     EXPECT_EQ(result.prep_io.page_reads > 0, version != kManifestVersion);
     std::vector<std::byte> edb = DumpEdb(env, result);
-    ASSERT_EQ(baseline.size(), edb.size());
-    EXPECT_EQ(std::memcmp(baseline.data(), edb.data(), baseline.size()), 0);
+    ASSERT_EQ(baseline.edb.size(), edb.size());
+    EXPECT_EQ(std::memcmp(baseline.edb.data(), edb.data(), edb.size()), 0);
   }
 }
 
