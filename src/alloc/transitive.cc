@@ -18,8 +18,8 @@ namespace {
 
 /// Accumulates a leaf-space bounding box.
 struct Bbox {
-  int32_t lo[kMaxDims];
-  int32_t hi[kMaxDims];
+  int32_t lo[kMaxDims] = {};
+  int32_t hi[kMaxDims] = {};
   bool empty = true;
 
   void AddCell(const int32_t* leaf, int k) {
@@ -41,75 +41,20 @@ struct Bbox {
 };
 
 // ---------------------------------------------------------------------------
-// Per-component processing for the serial component loop (step 3b).
-
-/// Loads one component's cell/entry segments into memory through the
-/// buffer pool. It only reads the component-sorted files and touches state
-/// owned by the caller.
-Status LoadComponent(BufferPool& pool, const PreparedDataset& data,
-                     const ComponentInfo& info, std::vector<CellRecord>* cells,
-                     std::vector<ImpreciseRecord>* entries) {
-  cells->reserve(info.cell_end - info.cell_begin);
-  {
-    auto cur = data.cells.Scan(pool, info.cell_begin, info.cell_end);
-    CellRecord c;
-    while (!cur.done()) {
-      IOLAP_RETURN_IF_ERROR(cur.Next(&c));
-      cells->push_back(c);
-    }
-  }
-  entries->reserve(info.entry_end - info.entry_begin);
-  {
-    auto cur = data.imprecise.Scan(pool, info.entry_begin, info.entry_end);
-    ImpreciseRecord e;
-    while (!cur.done()) {
-      IOLAP_RETURN_IF_ERROR(cur.Next(&e));
-      entries->push_back(e);
-    }
-  }
-  return Status::Ok();
-}
-
-/// EM-converges one in-memory component. Returns the iterations executed.
-int ConvergeComponent(MemoryAllocator* ma, const AllocationOptions& options) {
-  return ma->Iterate(options.epsilon, options.EffectiveMaxIterations(),
-                     /*force_all_iterations=*/
-                     !options.early_convergence &&
-                         options.policy != PolicyKind::kUniform);
-}
+// Per-component processing for the component loop (step 3).
 
 /// Processes one component that exceeds the memory budget with external
-/// Block passes over its segments. Needs the whole buffer pool, so no
-/// in-memory component is loaded while it runs. Emits directly to
-/// `appender`.
+/// Block passes over its per-table entry segments. Needs the whole buffer
+/// pool, so no in-memory component is loaded while it runs. Emits directly
+/// to `appender`.
 Status RunExternalComponent(StorageEnv& env, const StarSchema& schema,
                             PreparedDataset* data,
                             const AllocationOptions& options,
                             const SpecComparator& canonical,
                             const ComponentInfo& info,
+                            const std::vector<TableSegment>& segments,
                             TypedFile<EdbRecord>::Appender* appender,
                             AllocationResult* result, int* iterations) {
-  BufferPool& pool = env.pool();
-  const int max_iterations = options.EffectiveMaxIterations();
-
-  // Discover the per-table subsegments (entries are sorted by table
-  // within the component).
-  std::vector<TableSegment> segments;
-  {
-    auto cur = data->imprecise.Scan(pool, info.entry_begin, info.entry_end);
-    ImpreciseRecord e;
-    int64_t index = info.entry_begin;
-    while (!cur.done()) {
-      IOLAP_RETURN_IF_ERROR(cur.Next(&e));
-      if (segments.empty() || segments.back().table != e.table) {
-        if (!segments.empty()) segments.back().end = index;
-        segments.push_back(
-            TableSegment{index, index, e.table, data->tables[e.table].levels});
-      }
-      ++index;
-    }
-    if (!segments.empty()) segments.back().end = index;
-  }
   std::vector<int64_t> sizes;
   for (const TableSegment& seg : segments) {
     sizes.push_back(data->tables[seg.table].partition_pages);
@@ -121,10 +66,10 @@ Status RunExternalComponent(StorageEnv& env, const StarSchema& schema,
     comp_groups[packed.bin_of[i]].push_back(segments[i]);
   }
 
-  PassEngine engine(&pool, &schema, &data->cells, &data->imprecise,
+  PassEngine engine(&env.pool(), &schema, &data->cells, &data->imprecise,
                     &canonical);
   engine.SetCellRange(info.cell_begin, info.cell_end);
-  for (int t = 1; t <= max_iterations; ++t) {
+  for (int t = 1; t <= options.EffectiveMaxIterations(); ++t) {
     for (const auto& g : comp_groups) {
       IOLAP_RETURN_IF_ERROR(engine.RunGamma(g));
     }
@@ -152,53 +97,127 @@ Status RunExternalComponent(StorageEnv& env, const StarSchema& schema,
   return Status::Ok();
 }
 
-/// Step 3b: process components [start_component, dir.size()) to
-/// convergence and emit, in strict component order — exactly the classic
-/// Algorithm 5 loop. Components that fit the buffer pool are loaded and
-/// iterated in memory; larger ones run the external Block passes with the
-/// whole pool. With `ckpt`, commits a checkpoint every `checkpoint.every`
-/// finished components plus a final one.
+/// Step 3: one streaming pass over the component-sorted files that
+/// processes components to convergence and emits them, in strict component
+/// order — exactly the classic Algorithm 5 loop. One cursor per file reads
+/// each component's cells and then its entries once, and builds the
+/// component's directory entry (ranges, bbox) as it goes. Components that
+/// fit the buffer pool are iterated in memory from what was read; larger
+/// ones run the external Block passes with the whole pool. `dir` holds the
+/// finished components, and the stream starts behind the last of them
+/// (a resumed run keeps the ones it restored). With `ckpt`, commits a
+/// checkpoint every `checkpoint.every` finished components and a final one.
 Status RunTransitiveComponents(StorageEnv& env, const StarSchema& schema,
                                PreparedDataset* data,
                                const AllocationOptions& options,
                                AllocationResult* result,
                                std::vector<ComponentInfo>& dir,
-                               int64_t start_component,
                                CheckpointManager* ckpt) {
+  const int k = schema.num_dims();
   BufferPool& pool = env.pool();
   SpecComparator canonical(&schema, SortSpec::Canonical(schema));
   const int64_t cell_rpp = TypedFile<CellRecord>::kRecordsPerPage;
   const int64_t imp_rpp = TypedFile<ImpreciseRecord>::kRecordsPerPage;
-  const int64_t budget_records_limit =
-      std::max<int64_t>(1, env.buffer_pages() - 2);
+  const int64_t page_budget = std::max<int64_t>(1, env.buffer_pages() - 2);
   auto appender = result->edb.MakeAppender(pool);
 
-  for (size_t i = static_cast<size_t>(start_component); i < dir.size(); ++i) {
-    ComponentInfo& info = dir[i];
+  // Each cursor reads one record ahead: `cell` is record `cell_index` of
+  // the cells file and `cell_id` its component, and likewise for entries.
+  // Step 2 left canonical component ids in the records, so a component is
+  // a run of equal ids. Records in no component (ccid < 0) sort last, and
+  // they and the end of a file read as kNoComponent.
+  int64_t cell_index = dir.empty() ? 0 : dir.back().cell_end;
+  int64_t entry_index = dir.empty() ? 0 : dir.back().entry_end;
+  auto cc = data->cells.Scan(pool, cell_index);
+  auto ec = data->imprecise.Scan(pool, entry_index);
+  auto next = [](auto& cursor, auto* record, int32_t* id) -> Status {
+    *id = kNoComponent;
+    if (cursor.done()) return Status::Ok();
+    IOLAP_RETURN_IF_ERROR(cursor.Next(record));
+    *id = ComponentOf(record->ccid);
+    return Status::Ok();
+  };
+  CellRecord cell;
+  ImpreciseRecord entry;
+  int32_t cell_id = kNoComponent, entry_id = kNoComponent;
+  IOLAP_RETURN_IF_ERROR(next(cc, &cell, &cell_id));
+  IOLAP_RETURN_IF_ERROR(next(ec, &entry, &entry_id));
+
+  std::vector<CellRecord> cells;
+  std::vector<ImpreciseRecord> entries;
+  std::vector<TableSegment> segments;
+  while (true) {
+    const int32_t id = std::min(cell_id, entry_id);
+    if (id == kNoComponent) break;  // only the tails are left
     TraceSpan component_span("transitive.component");
+    ComponentInfo info;
+    info.ccid = id;
+    info.cell_begin = cell_index;
+    info.entry_begin = entry_index;
+    info.edb_begin = result->edb.size();
+    auto pages = [&] {
+      return (cell_index - info.cell_begin + cell_rpp - 1) / cell_rpp +
+             (entry_index - info.entry_begin + imp_rpp - 1) / imp_rpp;
+    };
+    // The component is buffered for in-memory processing until its page
+    // count alone exceeds the budget; past that it is only measured.
+    bool large = false;
+    auto buffer = [&](auto* records, const auto& record) {
+      large = large || pages() > page_budget;
+      if (!large) records->push_back(record);
+    };
+    cells.clear();
+    entries.clear();
+    segments.clear();
+    Bbox bbox;
+    while (cell_id == id) {
+      bbox.AddCell(cell.leaf, k);
+      ++cell_index;
+      buffer(&cells, cell);
+      IOLAP_RETURN_IF_ERROR(next(cc, &cell, &cell_id));
+    }
+    while (entry_id == id) {
+      bbox.AddRegion(schema, entry.node, k);
+      // Entries are sorted by summary table within the component.
+      if (segments.empty() || segments.back().table != entry.table) {
+        segments.push_back(TableSegment{entry_index, entry_index, entry.table,
+                                        data->tables[entry.table].levels});
+      }
+      segments.back().end = ++entry_index;
+      buffer(&entries, entry);
+      IOLAP_RETURN_IF_ERROR(next(ec, &entry, &entry_id));
+    }
+    info.cell_end = cell_index;
+    info.entry_end = entry_index;
+    std::memcpy(info.bbox_lo, bbox.lo, sizeof(info.bbox_lo));
+    std::memcpy(info.bbox_hi, bbox.hi, sizeof(info.bbox_hi));
     component_span.AddArg("ccid", info.ccid);
     component_span.AddArg("tuples", info.tuples());
-    info.edb_begin = result->edb.size();
-    const int64_t pages =
-        (info.cell_end - info.cell_begin + cell_rpp - 1) / cell_rpp +
-        (info.entry_end - info.entry_begin + imp_rpp - 1) / imp_rpp;
+
     int iterations = 0;
-    if (pages <= budget_records_limit) {
-      std::vector<CellRecord> cells;
-      std::vector<ImpreciseRecord> entries;
-      IOLAP_RETURN_IF_ERROR(LoadComponent(pool, *data, info, &cells, &entries));
+    if (!large) {
       MemoryAllocator ma(&schema, std::move(cells), std::move(entries));
-      iterations = ConvergeComponent(&ma, options);
+      iterations = ma.Iterate(options.epsilon, options.EffectiveMaxIterations(),
+                              /*force_all_iterations=*/
+                              !options.early_convergence &&
+                                  options.policy != PolicyKind::kUniform);
       IOLAP_RETURN_IF_ERROR(ma.Emit(&appender, &result->edges_emitted,
                                     &result->unallocatable_facts));
     } else {
       ++result->components.num_large_components;
-      result->components.large_component_pages += pages;
+      result->components.large_component_pages += pages();
+      // The external passes need the whole pool: drop both cursors' pins.
+      // The fresh cursors stand where the stream does and pin again on
+      // their next read.
+      cc = data->cells.Scan(pool, cc.index());
+      ec = data->imprecise.Scan(pool, ec.index());
       IOLAP_RETURN_IF_ERROR(RunExternalComponent(env, schema, data, options,
-                                                 canonical, info, &appender,
-                                                 result, &iterations));
+                                                 canonical, info, segments,
+                                                 &appender, result,
+                                                 &iterations));
     }
     info.edb_end = result->edb.size();
+    dir.push_back(info);
 
     result->components.largest_component =
         std::max(result->components.largest_component, info.tuples());
@@ -209,15 +228,15 @@ Status RunTransitiveComponents(StorageEnv& env, const StarSchema& schema,
     result->iterations =
         static_cast<int>(result->components.max_component_iterations);
 
-    if (ckpt != nullptr && ckpt->DueAtComponent(static_cast<int64_t>(i) + 1)) {
-      IOLAP_RETURN_IF_ERROR(ckpt->CheckpointComponents(
-          static_cast<int64_t>(i) + 1, data, *result, dir));
+    if (ckpt != nullptr && ckpt->DueAtComponent(dir.size())) {
+      IOLAP_RETURN_IF_ERROR(ckpt->CheckpointComponents(data, *result, dir));
     }
   }
+
   appender.Close();
   if (ckpt != nullptr) {
-    IOLAP_RETURN_IF_ERROR(ckpt->CheckpointComponents(
-        static_cast<int64_t>(dir.size()), data, *result, dir));
+    IOLAP_RETURN_IF_ERROR(
+        ckpt->CheckpointComponents(data, *result, dir, /*final=*/true));
   }
   return Status::Ok();
 }
@@ -229,27 +248,24 @@ Status RunTransitive(StorageEnv& env, const StarSchema& schema,
                      AllocationResult* result,
                      std::vector<ComponentInfo>* directory,
                      CheckpointManager* ckpt) {
-  const int k = schema.num_dims();
   BufferPool& pool = env.pool();
   SpecComparator canonical(&schema, SortSpec::Canonical(schema));
 
   std::vector<ComponentInfo> local_directory;
   std::vector<ComponentInfo>& dir =
       directory != nullptr ? *directory : local_directory;
-  // First component index not yet converged-and-emitted. Everything below
-  // it is final — its EDB rows sit inside the restored EDB image — so the
-  // resumed run never revisits it (DESIGN.md §9).
-  int64_t start_component = 0;
+  dir.clear();
 
   if (ckpt != nullptr && ckpt->resumed()) {
-    // The checkpoint captured the component-sorted files and the complete
-    // directory, so steps 1–3a (ccid pass, component sort, directory scan)
-    // are already paid for. The tail censuses (singleton cells,
-    // unallocatable facts) were restored with the result.
+    // The checkpoint captured the component-sorted files, the finished
+    // components [0, next_component) and the result so far, census
+    // included: steps 1–2 are paid for, and finished components are never
+    // revisited, as their EDB rows sit inside the restored EDB image
+    // (DESIGN.md §9). After the final checkpoint nothing is left to do.
     dir = ckpt->TakeDirectory();
-    start_component = ckpt->start_component();
+    if (ckpt->resumed_converged()) return Status::Ok();
     return RunTransitiveComponents(env, schema, data, options, result, dir,
-                                   start_component, ckpt);
+                                   ckpt);
   }
 
   // ---- Step 1: assign ccids with one Block-style pass per group.
@@ -271,82 +287,42 @@ Status RunTransitive(StorageEnv& env, const StarSchema& schema,
   std::vector<int32_t> canon(uf.size());
   for (int32_t i = 0; i < uf.size(); ++i) canon[i] = uf.Canonical(i);
 
-  // ---- Step 2: sort all tuples into component order.
+  // ---- Step 2: sort all tuples into component order. Each record's ccid
+  // becomes its canonical id as the sort first reads it, so step 3 (and a
+  // resumed run, which has no ccidMap) finds components by comparing ids.
+  // The records in no component, which sort behind every component, are
+  // counted there too: cells are precise-only singletons, entries are facts
+  // that overlap no cell or page-padding sentinels (fact_id < 0).
   {
     TraceSpan sort_span("transitive.component_sort");
     ExternalSorter<CellRecord> cell_sorter(&env.disk(), &pool,
                                            env.buffer_pages());
     IOLAP_RETURN_IF_ERROR(cell_sorter.Sort(
-        &data->cells, ComponentCellLess(&canon, &canonical)));
+        &data->cells, ComponentCellLess(canon.size(), &canonical),
+        [&](CellRecord& cell) {
+          if (cell.ccid >= 0) {
+            cell.ccid = canon[cell.ccid];
+          } else {
+            ++result->components.num_singleton_cells;
+          }
+        }));
     ExternalSorter<ImpreciseRecord> entry_sorter(&env.disk(), &pool,
                                                  env.buffer_pages());
     IOLAP_RETURN_IF_ERROR(entry_sorter.Sort(
         &data->imprecise,
-        ComponentEntryLess(&canon, data->tables.size(), &canonical)));
+        ComponentEntryLess(canon.size(), data->tables.size(), &canonical),
+        [&](ImpreciseRecord& entry) {
+          if (entry.ccid >= 0) {
+            entry.ccid = canon[entry.ccid];
+          } else if (entry.fact_id >= 0) {
+            ++result->unallocatable_facts;
+          }
+        }));
   }
 
-  // ---- Step 3a: one streaming scan building the component directory.
-  dir.clear();
-  {
-    TraceSpan dir_span("transitive.directory");
-    auto cc = data->cells.Scan(pool);
-    auto ec = data->imprecise.Scan(pool);
-    CellRecord cell;
-    ImpreciseRecord entry;
-    bool have_cell = !cc.done(), have_entry = !ec.done();
-    int64_t cell_index = 0, entry_index = 0;
-    if (have_cell) IOLAP_RETURN_IF_ERROR(cc.Next(&cell));
-    if (have_entry) IOLAP_RETURN_IF_ERROR(ec.Next(&entry));
-
-    while (have_cell || have_entry) {
-      int32_t ckey = have_cell ? CanonOf(canon, cell.ccid) : kNoComponent;
-      int32_t ekey = have_entry ? CanonOf(canon, entry.ccid) : kNoComponent;
-      int32_t id = std::min(ckey, ekey);
-      if (id == kNoComponent) {
-        // Tail: cells in no component (precise-only singletons), real
-        // entries that overlap no cell, and page-padding sentinels.
-        while (have_cell) {
-          ++result->components.num_singleton_cells;
-          ++cell_index;
-          have_cell = !cc.done();
-          if (have_cell) IOLAP_RETURN_IF_ERROR(cc.Next(&cell));
-        }
-        while (have_entry) {
-          if (entry.fact_id >= 0) ++result->unallocatable_facts;
-          ++entry_index;
-          have_entry = !ec.done();
-          if (have_entry) IOLAP_RETURN_IF_ERROR(ec.Next(&entry));
-        }
-        break;
-      }
-      ComponentInfo info;
-      info.ccid = id;
-      info.cell_begin = cell_index;
-      info.entry_begin = entry_index;
-      Bbox bbox;
-      while (have_cell && CanonOf(canon, cell.ccid) == id) {
-        bbox.AddCell(cell.leaf, k);
-        ++cell_index;
-        have_cell = !cc.done();
-        if (have_cell) IOLAP_RETURN_IF_ERROR(cc.Next(&cell));
-      }
-      while (have_entry && CanonOf(canon, entry.ccid) == id) {
-        bbox.AddRegion(schema, entry.node, k);
-        ++entry_index;
-        have_entry = !ec.done();
-        if (have_entry) IOLAP_RETURN_IF_ERROR(ec.Next(&entry));
-      }
-      info.cell_end = cell_index;
-      info.entry_end = entry_index;
-      std::memcpy(info.bbox_lo, bbox.lo, sizeof(info.bbox_lo));
-      std::memcpy(info.bbox_hi, bbox.hi, sizeof(info.bbox_hi));
-      dir.push_back(info);
-    }
-  }
-
-  // ---- Step 3b.
+  // ---- Step 3.
   return RunTransitiveComponents(env, schema, data, options, result, dir,
-                                 start_component, ckpt);
+                                 ckpt);
 }
 
 }  // namespace iolap

@@ -257,34 +257,29 @@ class EntrySpecLess {
 /// after every real one.
 inline constexpr int32_t kNoComponent = std::numeric_limits<int32_t>::max();
 
-/// The canonical ("true") component id of `ccid` under the union-find
-/// collapse `canon`, or kNoComponent.
-inline int32_t CanonOf(const std::vector<int32_t>& canon, int32_t ccid) {
-  return ccid < 0 ? kNoComponent : canon[ccid];
+/// The component id of `ccid`: itself, or kNoComponent when negative.
+inline int32_t ComponentOf(int32_t ccid) {
+  return ccid < 0 ? kNoComponent : ccid;
 }
 
-/// CanonOf packed in `bits` bits, with kNoComponent as all ones.
-inline uint64_t PackedCanon(const std::vector<int32_t>& canon, int32_t ccid,
-                            int bits) {
-  return ccid < 0 ? (uint64_t{1} << bits) - 1
-                  : static_cast<uint64_t>(canon[ccid]);
+/// ComponentOf packed in `bits` bits, with kNoComponent as all ones.
+inline uint64_t PackedComponent(int32_t ccid, int bits) {
+  return ccid < 0 ? (uint64_t{1} << bits) - 1 : static_cast<uint64_t>(ccid);
 }
 
-/// Transitive's component order for cells (Step 2): by canonical component
-/// id, then canonical key order. The normalized prefix packs the component
-/// id in BitWidth(canon.size() + 1) bits (kNoComponent's all ones lie
-/// above every real id), then the base comparator's whole prefix: on the
-/// paper's schemas that is the complete key.
+/// Transitive's component order for cells (Step 2) whose ccid already holds
+/// the canonical ("true") component id, below `num_ids`: by that id, then
+/// canonical key order. The normalized prefix packs the component id in
+/// BitWidth(num_ids + 1) bits (kNoComponent's all ones lie above every
+/// real id), then the base comparator's whole prefix: on the paper's
+/// schemas that is the complete key.
 class ComponentCellLess {
  public:
-  ComponentCellLess(const std::vector<int32_t>* canon,
-                    const SpecComparator* canonical)
-      : canon_(canon),
-        ccid_bits_(BitWidth(canon->size() + 1)),
-        base_(canonical) {}
+  ComponentCellLess(size_t num_ids, const SpecComparator* canonical)
+      : ccid_bits_(BitWidth(num_ids + 1)), base_(canonical) {}
 
   bool operator()(const CellRecord& a, const CellRecord& b) const {
-    int32_t ca = CanonOf(*canon_, a.ccid), cb = CanonOf(*canon_, b.ccid);
+    int32_t ca = ComponentOf(a.ccid), cb = ComponentOf(b.ccid);
     if (ca != cb) return ca < cb;
     return base_(a, b);
   }
@@ -292,14 +287,12 @@ class ComponentCellLess {
   uint64_t KeyPrefix(const CellRecord& a) const {
     uint64_t key = 0;
     int bits = 64;
-    PackKeyBits(PackedCanon(*canon_, a.ccid, ccid_bits_), ccid_bits_, &key,
-                &bits);
+    PackKeyBits(PackedComponent(a.ccid, ccid_bits_), ccid_bits_, &key, &bits);
     PackKeyBits(base_.KeyPrefix(a), 64, &key, &bits);
     return key;
   }
 
  private:
-  const std::vector<int32_t>* canon_;
   int ccid_bits_;
   CellSpecLess base_;
 };
@@ -309,15 +302,14 @@ class ComponentCellLess {
 /// BitWidth(num_tables + 1) bits, so padding sentinels (table -1) lead.
 class ComponentEntryLess {
  public:
-  ComponentEntryLess(const std::vector<int32_t>* canon, size_t num_tables,
+  ComponentEntryLess(size_t num_ids, size_t num_tables,
                      const SpecComparator* canonical)
-      : canon_(canon),
-        ccid_bits_(BitWidth(canon->size() + 1)),
+      : ccid_bits_(BitWidth(num_ids + 1)),
         table_bits_(BitWidth(num_tables + 1)),
         base_(canonical) {}
 
   bool operator()(const ImpreciseRecord& a, const ImpreciseRecord& b) const {
-    int32_t ca = CanonOf(*canon_, a.ccid), cb = CanonOf(*canon_, b.ccid);
+    int32_t ca = ComponentOf(a.ccid), cb = ComponentOf(b.ccid);
     if (ca != cb) return ca < cb;
     if (a.table != b.table) return a.table < b.table;
     return base_(a, b);
@@ -326,15 +318,13 @@ class ComponentEntryLess {
   uint64_t KeyPrefix(const ImpreciseRecord& a) const {
     uint64_t key = 0;
     int bits = 64;
-    PackKeyBits(PackedCanon(*canon_, a.ccid, ccid_bits_), ccid_bits_, &key,
-                &bits);
+    PackKeyBits(PackedComponent(a.ccid, ccid_bits_), ccid_bits_, &key, &bits);
     PackKeyBits(static_cast<uint64_t>(a.table + 1), table_bits_, &key, &bits);
     PackKeyBits(base_.KeyPrefix(a), 64, &key, &bits);
     return key;
   }
 
  private:
-  const std::vector<int32_t>* canon_;
   int ccid_bits_;
   int table_bits_;
   EntrySpecLess base_;

@@ -295,17 +295,16 @@ Status CheckpointManager::CheckpointIteration(int t, bool converged,
 }
 
 Status CheckpointManager::CheckpointComponents(
-    int64_t next_component, PreparedDataset* data,
-    const AllocationResult& result,
-    const std::vector<ComponentInfo>& directory) {
-  if (next_component == last_component_ && last_gen_ > 0) {
+    PreparedDataset* data, const AllocationResult& result,
+    const std::vector<ComponentInfo>& directory, bool final) {
+  const int64_t next_component = static_cast<int64_t>(directory.size());
+  if (next_component == last_component_ && final == last_converged_ &&
+      last_gen_ > 0) {
     return Status::Ok();
   }
   // A finished component set is final: converged and emitted (DESIGN.md
   // §9), so resume never revisits components below `next_component`.
-  return Save(/*iteration=*/result.iterations,
-              /*converged=*/next_component ==
-                  static_cast<int64_t>(directory.size()),
+  return Save(/*iteration=*/result.iterations, /*converged=*/final,
               next_component, &directory, /*basic_cells=*/nullptr,
               /*basic_entries=*/nullptr, data, result);
 }
@@ -372,6 +371,12 @@ Result<bool> CheckpointManager::LoadGeneration(uint64_t gen) {
       h.version != kManifestVersion) {
     return false;
   }
+  // Transitive resumes by streaming on behind the last finished component,
+  // grouping records by the canonical ids step 2 wrote into them. A
+  // directory that runs past the finished components comes with images
+  // that hold raw ids, which cannot be grouped without the ccidMap: start
+  // fresh.
+  if (static_cast<int64_t>(h.num_directory) > h.next_component) return false;
   size_t expect = sizeof(h) + h.num_tables * sizeof(SummaryTableInfo) +
                   h.num_directory * sizeof(ComponentInfo) +
                   h.num_per_iteration * sizeof(IterationStats) +

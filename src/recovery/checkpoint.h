@@ -43,7 +43,7 @@ struct ManifestHeader {
   // Progress at the boundary this manifest commits.
   int32_t completed_iterations;  // Basic/Block/Independent global iterations
   int32_t num_groups;
-  int64_t next_component;  // Transitive: first component not yet emitted
+  int64_t next_component;  // Transitive: finished components (the directory)
   double final_eps;
   int32_t chain_width;
   int32_t reserved0;
@@ -128,13 +128,9 @@ class CheckpointManager {
   bool resumed_converged() const {
     return resumed_ && (header_.flags & kManifestFlagConverged) != 0;
   }
-  /// Transitive: first component index not yet converged-and-emitted.
-  /// Components below it are final (their EDB rows are inside the restored
-  /// EDB image) and are never reprocessed.
-  int64_t start_component() const {
-    return resumed_ ? header_.next_component : 0;
-  }
-  /// Transitive: the restored component directory (valid once per resume).
+  /// Transitive: the restored directory of the finished components
+  /// [0, next_component) (valid once per resume). They are final — their
+  /// EDB rows are inside the restored EDB image — and never reprocessed.
   std::vector<ComponentInfo> TakeDirectory() { return std::move(directory_); }
   /// Basic stores its in-memory vectors instead of page images.
   bool has_basic_state() const {
@@ -160,12 +156,14 @@ class CheckpointManager {
   Status CheckpointIteration(int t, bool converged, PreparedDataset* data,
                              const AllocationResult& result);
 
-  /// Commits the state after Transitive finished components
-  /// [0, next_component): the component-sorted files, the EDB with their
-  /// rows emitted, and the directory.
-  Status CheckpointComponents(int64_t next_component, PreparedDataset* data,
+  /// Commits the state after Transitive finished the components in
+  /// `directory`: the component-sorted files, the EDB with their rows
+  /// emitted, and the directory. `final` marks the run complete, tail
+  /// census included: a resumed run then has nothing left to do.
+  Status CheckpointComponents(PreparedDataset* data,
                               const AllocationResult& result,
-                              const std::vector<ComponentInfo>& directory);
+                              const std::vector<ComponentInfo>& directory,
+                              bool final = false);
 
   /// Commits Basic's state at the end of iteration `t`: the in-memory
   /// cell/entry vectors are written as raw payloads (no buffer-pool

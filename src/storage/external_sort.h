@@ -45,7 +45,8 @@ concept SorterKeyPrefix = requires(const Less& less, const T& value) {
 /// channels stay coherent. All traffic is counted by the DiskManager.
 ///
 /// Pages move in multi-page transfers (half the budget in run generation
-/// and the in-memory fast path, budget/(k+1) per input in a k-way merge),
+/// and the in-memory fast path; per input of a k-way merge, budget/(k+1)
+/// when it writes a file and budget/k when it feeds a consumer),
 /// which changes syscall counts but not the page I/O count. Chunks sort on
 /// normalized keys (see SorterKeyPrefix), and the merge is a loser tree
 /// with a lower-run-index tie-break, so the output is exactly the stable
@@ -58,19 +59,27 @@ class ExternalSorter {
         pool_(pool),
         budget_pages_(std::max<int64_t>(budget_pages, 3)) {}
 
-  template <typename Less>
+  /// The default `prepare` of Sort and SortRange: records stay as read.
+  struct KeepAsRead {
+    void operator()(T&) const {}
+  };
+
+  /// Sorts `file` in place. `prepare` (callable as `void(T&)`) rewrites
+  /// each record once as it is first read, before it is keyed, so `less`
+  /// sees only prepared records and the file ends up holding them.
+  template <typename Less, typename Prepare = KeepAsRead>
     requires SorterKeyPrefix<Less, T>
-  Status Sort(TypedFile<T>* file, Less less) {
-    return SortRange(file, 0, file->size(), less);
+  Status Sort(TypedFile<T>* file, Less less, Prepare prepare = {}) {
+    return SortRange(file, 0, file->size(), less, prepare);
   }
 
   /// Sorts records [begin, end) of `file` in place. `begin` must be
   /// page-aligned (summary-table segments are laid out page-aligned by the
   /// preprocessor for exactly this reason).
-  template <typename Less>
+  template <typename Less, typename Prepare = KeepAsRead>
     requires SorterKeyPrefix<Less, T>
   Status SortRange(TypedFile<T>* file, int64_t begin, int64_t end,
-                   Less less) {
+                   Less less, Prepare prepare = {}) {
     if (begin % kRpp != 0) {
       return Status::InvalidArgument("sort range start not page-aligned");
     }
@@ -78,9 +87,11 @@ class ExternalSorter {
       return Status::OutOfRange("sort range outside file");
     }
     IOLAP_RETURN_IF_ERROR(pool_->EvictFile(file->file_id()));
-    if (end - begin <= 1) return Status::Ok();
+    // One record is in order already; it is read only to be prepared.
+    const int64_t in_order = std::is_same_v<Prepare, KeepAsRead> ? 1 : 0;
+    if (end - begin <= in_order) return Status::Ok();
     InPlace out;
-    return SortTo(file->file_id(), begin, end - begin, less, out);
+    return SortTo(file->file_id(), begin, end - begin, less, out, prepare);
   }
 
   /// Hands the records of `file` to `consume` (callable as
@@ -94,7 +105,8 @@ class ExternalSorter {
   Status SortInto(const TypedFile<T>& file, Less less, Consume consume) {
     IOLAP_RETURN_IF_ERROR(pool_->EvictFile(file.file_id()));
     if (file.empty()) return Status::Ok();
-    return SortTo(file.file_id(), 0, file.size(), less, consume);
+    return SortTo(file.file_id(), 0, file.size(), less, consume,
+                  KeepAsRead{});
   }
 
  private:
@@ -111,16 +123,16 @@ class ExternalSorter {
 
   /// Sorts records [begin, begin + count) of `file` (count >= 1; the pool
   /// holds none of its pages) into `out`: InPlace, or a consumer.
-  template <typename Less, typename Out>
+  template <typename Less, typename Out, typename Prepare>
   Status SortTo(FileId file, int64_t begin, int64_t count, Less less,
-                Out& out) {
+                Out& out, const Prepare& prepare) {
     const int64_t budget_records = budget_pages_ * kRpp;
 
     // Fast path: the whole range fits in the sort budget.
     if (count <= budget_records) {
       TraceSpan span("sort.in_memory");
       span.AddArg("records", count);
-      return SortInMemory(file, begin, count, less, out);
+      return SortInMemory(file, begin, count, less, out, prepare);
     }
 
     // Pass 0: run generation. Runs are written one after another, so the
@@ -135,7 +147,7 @@ class ExternalSorter {
       for (int64_t offset = 0; offset < count; offset += budget_records) {
         int64_t n = std::min(budget_records, count - offset);
         IOLAP_RETURN_IF_ERROR(GenerateRun(file, begin + offset, scratch_a,
-                                          next_page, n, less));
+                                          next_page, n, less, prepare));
         runs.push_back(Run{next_page, n});
         next_page += (n + kRpp - 1) / kRpp;
       }
@@ -163,7 +175,7 @@ class ExternalSorter {
         std::vector<Run> group(
             runs.begin() + g, runs.begin() + std::min(runs.size(), g + fan_in));
         PageWriter writer(disk_, out_file, out_page,
-                          MergeBlockPages(group.size()));
+                          MergeBlockPages(group.size(), /*writes_file=*/true));
         IOLAP_RETURN_IF_ERROR(MergeRuns(src, group, less, writer));
         IOLAP_RETURN_IF_ERROR(writer.Finish());
         next_runs.push_back(Run{out_page, writer.records()});
@@ -186,9 +198,12 @@ class ExternalSorter {
   }
 
   /// Pages per input block, and per output block, of a k-way merge: the
-  /// budget split across the k inputs plus the output stream.
-  int64_t MergeBlockPages(size_t k) const {
-    return std::max<int64_t>(1, budget_pages_ / static_cast<int64_t>(k + 1));
+  /// budget split across the k inputs, plus the output stream when the
+  /// merge writes a file (a consumer takes records straight from the
+  /// input blocks).
+  int64_t MergeBlockPages(size_t k, bool writes_file) const {
+    const int64_t streams = static_cast<int64_t>(k) + (writes_file ? 1 : 0);
+    return std::max<int64_t>(1, budget_pages_ / streams);
   }
 
   Status ReadPageRange(FileId file, int64_t first_page, int64_t npages,
@@ -228,20 +243,22 @@ class ExternalSorter {
                                       (i % kRpp) * sizeof(T));
   }
 
-  /// Builds (prefix, index) keys straight from `n` records laid out in
-  /// `pages` and sorts them stably into the order `less` defines over the
-  /// records behind them: byte-skipping LSD radix on the 8-byte prefix,
-  /// then a fallback comparison sort inside each equal-prefix group.
-  template <typename Less>
-  static std::vector<Keyed> SortedKeys(const std::byte* pages, int64_t n,
-                                       const Less& less) {
+  /// Prepares the `n` records laid out in `pages` in place, builds
+  /// (prefix, index) keys straight from them and sorts those stably into
+  /// the order `less` defines over the records behind them: byte-skipping
+  /// LSD radix on the 8-byte prefix, then a fallback comparison sort inside
+  /// each equal-prefix group.
+  template <typename Less, typename Prepare>
+  static std::vector<Keyed> SortedKeys(std::byte* pages, int64_t n,
+                                       const Less& less, const Prepare& prepare) {
     std::vector<Keyed> keys(n);
     {
       int64_t i = 0;
       for (int64_t p = 0; p * kRpp < n; ++p) {
-        const T* rec = reinterpret_cast<const T*>(pages + p * kPageSize);
+        T* rec = reinterpret_cast<T*>(pages + p * kPageSize);
         int64_t take = std::min<int64_t>(kRpp, n - p * kRpp);
         for (int64_t s = 0; s < take; ++s, ++i) {
+          prepare(rec[s]);
           keys[i] = Keyed{static_cast<uint64_t>(less.KeyPrefix(rec[s])), i};
         }
       }
@@ -304,15 +321,16 @@ class ExternalSorter {
   /// back, so tail records sharing the final page (beyond the sorted range)
   /// ride along without an extra read. Otherwise they go straight to the
   /// consumer and nothing is written.
-  template <typename Less, typename Out>
+  template <typename Less, typename Out, typename Prepare>
   Status SortInMemory(FileId file, int64_t begin, int64_t count, Less less,
-                      Out& out) {
+                      Out& out, const Prepare& prepare) {
     const int64_t first_page = begin / kRpp;
     const int64_t npages = (count + kRpp - 1) / kRpp;
     std::vector<std::byte> pages(static_cast<size_t>(npages) * kPageSize);
     IOLAP_RETURN_IF_ERROR(ReadPageRange(file, first_page, npages,
                                         pages.data()));
-    const std::vector<Keyed> keys = SortedKeys(pages.data(), count, less);
+    const std::vector<Keyed> keys =
+        SortedKeys(pages.data(), count, less, prepare);
     if constexpr (std::is_same_v<Out, InPlace>) {
       std::vector<std::byte> sorted(pages);
       Gather(pages.data(), keys, sorted.data());
@@ -329,15 +347,17 @@ class ExternalSorter {
   /// file at `out_page`. A partial final page is written with a zeroed tail
   /// (the scratch file is fresh, so there is nothing to preserve and no
   /// read-modify-write).
-  template <typename Less>
+  template <typename Less, typename Prepare>
   Status GenerateRun(FileId in, int64_t in_begin, FileId out,
-                     int64_t out_page, int64_t n, Less less) {
+                     int64_t out_page, int64_t n, Less less,
+                     const Prepare& prepare) {
     const int64_t first_page = in_begin / kRpp;  // in_begin is page-aligned
     const int64_t npages = (n + kRpp - 1) / kRpp;
     std::vector<std::byte> pages(static_cast<size_t>(npages) * kPageSize);
     IOLAP_RETURN_IF_ERROR(ReadPageRange(in, first_page, npages, pages.data()));
     std::vector<std::byte> sorted(pages.size());  // value-init: slack = 0
-    Gather(pages.data(), SortedKeys(pages.data(), n, less), sorted.data());
+    Gather(pages.data(), SortedKeys(pages.data(), n, less, prepare),
+           sorted.data());
     return WritePageRange(out, out_page, npages, sorted.data());
   }
 
@@ -420,7 +440,8 @@ class ExternalSorter {
   Status MergeRuns(FileId src, const std::vector<Run>& group, Less less,
                    Emit& emit) {
     const size_t k = group.size();
-    const int64_t block = MergeBlockPages(k);
+    const int64_t block =
+        MergeBlockPages(k, /*writes_file=*/std::is_same_v<Emit, PageWriter>);
 
     struct RunCursor {
       std::vector<std::byte> buf;

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -63,11 +64,8 @@ AllocationOptions EquivalenceOptions(AlgorithmKind algorithm) {
   return options;
 }
 
-// Checkpoint every boundary for the iteration algorithms; Transitive hits a
-// boundary per component, so use a coarser cadence to keep the test fast.
-int CadenceFor(AlgorithmKind algorithm) {
-  return algorithm == AlgorithmKind::kTransitive ? 25 : 1;
-}
+// Checkpoint every iteration or component boundary.
+int CadenceFor(AlgorithmKind) { return 1; }
 
 std::vector<std::byte> DumpEdb(StorageEnv& env,
                                const AllocationResult& result) {
@@ -83,12 +81,14 @@ std::vector<std::byte> DumpEdb(StorageEnv& env,
   return bytes;
 }
 
-// What a run leaves: its EDB bytes and the counters a resumed Transitive
-// run must restore or recount exactly (its component census,
-// unallocatable facts and emitted edges).
+// What a run leaves: its EDB bytes, the counters a resumed Transitive run
+// must restore or recount exactly (its component census, unallocatable
+// facts and emitted edges), and its preprocessing reads (none when it
+// resumed from a checkpoint).
 struct RunOutput {
   std::vector<std::byte> edb;
   std::vector<int64_t> census;
+  int64_t prep_reads = 0;
 };
 
 RunOutput Capture(StorageEnv& env, const AllocationResult& result) {
@@ -98,7 +98,8 @@ RunOutput Capture(StorageEnv& env, const AllocationResult& result) {
                     c.largest_component, c.num_large_components,
                     c.large_component_pages, c.max_component_iterations,
                     c.total_component_iterations, result.unallocatable_facts,
-                    result.edges_emitted}};
+                    result.edges_emitted},
+                   result.prep_io.page_reads};
 }
 
 RunOutput RunBaseline(const StarSchema& schema, AlgorithmKind algorithm) {
@@ -211,6 +212,9 @@ INSTANTIATE_TEST_SUITE_P(
         CrashParam{AlgorithmKind::kBlock, 500, '*'},
         CrashParam{AlgorithmKind::kBlock, 2000, '*'},
         CrashParam{AlgorithmKind::kTransitive, 40, '*'},
+        CrashParam{AlgorithmKind::kTransitive, 550, '*'},
+        CrashParam{AlgorithmKind::kTransitive, 600, '*'},
+        CrashParam{AlgorithmKind::kTransitive, 650, '*'},
         CrashParam{AlgorithmKind::kTransitive, 800, '*'},
         CrashParam{AlgorithmKind::kTransitive, 3000, '*'},
         // Kill inside a checkpoint write itself: the manifest commit
@@ -260,9 +264,10 @@ TEST(CheckpointFinalManifestTest, TransitiveResumesCompletedRun) {
   const RunOutput baseline = RunBaseline(schema, AlgorithmKind::kTransitive);
   std::string ckpt_dir = MakeTempDir();
   RunCheckpointed(schema, AlgorithmKind::kTransitive, ckpt_dir);
-  ExpectSameRun(AlgorithmKind::kTransitive, baseline,
-                ResumeAndCapture(schema, AlgorithmKind::kTransitive,
-                                 ckpt_dir));
+  const RunOutput resumed =
+      ResumeAndCapture(schema, AlgorithmKind::kTransitive, ckpt_dir);
+  EXPECT_EQ(resumed.prep_reads, 0);  // restored, not preprocessed
+  ExpectSameRun(AlgorithmKind::kTransitive, baseline, resumed);
 }
 
 TEST(CheckpointTornManifestTest, TruncatedManifestFallsBackOneGeneration) {
@@ -320,9 +325,11 @@ TEST(CheckpointTornManifestTest, AllManifestsTornFallsBackToFreshRun) {
                 ResumeAndCapture(schema, AlgorithmKind::kBlock, ckpt_dir));
 }
 
-// Rewrites the version of every manifest in `ckpt_dir` and re-seals its
-// checksum, so that only the version can make resume refuse it.
-void SetManifestVersions(const std::string& ckpt_dir, uint32_t version) {
+// Rewrites the header of every manifest in `ckpt_dir` with `edit` and
+// re-seals its checksum, so that only the edited fields can make resume
+// refuse it.
+void RewriteManifests(const std::string& ckpt_dir,
+                      const std::function<void(ManifestHeader*)>& edit) {
   for (const auto& entry : std::filesystem::directory_iterator(ckpt_dir)) {
     std::string name = entry.path().filename().string();
     if (name.rfind("manifest.", 0) != 0) continue;
@@ -332,8 +339,10 @@ void SetManifestVersions(const std::string& ckpt_dir, uint32_t version) {
       blob.assign(std::istreambuf_iterator<char>(in), {});
     }
     ASSERT_GE(blob.size(), sizeof(ManifestHeader) + sizeof(uint64_t));
-    std::memcpy(blob.data() + offsetof(ManifestHeader, version), &version,
-                sizeof(version));
+    ManifestHeader header;
+    std::memcpy(&header, blob.data(), sizeof(header));
+    edit(&header);
+    std::memcpy(blob.data(), &header, sizeof(header));
     uint64_t h = 1469598103934665603ULL;  // FNV-1a 64
     for (size_t i = 0; i + sizeof(uint64_t) < blob.size(); ++i) {
       h = (h ^ static_cast<unsigned char>(blob[i])) * 1099511628211ULL;
@@ -356,7 +365,8 @@ TEST(CheckpointVersionTest, VersionOneManifestStartsFresh) {
     SCOPED_TRACE("manifest version " + std::to_string(version));
     std::string ckpt_dir = MakeTempDir();
     RunCheckpointed(schema, AlgorithmKind::kBlock, ckpt_dir);
-    SetManifestVersions(ckpt_dir, version);
+    RewriteManifests(ckpt_dir,
+                     [version](ManifestHeader* h) { h->version = version; });
 
     StorageEnv env(MakeTempDir(), kBufferPages);
     auto facts = MakeFacts(env, schema);
@@ -371,6 +381,34 @@ TEST(CheckpointVersionTest, VersionOneManifestStartsFresh) {
     ASSERT_EQ(baseline.edb.size(), edb.size());
     EXPECT_EQ(std::memcmp(baseline.edb.data(), edb.data(), edb.size()), 0);
   }
+}
+
+// A Transitive manifest whose directory runs past its finished components
+// (the layout of a writer that built the whole directory before the
+// component loop, with raw component ids in its images) is refused: the
+// run starts fresh and ends with the uninterrupted run's EDB and census.
+TEST(CheckpointVersionTest, FullDirectoryManifestStartsFresh) {
+  IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeDenseSchema());
+  const RunOutput baseline = RunBaseline(schema, AlgorithmKind::kTransitive);
+  std::string ckpt_dir = MakeTempDir();
+  RunCheckpointed(schema, AlgorithmKind::kTransitive, ckpt_dir);
+  RewriteManifests(ckpt_dir, [](ManifestHeader* h) {
+    ASSERT_GE(h->next_component, 1);
+    h->next_component -= 1;
+    h->flags &= ~kManifestFlagConverged;
+  });
+
+  StorageEnv env(MakeTempDir(), kBufferPages);
+  auto facts = MakeFacts(env, schema);
+  AllocationOptions options = EquivalenceOptions(AlgorithmKind::kTransitive);
+  options.checkpoint.directory = ckpt_dir;
+  options.checkpoint.every = CadenceFor(AlgorithmKind::kTransitive);
+  options.checkpoint.resume = true;
+  IOLAP_ASSERT_OK_AND_ASSIGN(AllocationResult result,
+                             Allocator::Run(env, schema, &facts, options));
+  const RunOutput resumed = Capture(env, result);
+  EXPECT_GT(resumed.prep_reads, 0);  // preprocessed from scratch
+  ExpectSameRun(AlgorithmKind::kTransitive, baseline, resumed);
 }
 
 TEST(CheckpointFingerprintTest, MismatchedOptionsRefuseToResume) {

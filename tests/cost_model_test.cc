@@ -4,9 +4,8 @@
 //   Theorem 7  (Block):       3·T·(|S|·|C| + |I|)
 //   Theorem 10 (Transitive):  2(|S||C|+|I|) + 5(|C|+|I|) + 3|L|(T+1)
 // We assert two-sided bounds with generous slack (the pool caches some
-// pages, sorts take their fast path when segments fit the budget, and our
-// implementation adds a directory scan), plus the *relative* claims the
-// experiments rest on.
+// pages, and sorts take their fast path when segments fit the budget),
+// plus the *relative* claims the experiments rest on.
 
 #include <gtest/gtest.h>
 
@@ -75,6 +74,22 @@ TEST(CostModelTest, IndependentTracksTheorem6) {
   const int64_t measured = run.result.alloc_io.total();
   EXPECT_LT(measured, predicted * 2) << "W=" << W;
   EXPECT_GT(measured, predicted / 4) << "W=" << W;
+}
+
+TEST(CostModelTest, TransitiveTracksTheorem10) {
+  // Measured 1.05x (96 pages) and 1.15x (300 pages) of the prediction.
+  for (int64_t buffer_pages : {int64_t{96}, int64_t{300}}) {
+    RunOutcome run = RunAlloc(AlgorithmKind::kTransitive, buffer_pages, 0, 4);
+    const int64_t S = run.result.num_groups;
+    const int64_t C = run.cell_pages;
+    const int64_t I = run.imprecise_pages;
+    const int64_t L = run.result.components.large_component_pages;
+    const int64_t T = run.result.components.max_component_iterations;
+    const int64_t predicted = 2 * (S * C + I) + 5 * (C + I) + 3 * L * (T + 1);
+    const int64_t measured = run.result.alloc_io.total();
+    EXPECT_LT(measured, predicted * 6 / 5) << "pool " << buffer_pages;
+    EXPECT_GT(measured, predicted * 9 / 10) << "pool " << buffer_pages;
+  }
 }
 
 TEST(CostModelTest, IndependentCostsMoreThanBlockPerIteration) {

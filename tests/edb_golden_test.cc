@@ -59,9 +59,9 @@ constexpr GoldenParam kGolden[] = {
     {AlgorithmKind::kBlock, 11, 0xc8831a6a5435a220ULL, 3769, 249, 139},
     {AlgorithmKind::kBlock, 12, 0xb303dbdad420a21eULL, 3706, 218, 127},
     {AlgorithmKind::kBlock, 13, 0x0969c2031e218c15ULL, 3595, 234, 135},
-    {AlgorithmKind::kTransitive, 11, 0xc8831a6a5435a220ULL, 3769, 148, 181},
-    {AlgorithmKind::kTransitive, 12, 0xbb071be2cc72edaeULL, 3706, 128, 152},
-    {AlgorithmKind::kTransitive, 13, 0x537e246b55a08b0fULL, 3595, 133, 153},
+    {AlgorithmKind::kTransitive, 11, 0xc8831a6a5435a220ULL, 3769, 119, 181},
+    {AlgorithmKind::kTransitive, 12, 0xbb071be2cc72edaeULL, 3706, 99, 152},
+    {AlgorithmKind::kTransitive, 13, 0x537e246b55a08b0fULL, 3595, 103, 153},
 };
 
 void PrintTo(const GoldenParam& p, std::ostream* os) {

@@ -345,6 +345,70 @@ TEST_F(ExternalSortTest, SingleRunFastPathReadsAndWritesOnce) {
   EXPECT_EQ(stats.page_writes, n_pages);
 }
 
+// A merge that feeds a consumer writes nothing, so its k inputs share the
+// whole budget: each run's pages arrive in blocks of budget/k, not
+// budget/(k+1).
+TEST_F(ExternalSortTest, StreamedMergeReadsRunsInBudgetOverKBlocks) {
+  const int64_t rpp = TypedFile<Rec>::kRecordsPerPage;
+  const int64_t budget = 6;
+  const int64_t run_pages = budget;  // run generation sorts budget pages
+  // Two runs whose keys interleave (evens, then odds), so the merge drains
+  // their blocks in turn.
+  std::vector<Rec> data;
+  for (int64_t parity : {0, 1}) {
+    for (int64_t i = 0; i < run_pages * rpp; ++i) {
+      data.push_back(Rec{2 * i + parity, i});
+    }
+  }
+  TypedFile<Rec> file = MakeFile(data);
+  IOLAP_ASSERT_OK(pool_.FlushAll());
+  disk_.ResetStats();
+  std::vector<PageId> merge_reads;
+  disk_.SetFaultInjector([&](char op, FileId f, PageId page) {
+    if (op == 'r' && f != file.file_id()) merge_reads.push_back(page);
+    return Status::Ok();
+  });
+  ExternalSorter<Rec> sorter(&disk_, &pool_, budget);
+  int64_t consumed = 0;
+  Status st = sorter.SortInto(file, KeyedLess{}, [&](const Rec& r) {
+    EXPECT_EQ(r.key, consumed++);
+    return Status::Ok();
+  });
+  disk_.SetFaultInjector(nullptr);
+  IOLAP_ASSERT_OK(st);
+  EXPECT_EQ(consumed, static_cast<int64_t>(data.size()));
+  // Run 0 is scratch pages [0, 6), run 1 pages [6, 12); blocks of 3.
+  const std::vector<PageId> want = {0, 1, 2, 6, 7, 8, 3, 4, 5, 9, 10, 11};
+  EXPECT_EQ(merge_reads, want);
+  // Counted pages: every page read once to make the runs and once to merge.
+  EXPECT_EQ(disk_.stats().page_reads, 4 * run_pages);
+  EXPECT_EQ(disk_.stats().page_writes, 2 * run_pages);
+}
+
+// Sort's `prepare` rewrites every record before it is keyed, on the
+// in-memory fast path and through run generation and the merge alike.
+TEST_F(ExternalSortTest, PrepareRewritesRecordsBeforeKeying) {
+  const int64_t rpp = TypedFile<Rec>::kRecordsPerPage;
+  for (int64_t n_pages : {int64_t{1}, int64_t{20}}) {
+    SCOPED_TRACE("pages " + std::to_string(n_pages));
+    std::vector<Rec> data =
+        MakeRandomRecords(31, static_cast<int>(n_pages * rpp - 3), 5000);
+    TypedFile<Rec> file = MakeFile(data);
+    ExternalSorter<Rec> sorter(&disk_, &pool_, 4);
+    // Negating the key reverses the order the file ends up in.
+    IOLAP_ASSERT_OK(
+        sorter.Sort(&file, KeyedLess{}, [](Rec& r) { r.key = -r.key; }));
+    for (Rec& r : data) r.key = -r.key;
+    std::stable_sort(data.begin(), data.end(), KeyedLess{});
+    std::vector<Rec> got = ReadAll(file);
+    ASSERT_EQ(got.size(), data.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].key, data[i].key) << "at " << i;
+      ASSERT_EQ(got[i].payload, data[i].payload) << "at " << i;
+    }
+  }
+}
+
 TEST_F(ExternalSortTest, RangeEndingMidPagePreservesNeighbours) {
   // Sort only [rpp, rpp + span) where the range ends mid-page: records
   // before, after, and the tail sharing the range's last page must come out

@@ -351,14 +351,13 @@ void CheckKeyProtocol(const StarSchema& schema, bool complete) {
     entries.push_back(source.Entry());
     facts.push_back(source.Fact());
   }
-  const std::vector<int32_t> canon = {0, 0, 2, 2};
   const int cell_ties =
       ExpectPrefixRefinesLess(CellSpecLess(&cmp), cells, complete, "cell");
   const int entry_ties = ExpectPrefixRefinesLess(EntrySpecLess(&cmp), entries,
                                                  complete, "entry");
-  ExpectPrefixRefinesLess(ComponentCellLess(&canon, &cmp), cells, complete,
+  ExpectPrefixRefinesLess(ComponentCellLess(4, &cmp), cells, complete,
                           "component cell");
-  ExpectPrefixRefinesLess(ComponentEntryLess(&canon, 3, &cmp), entries,
+  ExpectPrefixRefinesLess(ComponentEntryLess(4, 3, &cmp), entries,
                           complete, "component entry");
   // Facts tie-break on fact_id, which no prefix holds.
   ExpectPrefixRefinesLess(SummaryOrderLess(&schema), facts, false, "fact");
